@@ -151,6 +151,12 @@ def read_trace_csv(stream: IO[str]) -> tuple[PETraceSet, dict[str, str]]:
         raise InvalidInputError(f"bad trace row: {exc}") from None
     if matrix.shape[1] != len(taus):
         raise InvalidInputError("trace rows do not match the declared stride columns")
+    if not np.isfinite(matrix).all():
+        row, col = np.argwhere(~np.isfinite(matrix))[0]
+        raise InvalidInputError(
+            f"non-finite entropy {matrix[row, col]} at anchor {anchors[row]}, "
+            f"column pe_tau{taus[col]}"
+        )
     traces = tuple(
         PETrace(tau=taus[k], anchors=anchors, values=np.ascontiguousarray(matrix[:, k]))
         for k in range(len(taus))

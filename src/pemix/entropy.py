@@ -13,7 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientDataError, InvalidInputError
-from .ordinal import PatternConfig, PatternDistribution, encode_patterns, pattern_distribution
+from .ordinal import (
+    _CHUNK_CELLS,
+    PatternConfig,
+    PatternDistribution,
+    _check_ell_fits,
+    encode_patterns,
+    pattern_distribution,
+)
 from .series import TimeSeries
 
 __all__ = [
@@ -26,17 +33,12 @@ __all__ = [
     "multi_tau_pe",
 ]
 
-# Cells (window rows x ell! columns) per cumulative-histogram chunk.
-# Bounds the sliding computation's working memory to a few tens of MB.
-_CHUNK_CELLS = 2_000_000
-
-
 @dataclass(frozen=True)
 class PEConfig:
     """Shape of a windowed, multi-stride entropy computation.
 
     Attributes:
-        ell: Points per ordinal pattern, >= 2.
+        ell: Points per ordinal pattern, 2..9 (see :class:`PatternConfig`).
         window: Observations per sliding window; must fit at least one
             pattern at the largest stride: ``window >= (ell-1)*tau_max + 1``.
         tau_min: Smallest stride, >= 1.
@@ -58,6 +60,7 @@ class PEConfig:
             object.__setattr__(self, name, int(value))
         if self.ell < 2:
             raise InvalidInputError(f"ell must be >= 2, got {self.ell}")
+        _check_ell_fits(self.ell)
         if self.tau_min < 1:
             raise InvalidInputError(f"tau_min must be >= 1, got {self.tau_min}")
         if self.tau_max < self.tau_min:
@@ -143,14 +146,19 @@ class PETraceSet:
         return np.stack([t.values for t in self.traces], axis=0)
 
 
-def _normalized_entropy(probs: np.ndarray, ell: int) -> np.ndarray:
-    """Shared kernel: entropy of probability rows, normalized to [0, 1].
+def _plogp(probs: np.ndarray) -> np.ndarray:
+    """Elementwise ``p * log(p)``, with ``0 * log(0)`` taken as 0."""
+    return probs * np.log(np.where(probs > 0.0, probs, 1.0))
 
-    Both the single-distribution path and the sliding-window path reduce
-    to this function, so the two agree bit for bit on identical counts.
+
+def _normalized_entropy(plogp: np.ndarray, ell: int) -> np.ndarray:
+    """Shared kernel: entropy of ``p * log(p)`` rows, normalized to [0, 1].
+
+    The single-distribution path passes :func:`_plogp` of its
+    probabilities; the sliding-window path gathers rows from a
+    :func:`_plogp` table of every possible count.  Equal counts give
+    equal rows and both reduce here, so the two agree bit for bit.
     """
-    logs = np.log(np.where(probs > 0.0, probs, 1.0))
-    plogp = probs * logs
     h = -(plogp.sum(axis=-1)) / math.log(math.factorial(ell))
     # A perfectly uniform tally can land one rounding step above 1.0.
     return np.minimum(h + 0.0, 1.0)
@@ -170,7 +178,7 @@ def permutation_entropy(dist: PatternDistribution, ell: int) -> float:
         )
     if dist.count < 1:
         raise InsufficientDataError("cannot compute entropy of an empty distribution")
-    return float(_normalized_entropy(dist.probs, ell))
+    return float(_normalized_entropy(_plogp(dist.probs), ell))
 
 
 def global_pe(series: TimeSeries, ell: int, tau: int) -> float:
@@ -217,24 +225,38 @@ def _sliding_entropy(
     ell: int,
     span: int,
 ) -> np.ndarray:
-    """Entropy per anchored window via chunked cumulative pattern counts."""
+    """Entropy per anchored window from running pattern counts.
+
+    Consecutive windows differ by the ``hop`` pattern codes that enter at
+    the right and the ``hop`` that leave at the left.  Anchors are taken
+    in chunks of at most ``_CHUNK_CELLS // max(ell!, hop)``; per chunk one
+    ``bincount`` tallies the entering codes per anchor and one the
+    leaving codes, the first row is seeded with the first window's full
+    tally, and a ``cumsum`` down the anchors turns the differences into
+    counts.  Each count then indexes a table of ``p * log(p)`` over
+    ``0..per_window``, so no ``log`` is taken per cell.  Working memory is
+    a few ``_CHUNK_CELLS``-sized arrays plus the table, whatever the window.
+    """
     nfact = math.factorial(ell)
     per_window = window - span
     hop = int(anchors[1] - anchors[0]) if anchors.shape[0] > 1 else 1
+    table = _plogp(np.arange(per_window + 1) / per_window)
     out = np.empty(anchors.shape[0], dtype=np.float64)
-    rows = max(_CHUNK_CELLS // nfact - window, 1)
-    chunk = max(rows // hop, 1)
+    chunk = max(_CHUNK_CELLS // max(nfact, hop), 1)
     for s in range(0, anchors.shape[0], chunk):
-        sub = anchors[s : s + chunk]
-        first = sub - (window - 1)  # first pattern start per window
-        last = sub - span  # last pattern start per window, inclusive
-        base = int(first[0])
-        seg = codes[base : int(last[-1]) + 1]
-        cum = np.zeros((seg.shape[0] + 1, nfact), dtype=np.int64)
-        cum[np.arange(1, seg.shape[0] + 1), seg] = 1
-        np.cumsum(cum, axis=0, out=cum)
-        counts = cum[last - base + 1] - cum[first - base]
-        out[s : s + sub.shape[0]] = _normalized_entropy(counts / per_window, ell)
+        rows = min(chunk, anchors.shape[0] - s)
+        head = int(anchors[s]) - span + 1  # one past the first window's last pattern
+        tail = head - per_window  # the first window's first pattern
+        moved = (rows - 1) * hop
+        # Row r >= 1 gains codes[head + (r-1)*hop : head + r*hop] and
+        # loses codes[tail + (r-1)*hop : tail + r*hop].
+        offsets = np.repeat(np.arange(nfact, rows * nfact, nfact), hop)
+        counts = np.bincount(offsets + codes[head : head + moved], minlength=rows * nfact)
+        counts -= np.bincount(offsets + codes[tail : tail + moved], minlength=rows * nfact)
+        counts[:nfact] = np.bincount(codes[tail:head], minlength=nfact)
+        counts = counts.reshape(rows, nfact)
+        np.cumsum(counts, axis=0, out=counts)
+        out[s : s + rows] = _normalized_entropy(table[counts], ell)
     return out
 
 

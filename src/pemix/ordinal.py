@@ -32,6 +32,20 @@ __all__ = [
     "pattern_distribution",
 ]
 
+# Cells (anchors x ell! pattern counts) per chunk of the sliding-window
+# entropy kernel; bounds its working memory to a few tens of MB.  A chunk
+# holds at least one full row of ell! counts, which caps ell at 9.
+_CHUNK_CELLS = 2_000_000
+_MAX_ELL = max(e for e in range(2, 13) if math.factorial(e) <= _CHUNK_CELLS)
+
+
+def _check_ell_fits(ell: int) -> None:
+    if ell > _MAX_ELL:
+        raise InvalidInputError(
+            f"ell must be <= {_MAX_ELL} so that ell! pattern counts fit one "
+            f"chunk of {_CHUNK_CELLS} cells, got {ell}"
+        )
+
 
 class TiePolicy(enum.Enum):
     """How equal values inside a window are ranked.
@@ -74,7 +88,8 @@ class PatternConfig:
     """Window shape for pattern extraction.
 
     Attributes:
-        ell: Number of points per window, >= 2.
+        ell: Number of points per window, 2..9 (``ell!`` must not
+            exceed the sliding kernel's chunk of 2,000,000 cells).
         tau: Stride between consecutive window points, >= 1.
         tie_policy: Tie handling rule.
     """
@@ -90,6 +105,7 @@ class PatternConfig:
             raise InvalidInputError(f"tau must be an integer >= 1, got {self.tau}")
         object.__setattr__(self, "ell", int(self.ell))
         object.__setattr__(self, "tau", int(self.tau))
+        _check_ell_fits(self.ell)
 
     @property
     def span(self) -> int:

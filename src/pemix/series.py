@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Mapping
+from typing import IO, Mapping
 
 import numpy as np
 
@@ -91,6 +91,7 @@ class TimeSeries:
 
 
 _FORMAT_TAG = "pemix-series v1"
+_COLUMNS = "time,value"
 
 
 def write_series_csv(
@@ -115,7 +116,7 @@ def write_series_csv(
             header[str(key)] = value
     for key, value in header.items():
         stream.write(f"# {key}: {value}\n")
-    stream.write("time,value\n")
+    stream.write(f"{_COLUMNS}\n")
     times = series.times()
     values = series.values
     for i in range(len(series)):
@@ -130,7 +131,8 @@ def read_series_csv(stream: IO[str]) -> tuple[TimeSeries, dict[str, str]]:
     time column.
 
     Raises:
-        InvalidInputError: On a malformed file.
+        InvalidInputError: On a malformed file, including one whose column
+            header is not ``time,value`` (such as a trace table).
     """
     metadata: dict[str, str] = {}
     rows_t: list[float] = []
@@ -148,6 +150,10 @@ def read_series_csv(stream: IO[str]) -> tuple[TimeSeries, dict[str, str]]:
             continue
         if not saw_columns:
             # First non-comment line is the column header.
+            if line != _COLUMNS:
+                raise InvalidInputError(
+                    f"line {lineno}: expected the column header {_COLUMNS!r}, got {line!r}"
+                )
             saw_columns = True
             continue
         parts = line.split(",")
@@ -172,8 +178,3 @@ def read_series_csv(stream: IO[str]) -> tuple[TimeSeries, dict[str, str]]:
     unit = metadata.get("unit", "samples")
     return TimeSeries(values=values, spacing=spacing, unit=unit, origin=origin), metadata
 
-
-def iter_metadata_lines(metadata: Mapping[str, object]) -> Iterable[str]:
-    """Format a metadata mapping as ``# key: value`` lines."""
-    for key, value in metadata.items():
-        yield f"# {key}: {value}\n"

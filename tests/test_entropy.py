@@ -1,6 +1,7 @@
 """Permutation entropy: scalar values, sliding windows, stride sets."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -127,21 +128,40 @@ class TestWindowedPE:
 
     def test_bit_for_bit_against_per_window_recomputation(self):
         rng = np.random.default_rng(71)
+        cases = []
         for _ in range(10):
             n = int(rng.integers(60, 400))
             if rng.random() < 0.5:
                 values = rng.standard_normal(n)
             else:
                 values = rng.integers(0, 5, size=n).astype(float)
-            series = TimeSeries(values)
             ell = int(rng.integers(2, 5))
             tau = int(rng.integers(1, 4))
             window = int(rng.integers((ell - 1) * tau + 1, min(n, 120) + 1))
             hop = int(rng.integers(1, 5))
+            cases.append((values, ell, tau, window, hop))
+        # Fixed inputs the draws above never reach: ell 5 and 6 over about
+        # 50 anchors of long windows, ell 6 over two chunks of anchors, and
+        # a hop larger than window - span = 36, so that consecutive windows
+        # share no pattern (with ties from rounding).
+        walk = np.cumsum(rng.standard_normal(20_049))
+        cases += [
+            (walk[:5049], 5, 1, 5000, 1),
+            (walk[:5049], 6, 1, 5000, 1),
+            (walk, 6, 1, 20_000, 1),
+            (walk[:6000], 6, 1, 100, 2),
+            (np.round(walk[:4000]), 3, 2, 40, 45),
+        ]
+        peaks = {}
+        for values, ell, tau, window, hop in cases:
+            series = TimeSeries(values)
             config = PEConfig(
                 ell=ell, window=window, tau_min=tau, tau_max=tau, hop=hop
             )
+            tracemalloc.start()
             trace = windowed_pe(series, config, tau)
+            peaks[ell, window] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
             for i in range(len(trace)):
                 anchor = int(trace.anchors[i])
                 dist = pattern_distribution(
@@ -154,6 +174,12 @@ class TestWindowedPE:
                     f"mismatch at anchor {anchor} (ell={ell}, tau={tau}, "
                     f"window={window}, hop={hop})"
                 )
+        # Working memory must not scale with window x ell!: going from 5000
+        # to 20000 points may only grow the arrays of one value per point
+        # (pattern codes, encoding temporaries, the p*log(p) table).  A
+        # cumulative histogram of ell! = 720 counts per point grows by
+        # 5760 bytes per point instead.
+        assert peaks[6, 20_000] - peaks[6, 5000] <= 32 * (20_000 - 5000)
 
     def test_series_shorter_than_window_raises(self):
         series = TimeSeries(np.arange(30.0))
@@ -206,3 +232,9 @@ class TestPEConfig:
             PEConfig(hop=0)
         with pytest.raises(InvalidInputError):
             PEConfig(ell=1)
+
+    def test_ell_bounded_by_one_chunk_of_counts(self):
+        assert PEConfig(ell=9, window=100, tau_max=1).ell == 9
+        for ell in (10, 13, 21, 10**6):
+            with pytest.raises(InvalidInputError, match="ell must be <= 9"):
+                PEConfig(ell=ell, window=100, tau_max=1)

@@ -192,5 +192,12 @@ class TestPatternConfig:
         with pytest.raises(InvalidInputError):
             PatternConfig(ell=3, tau=0)
 
+    def test_ell_bounded_by_one_chunk_of_counts(self):
+        # 9! = 362,880 counts fit the kernel's 2,000,000-cell chunk; 10! does not.
+        assert PatternConfig(ell=9, tau=1).ell == 9
+        for ell in (10, 13, 21, 10**6):
+            with pytest.raises(InvalidInputError, match="ell must be <= 9"):
+                PatternConfig(ell=ell, tau=1)
+
     def test_span(self):
         assert PatternConfig(ell=4, tau=6).span == 18

@@ -72,6 +72,11 @@ class TestSeriesCsv:
         assert loaded.spacing == 0.5
         assert loaded.origin == 0.0
 
+    def test_other_column_header_raises(self):
+        buffer = io.StringIO("# pemix-trace v1\nanchor,pe_tau1\n99,0.5\n100,0.6\n")
+        with pytest.raises(InvalidInputError, match="line 2.*'time,value'"):
+            read_series_csv(buffer)
+
     def test_empty_file_raises(self):
         with pytest.raises(InvalidInputError):
             read_series_csv(io.StringIO(""))
