@@ -22,7 +22,7 @@ import sys
 import time
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import IO, Mapping
+from typing import IO, Callable, Mapping
 
 import numpy as np
 
@@ -46,7 +46,15 @@ from .mixing import (
     mixing_ansatz,
 )
 from .reversal import ReversalSeries, reversal_series, windowed_rbar
-from .series import TimeSeries, read_series_csv, write_series_csv
+from .series import (
+    TimeSeries,
+    read_header,
+    read_rows,
+    read_series_csv,
+    write_header,
+    write_series_csv,
+    write_table,
+)
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
@@ -91,46 +99,15 @@ def _manifest(command: str, params: Mapping[str, object], inputs: Mapping[str, P
     return meta
 
 
-def _write_metadata(stream: IO[str], tag: str, metadata: Mapping[str, object]) -> None:
-    stream.write(f"# {tag}\n")
-    for key, value in metadata.items():
-        stream.write(f"# {key}: {value}\n")
-
-
-def _read_metadata(stream: IO[str]) -> tuple[dict[str, str], list[str]]:
-    """Split a CSV stream into header metadata and raw data lines."""
-    metadata: dict[str, str] = {}
-    lines: list[str] = []
-    for raw in stream:
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if ":" in body:
-                key, _, value = body.partition(":")
-                metadata[key.strip()] = value.strip()
-            continue
-        lines.append(line)
-    return metadata, lines
-
-
 def write_trace_csv(stream: IO[str], traces: PETraceSet, metadata: Mapping[str, object]) -> None:
-    _write_metadata(stream, _TRACE_TAG, metadata)
-    taus = [int(t) for t in traces.taus]
-    stream.write("anchor," + ",".join(f"pe_tau{t}" for t in taus) + "\n")
-    matrix = traces.matrix()
-    anchors = traces.anchors
-    for i in range(anchors.shape[0]):
-        row = ",".join(repr(float(matrix[k, i])) for k in range(len(taus)))
-        stream.write(f"{int(anchors[i])},{row}\n")
+    columns = "anchor," + ",".join(f"pe_tau{t.tau}" for t in traces.traces)
+    data = [traces.anchors] + [t.values for t in traces.traces]
+    write_table(stream, _TRACE_TAG, metadata, columns, data)
 
 
 def read_trace_csv(stream: IO[str]) -> tuple[PETraceSet, dict[str, str]]:
-    metadata, lines = _read_metadata(stream)
-    if not lines:
-        raise InvalidInputError("trace file has no data")
-    columns = lines[0].split(",")
+    header = read_header(stream)
+    columns = header.columns.split(",")
     if len(columns) < 3 or columns[0] != "anchor":
         raise InvalidInputError(
             "trace file must have columns 'anchor,pe_tau<min>,...,pe_tau<max>'"
@@ -139,40 +116,37 @@ def read_trace_csv(stream: IO[str]) -> tuple[PETraceSet, dict[str, str]]:
         taus = [int(c.removeprefix("pe_tau")) for c in columns[1:]]
     except ValueError:
         raise InvalidInputError(f"unrecognized trace columns {columns[1:]}") from None
-    rows = [line.split(",") for line in lines[1:]]
-    if not rows:
-        raise InvalidInputError("trace file has a header but no rows")
-    try:
-        anchors = np.asarray([int(r[0]) for r in rows], dtype=np.int64)
-        matrix = np.asarray(
-            [[float(cell) for cell in r[1:]] for r in rows], dtype=np.float64
-        )
-    except (ValueError, IndexError) as exc:
-        raise InvalidInputError(f"bad trace row: {exc}") from None
-    if matrix.shape[1] != len(taus):
-        raise InvalidInputError("trace rows do not match the declared stride columns")
+    # An integer field keeps int()'s strictness: "150.0" is not an anchor.
+    dtype = np.dtype([("anchor", "i8"), ("pe", "f8", (len(taus),))])
+    table = read_rows(stream, header, dtype)
+    anchors = np.ascontiguousarray(table["anchor"])
+    matrix = table["pe"]
     if not np.isfinite(matrix).all():
         row, col = np.argwhere(~np.isfinite(matrix))[0]
         raise InvalidInputError(
             f"non-finite entropy {matrix[row, col]} at anchor {anchors[row]}, "
             f"column pe_tau{taus[col]}"
         )
+    backward = np.flatnonzero(np.diff(anchors) <= 0)
+    if backward.size:
+        row = backward[0]
+        raise InvalidInputError(
+            f"trace anchors must strictly increase, but anchor {anchors[row + 1]} "
+            f"follows anchor {anchors[row]}"
+        )
     traces = tuple(
         PETrace(tau=taus[k], anchors=anchors, values=np.ascontiguousarray(matrix[:, k]))
         for k in range(len(taus))
     )
-    return PETraceSet(traces=traces), metadata
+    return PETraceSet(traces=traces), header.metadata
 
 
 def write_reversal_csv(stream: IO[str], rev: ReversalSeries, metadata: Mapping[str, object]) -> None:
-    _write_metadata(stream, _REVERSAL_TAG, metadata)
-    stream.write("anchor,reversal\n")
-    for i in range(len(rev)):
-        stream.write(f"{int(rev.anchors[i])},{float(rev.r_values[i])!r}\n")
+    write_table(stream, _REVERSAL_TAG, metadata, "anchor,reversal", (rev.anchors, rev.r_values))
 
 
 def write_sweep_csv(stream: IO[str], result: BinSweepResult, metadata: Mapping[str, object]) -> None:
-    _write_metadata(stream, _SWEEP_TAG, metadata)
+    write_header(stream, _SWEEP_TAG, metadata)
     stream.write("bin_size,mean_reversal,data_sufficient\n")
     for i in range(result.bin_sizes.shape[0]):
         r = float(result.r_bars[i])
@@ -181,9 +155,9 @@ def write_sweep_csv(stream: IO[str], result: BinSweepResult, metadata: Mapping[s
         stream.write(f"{int(result.bin_sizes[i])},{cell},{flag}\n")
 
 
-def _load_series(path: Path) -> tuple[TimeSeries, dict[str, str]]:
+def _load(path: Path, reader: Callable[[IO[str]], tuple]) -> tuple:
     with open(path, "r", encoding="utf-8") as stream:
-        return read_series_csv(stream)
+        return reader(stream)
 
 
 def _pe_config_from_args(args: argparse.Namespace) -> PEConfig:
@@ -212,6 +186,20 @@ def _pe_params(config: PEConfig) -> dict[str, object]:
         "tau_max": config.tau_max,
         "hop": config.hop,
     }
+
+
+def _sweep_params(result: BinSweepResult) -> dict[str, object]:
+    return {
+        "recommended_bin": result.recommended_j,
+        "achieved_zero": "true" if result.achieved_zero else "false",
+    }
+
+
+def _save(
+    path: Path | str, writer: Callable[..., None], data: object, metadata: Mapping[str, object]
+) -> None:
+    with open(path, "w", encoding="utf-8") as stream:
+        writer(stream, data, metadata)
 
 
 # ---------------------------------------------------------------- commands
@@ -248,15 +236,14 @@ def cmd_generate(args: argparse.Namespace) -> int:
     detail["seed"] = "none"
     out = _resolve_out(args.out)
     meta = _manifest(f"generate {args.system}", detail, {})
-    with open(out, "w", encoding="utf-8") as stream:
-        write_series_csv(stream, series, meta)
+    _save(out, write_series_csv, series, meta)
     print(f"wrote {len(series)} samples to {out}")
     return EXIT_OK
 
 
 def cmd_ansatz(args: argparse.Namespace) -> int:
     inp = Path(args.input)
-    series, _ = _load_series(inp)
+    series, _ = _load(inp, read_series_csv)
     config = AnsatzConfig(k=args.k, seed=args.seed)
     mixed = mixing_ansatz(series, config)
     out = _resolve_out(args.out)
@@ -265,15 +252,14 @@ def cmd_ansatz(args: argparse.Namespace) -> int:
         {"k": config.k, "seed": config.seed, "rng": RNG_ALGORITHM},
         {"input": inp},
     )
-    with open(out, "w", encoding="utf-8") as stream:
-        write_series_csv(stream, mixed, meta)
+    _save(out, write_series_csv, mixed, meta)
     print(f"wrote mixed series ({len(mixed)} samples, k={config.k}) to {out}")
     return EXIT_OK
 
 
 def cmd_pe(args: argparse.Namespace) -> int:
     inp = Path(args.input)
-    series, _ = _load_series(inp)
+    series, _ = _load(inp, read_series_csv)
     config = _pe_config_from_args(args)
     traces = multi_tau_pe(series, config)
     out = _resolve_out(args.out)
@@ -283,16 +269,14 @@ def cmd_pe(args: argparse.Namespace) -> int:
     params["origin"] = repr(series.origin)
     params["seed"] = "none"
     meta = _manifest("pe", params, {"input": inp})
-    with open(out, "w", encoding="utf-8") as stream:
-        write_trace_csv(stream, traces, meta)
+    _save(out, write_trace_csv, traces, meta)
     print(f"wrote {len(traces.anchors)} anchors x {len(traces.taus)} strides to {out}")
     return EXIT_OK
 
 
 def cmd_reversal(args: argparse.Namespace) -> int:
     inp = Path(args.input)
-    with open(inp, "r", encoding="utf-8") as stream:
-        traces, _ = read_trace_csv(stream)
+    traces, _ = _load(inp, read_trace_csv)
     rev = reversal_series(traces)
     params: dict[str, object] = {"r_bar": repr(rev.r_bar)}
     output = rev
@@ -303,8 +287,7 @@ def cmd_reversal(args: argparse.Namespace) -> int:
         params["windowed_r_bar"] = repr(output.r_bar)
     meta = _manifest("reversal", params, {"input": inp})
     out = _resolve_out(args.out)
-    with open(out, "w", encoding="utf-8") as stream:
-        write_reversal_csv(stream, output, meta)
+    _save(out, write_reversal_csv, output, meta)
     print(f"mean reversal score: {rev.r_bar!r}")
     print(f"wrote {len(output)} rows to {out}")
     return EXIT_OK
@@ -312,36 +295,27 @@ def cmd_reversal(args: argparse.Namespace) -> int:
 
 def cmd_bin(args: argparse.Namespace) -> int:
     inp = Path(args.input)
-    series, _ = _load_series(inp)
+    series, _ = _load(inp, read_series_csv)
     binned = bin_average(series, args.j)
     out = _resolve_out(args.out)
     meta = _manifest("bin", {"j": args.j}, {"input": inp})
-    with open(out, "w", encoding="utf-8") as stream:
-        write_series_csv(stream, binned, meta)
+    _save(out, write_series_csv, binned, meta)
     print(f"wrote {len(binned)} bins of {args.j} to {out}")
     return EXIT_OK
 
 
 def cmd_binsweep(args: argparse.Namespace) -> int:
     inp = Path(args.input)
-    series, _ = _load_series(inp)
+    series, _ = _load(inp, read_series_csv)
     if args.j_max < args.j_min:
         raise InvalidInputError(f"--j-max must be >= --j-min, got {args.j_max} < {args.j_min}")
     config = _pe_config_from_args(args)
     result = bin_sweep(series, range(args.j_min, args.j_max + 1), config)
-    params = _pe_params(config)
-    params.update(
-        {
-            "j_min": args.j_min,
-            "j_max": args.j_max,
-            "recommended_bin": result.recommended_j,
-            "achieved_zero": "true" if result.achieved_zero else "false",
-        }
-    )
+    params = {**_pe_params(config), "j_min": args.j_min, "j_max": args.j_max}
+    params.update(_sweep_params(result))
     meta = _manifest("binsweep", params, {"input": inp})
     out = _resolve_out(args.out)
-    with open(out, "w", encoding="utf-8") as stream:
-        write_sweep_csv(stream, result, meta)
+    _save(out, write_sweep_csv, result, meta)
     print(
         f"recommended bin size: {result.recommended_j} "
         f"(reversal reaches zero: {'yes' if result.achieved_zero else 'no'})"
@@ -386,8 +360,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         params["n_missing_filled"] = report_dict["n_missing_filled"]
         params["n_suspect_removed"] = report_dict["n_suspect_removed"]
     meta = _manifest("ingest", params, {"input": inp})
-    with open(out, "w", encoding="utf-8") as stream:
-        write_series_csv(stream, series, meta)
+    _save(out, write_series_csv, series, meta)
     report_path = out.with_suffix(out.suffix + ".report.json")
     report_dict["input"] = str(inp)
     report_dict["output"] = str(out)
@@ -410,46 +383,42 @@ def _check(name: str, value: float, target: str, ok: bool) -> dict[str, object]:
     return {"name": name, "value": value, "target": target, "pass": bool(ok)}
 
 
+def _run_study(
+    outdir: Path, system: str, series: TimeSeries, k: int, j_max: int, seed: int
+) -> tuple[list[float], BinSweepResult]:
+    """Mix ``series`` with half-width ``k``, sweep bin sizes 1..``j_max`` and
+    bin at the recommended size.  Writes each of the three series with its
+    traces and reversal scores, then the sweep, and returns the sweep and the
+    three mean reversal scores (raw, mixed, binned).
+    """
+    config = PEConfig()
+    mixed = mixing_ansatz(series, AnsatzConfig(k=k, seed=seed))
+    sweep = bin_sweep(mixed, range(1, j_max + 1), config)
+    binned = bin_average(mixed, sweep.recommended_j)
+    name = system.replace("-", "_")
+    r_bars = []
+    for label, data in (
+        ("raw", series), (f"mixed_k{k}", mixed), (f"binned_j{sweep.recommended_j}", binned)
+    ):
+        stem = outdir / f"{name}_{label}"
+        _save(f"{stem}.csv", write_series_csv, data, {"command": f"reproduce {system}/{label}"})
+        traces = multi_tau_pe(data, config)
+        _save(f"{stem}_pe.csv", write_trace_csv, traces, _pe_params(config))
+        rev = reversal_series(traces)
+        _save(f"{stem}_reversal.csv", write_reversal_csv, rev, {"r_bar": repr(rev.r_bar)})
+        r_bars.append(rev.r_bar)
+    _save(outdir / f"{name}_sweep.csv", write_sweep_csv, sweep, _sweep_params(sweep))
+    return r_bars, sweep
+
+
 def _reproduce_lorenz(outdir: Path, scale: str, seed: int) -> list[dict[str, object]]:
     steps = 500_000 if scale == "full" else 100_000
-    config = PEConfig()
     series = lorenz_series(LorenzParams(steps=steps))
-    mixed = mixing_ansatz(series, AnsatzConfig(k=3, seed=seed))
-    sweep = bin_sweep(mixed, range(1, 11), config)
-    binned = bin_average(mixed, sweep.recommended_j)
+    (raw, mixed, binned), sweep = _run_study(outdir, "lorenz", series, 3, 10, seed)
     checks = []
-    rows = {}
-    outputs = (
-        ("raw", series),
-        ("mixed_k3", mixed),
-        (f"binned_j{sweep.recommended_j}", binned),
-    )
-    for label, data in outputs:
-        with open(outdir / f"lorenz_{label}.csv", "w", encoding="utf-8") as stream:
-            write_series_csv(stream, data, {"command": f"reproduce lorenz/{label}"})
-        traces = multi_tau_pe(data, config)
-        with open(outdir / f"lorenz_{label}_pe.csv", "w", encoding="utf-8") as stream:
-            write_trace_csv(stream, traces, _pe_params(config))
-        rev = reversal_series(traces)
-        with open(outdir / f"lorenz_{label}_reversal.csv", "w", encoding="utf-8") as stream:
-            write_reversal_csv(stream, rev, {"r_bar": repr(rev.r_bar)})
-        rows[label] = rev.r_bar
-    with open(outdir / "lorenz_sweep.csv", "w", encoding="utf-8") as stream:
-        write_sweep_csv(
-            stream,
-            sweep,
-            {
-                "recommended_bin": sweep.recommended_j,
-                "achieved_zero": "true" if sweep.achieved_zero else "false",
-            },
-        )
     raw_tol = 0.0 if scale == "full" else 0.02
-    checks.append(
-        _check("lorenz_raw_rbar", rows["raw"], f"<= {raw_tol}", rows["raw"] <= raw_tol)
-    )
-    checks.append(
-        _check("lorenz_mixed_rbar", rows["mixed_k3"], ">= 0.98", rows["mixed_k3"] >= 0.98)
-    )
+    checks.append(_check("lorenz_raw_rbar", raw, f"<= {raw_tol}", raw <= raw_tol))
+    checks.append(_check("lorenz_mixed_rbar", mixed, ">= 0.98", mixed >= 0.98))
     checks.append(
         _check(
             "lorenz_recommended_bin",
@@ -458,61 +427,20 @@ def _reproduce_lorenz(outdir: Path, scale: str, seed: int) -> list[dict[str, obj
             2 <= sweep.recommended_j <= 4,
         )
     )
-    binned_rbar = rows[f"binned_j{sweep.recommended_j}"]
     bin_tol = 0.0 if scale == "full" else 0.02
-    checks.append(
-        _check(
-            "lorenz_binned_rbar", binned_rbar, f"<= {bin_tol}", binned_rbar <= bin_tol
-        )
-    )
+    checks.append(_check("lorenz_binned_rbar", binned, f"<= {bin_tol}", binned <= bin_tol))
     return checks
 
 
 def _reproduce_mackey_glass(outdir: Path, scale: str, seed: int) -> list[dict[str, object]]:
     steps = 1_500_000 if scale == "full" else 300_000
-    config = PEConfig()
     series = mackey_glass_series(MackeyGlassParams(steps=steps))
-    mixed = mixing_ansatz(series, AnsatzConfig(k=4, seed=seed))
-    sweep = bin_sweep(series=mixed, j_range=range(1, 13), pe_config=config)
-    binned = bin_average(mixed, sweep.recommended_j)
-    checks = []
-    rows = {}
-    outputs = (
-        ("raw", series),
-        ("mixed_k4", mixed),
-        (f"binned_j{sweep.recommended_j}", binned),
-    )
-    for label, data in outputs:
-        with open(outdir / f"mackey_glass_{label}.csv", "w", encoding="utf-8") as stream:
-            write_series_csv(stream, data, {"command": f"reproduce mackey-glass/{label}"})
-        traces = multi_tau_pe(data, config)
-        with open(outdir / f"mackey_glass_{label}_pe.csv", "w", encoding="utf-8") as stream:
-            write_trace_csv(stream, traces, _pe_params(config))
-        rev = reversal_series(traces)
-        with open(
-            outdir / f"mackey_glass_{label}_reversal.csv", "w", encoding="utf-8"
-        ) as stream:
-            write_reversal_csv(stream, rev, {"r_bar": repr(rev.r_bar)})
-        rows[label] = rev.r_bar
-    with open(outdir / "mackey_glass_sweep.csv", "w", encoding="utf-8") as stream:
-        write_sweep_csv(
-            stream,
-            sweep,
-            {
-                "recommended_bin": sweep.recommended_j,
-                "achieved_zero": "true" if sweep.achieved_zero else "false",
-            },
-        )
-    checks.append(
-        _check("mg_raw_rbar", rows["raw"], "<= 0.02", rows["raw"] <= 0.02)
-    )
-    mixed_rbar = rows["mixed_k4"]
-    checks.append(_check("mg_mixed_rbar", mixed_rbar, ">= 0.98", mixed_rbar >= 0.98))
-    binned_rbar = rows[f"binned_j{sweep.recommended_j}"]
-    checks.append(
-        _check("mg_binned_rbar", binned_rbar, "<= 0.02", binned_rbar <= 0.02)
-    )
-    return checks
+    (raw, mixed, binned), _ = _run_study(outdir, "mackey-glass", series, 4, 12, seed)
+    return [
+        _check("mg_raw_rbar", raw, "<= 0.02", raw <= 0.02),
+        _check("mg_mixed_rbar", mixed, ">= 0.98", mixed >= 0.98),
+        _check("mg_binned_rbar", binned, "<= 0.02", binned <= 0.02),
+    ]
 
 
 def _reproduce_sweeps(outdir: Path, scale: str, seed: int) -> list[dict[str, object]]:
@@ -523,15 +451,7 @@ def _reproduce_sweeps(outdir: Path, scale: str, seed: int) -> list[dict[str, obj
     lorenz = lorenz_series(LorenzParams(steps=lorenz_steps))
     lorenz_mixed = mixing_ansatz(lorenz, AnsatzConfig(k=3, seed=seed))
     sweep_l = bin_sweep(lorenz_mixed, range(1, 11), config)
-    with open(outdir / "lorenz_k3_sweep.csv", "w", encoding="utf-8") as stream:
-        write_sweep_csv(
-            stream,
-            sweep_l,
-            {
-                "recommended_bin": sweep_l.recommended_j,
-                "achieved_zero": "true" if sweep_l.achieved_zero else "false",
-            },
-        )
+    _save(outdir / "lorenz_k3_sweep.csv", write_sweep_csv, sweep_l, _sweep_params(sweep_l))
     checks.append(
         _check(
             "lorenz_k3_recommended_bin",
@@ -543,15 +463,7 @@ def _reproduce_sweeps(outdir: Path, scale: str, seed: int) -> list[dict[str, obj
     mg = mackey_glass_series(MackeyGlassParams(steps=mg_steps))
     mg_mixed = mixing_ansatz(mg, AnsatzConfig(k=4, seed=seed + 1))
     sweep_m = bin_sweep(mg_mixed, range(1, 13), config)
-    with open(outdir / "mackey_glass_k4_sweep.csv", "w", encoding="utf-8") as stream:
-        write_sweep_csv(
-            stream,
-            sweep_m,
-            {
-                "recommended_bin": sweep_m.recommended_j,
-                "achieved_zero": "true" if sweep_m.achieved_zero else "false",
-            },
-        )
+    _save(outdir / "mackey_glass_k4_sweep.csv", write_sweep_csv, sweep_m, _sweep_params(sweep_m))
     checks.append(
         _check(
             "mg_k4_recommended_bin",

@@ -113,3 +113,40 @@ def bisect_root(f, lo: float, hi: float, tol: float = 1e-12) -> float:
         else:
             lo, flo = mid, fm
     return 0.5 * (lo + hi)
+
+
+def write_series_rows(stream, series, metadata=None) -> None:
+    """Series table written one ``repr``-formatted row at a time."""
+    stream.write("# pemix-series v1\n")
+    header = {"spacing": repr(series.spacing), "unit": series.unit, "origin": repr(series.origin)}
+    for key, value in (metadata or {}).items():
+        header[str(key)] = value
+    for key, value in header.items():
+        stream.write(f"# {key}: {value}\n")
+    stream.write("time,value\n")
+    times = series.times()
+    for i in range(len(series)):
+        stream.write(f"{float(times[i])!r},{float(series.values[i])!r}\n")
+
+
+def write_trace_rows(stream, traces, metadata) -> None:
+    """Trace table written one row at a time from the stacked matrix."""
+    stream.write("# pemix-traces v1\n")
+    for key, value in metadata.items():
+        stream.write(f"# {key}: {value}\n")
+    taus = [int(t) for t in traces.taus]
+    stream.write("anchor," + ",".join(f"pe_tau{t}" for t in taus) + "\n")
+    matrix = traces.matrix()
+    for i in range(traces.anchors.shape[0]):
+        row = ",".join(repr(float(matrix[k, i])) for k in range(len(taus)))
+        stream.write(f"{int(traces.anchors[i])},{row}\n")
+
+
+def write_reversal_rows(stream, rev, metadata) -> None:
+    """Reversal table written one row at a time."""
+    stream.write("# pemix-reversal v1\n")
+    for key, value in metadata.items():
+        stream.write(f"# {key}: {value}\n")
+    stream.write("anchor,reversal\n")
+    for i in range(len(rev)):
+        stream.write(f"{int(rev.anchors[i])},{float(rev.r_values[i])!r}\n")

@@ -277,6 +277,19 @@ class TestExitCodes:
         assert code == 2
         assert "non-finite entropy nan at anchor 150, column pe_tau1" in capsys.readouterr().err
 
+    def test_trace_anchors_out_of_order_is_2(self, tmp_path, capsys):
+        src = tmp_path / "src.csv"
+        run("generate", "sine", "--period", 40, "--n", 400, "-o", src)
+        traces = tmp_path / "traces.csv"
+        assert run("pe", "-i", src, "--window", 100, "--tau-max", 2, "-o", traces) == 0
+        lines = traces.read_text(encoding="utf-8").splitlines(keepends=True)
+        row = next(i for i, line in enumerate(lines) if line.startswith("150,"))
+        lines[row], lines[row + 1] = lines[row + 1], lines[row]
+        traces.write_text("".join(lines), encoding="utf-8")
+        code = run("reversal", "-i", traces, "-o", tmp_path / "rev.csv")
+        assert code == 2
+        assert "anchor 150 follows anchor 151" in capsys.readouterr().err
+
     def test_missing_input_is_4(self, tmp_path):
         code = run("pe", "-i", tmp_path / "absent.csv", "-o", tmp_path / "x.csv")
         assert code == 4

@@ -77,6 +77,34 @@ class TestSeriesCsv:
         with pytest.raises(InvalidInputError, match="line 2.*'time,value'"):
             read_series_csv(buffer)
 
+    def test_dropped_row_raises(self):
+        series = TimeSeries(np.arange(6.0), spacing=0.25, origin=1.6e9)
+        buffer = io.StringIO()
+        write_series_csv(buffer, series)
+        lines = buffer.getvalue().splitlines(keepends=True)
+        del lines[-3]
+        with pytest.raises(InvalidInputError, match="uneven time column"):
+            read_series_csv(io.StringIO("".join(lines)))
+        untagged = "time,value\n0.0,1.0\n0.5,2.0\n1.5,3.0\n2.0,4.0\n"
+        with pytest.raises(InvalidInputError, match="uneven time column"):
+            read_series_csv(io.StringIO(untagged))
+
+    def test_grid_times_pass_the_step_check(self):
+        # 0.1 is inexact and ulp(1.6e9) is 2.4e-7, so the written steps are
+        # off from 0.1 by far more than 1e-9 relative: the time rounding
+        # allowance must absorb it.
+        series = TimeSeries(np.arange(1000.0), spacing=0.1, origin=1.6e9 + 0.3)
+        buffer = io.StringIO()
+        write_series_csv(buffer, series)
+        buffer.seek(0)
+        loaded, _ = read_series_csv(buffer)
+        np.testing.assert_array_equal(loaded.times(), series.times())
+
+    def test_other_pemix_tag_raises(self):
+        buffer = io.StringIO("# pemix-reversal v1\ntime,value\n0.0,1.0\n1.0,2.0\n")
+        with pytest.raises(InvalidInputError, match="'pemix-reversal v1'"):
+            read_series_csv(buffer)
+
     def test_empty_file_raises(self):
         with pytest.raises(InvalidInputError):
             read_series_csv(io.StringIO(""))
