@@ -178,23 +178,18 @@ def mackey_glass_series(params: MackeyGlassParams = MackeyGlassParams()) -> Time
     is at least one step.
     """
     beta, gamma, q, h = params.beta, params.gamma, params.q, params.h
-    x0 = params.x0
     d = params.delay_steps
     half = h / 2.0
     sixth = h / 6.0
-    skip, steps = params.skip, params.steps
-    total = skip + steps
-    xs = np.empty(total, dtype=np.float64)
-    x = float(x0)
-    for i in range(total):
-        xs[i] = x
-        if i == total - 1:
-            break
-        m = i - d
-        xd_now = xs[m] if m >= 0 else x0
-        xd_next = xs[m + 1] if m + 1 >= 0 else x0
-        xd_half = 0.5 * (xd_now + xd_next)
-        g_now = beta * xd_now / (1.0 + xd_now**q)
+    x = float(params.x0)
+    # xs[j] is the state at step j - d: d copies of x0 stand for the history.
+    # A list of floats keeps numpy scalars out of the loop, and g at the next
+    # delayed point is carried over as the next step's g at the current one.
+    xs = [x] * (d + 1)
+    g_now = beta * x / (1.0 + x**q)
+    for i in range(params.skip + params.steps - 1):
+        xd_next = xs[i + 1]
+        xd_half = 0.5 * (xs[i] + xd_next)
         g_half = beta * xd_half / (1.0 + xd_half**q)
         g_next = beta * xd_next / (1.0 + xd_next**q)
         k1 = g_now - gamma * x
@@ -202,12 +197,14 @@ def mackey_glass_series(params: MackeyGlassParams = MackeyGlassParams()) -> Time
         k3 = g_half - gamma * (x + half * k2)
         k4 = g_next - gamma * (x + h * k3)
         x += sixth * (k1 + 2.0 * (k2 + k3) + k4)
-    values = xs[skip:].copy() if skip else xs
+        xs.append(x)
+        g_now = g_next
+    values = np.array(xs[d + params.skip :], dtype=np.float64)
     return TimeSeries(
         values=values,
         spacing=h,
         unit="seconds",
-        origin=skip * h,
+        origin=params.skip * h,
     )
 
 

@@ -274,22 +274,14 @@ def fill_gaps(series: TimeSeries) -> tuple[TimeSeries, CleaningReport]:
         last_good = np.maximum.accumulate(idx)
         values[needs_fill] = values[last_good[needs_fill]]
         quality[needs_fill] = int(Quality.FILLED)
-    spans: list[tuple[int, int]] = []
-    in_gap = False
-    start = 0
-    for i in range(n):
-        if needs_fill[i] and not in_gap:
-            in_gap = True
-            start = i
-        elif not needs_fill[i] and in_gap:
-            in_gap = False
-            spans.append((start, i - 1))
-    if in_gap:
-        spans.append((start, n - 1))
+    # +1 where a gap starts, -1 one past where it ends.
+    edges = np.diff(needs_fill.astype(np.int8), prepend=0, append=0)
+    starts = np.flatnonzero(edges == 1).tolist()
+    lasts = (np.flatnonzero(edges == -1) - 1).tolist()
     report = CleaningReport(
         n_missing_filled=n_missing,
         n_suspect_removed=n_suspect,
-        gap_spans=tuple(spans),
+        gap_spans=tuple(zip(starts, lasts)),
     )
     return series.replace_values(values, quality=quality), report
 

@@ -171,12 +171,12 @@ def reversal_series(traces: PETraceSet) -> ReversalSeries:
         raise InvalidInputError("reversal needs traces for at least two strides")
     if traces.anchors.shape[0] == 0:
         raise InsufficientDataError("trace set has no anchors")
-    matrix = traces.matrix()
-    taus = traces.taus
     # Stable sort along the stride axis: ties keep ascending stride.
-    order = np.argsort(matrix, axis=0, kind="stable")
-    observed = taus[order]
-    displacement = np.abs(observed - taus[:, None]).sum(axis=0)
+    order = np.argsort(traces.matrix(), axis=0, kind="stable")
+    # The strides are contiguous, so the stride at sorted position i is
+    # tau_min + order[i] and its displacement is |order[i] - i|, in place.
+    order -= np.arange(order.shape[0])[:, None]
+    displacement = np.abs(order, out=order).sum(axis=0)
     lam = lambda_for_range(traces.tau_min, traces.tau_max)
     r_values = displacement / lam
     return ReversalSeries(

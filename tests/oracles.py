@@ -115,6 +115,62 @@ def bisect_root(f, lo: float, hi: float, tol: float = 1e-12) -> float:
     return 0.5 * (lo + hi)
 
 
+def gap_report(values, quality) -> tuple[int, int, tuple[tuple[int, int], ...]]:
+    """Missing and suspect counts and the inclusive gap spans, point by point.
+
+    A point is suspect when its quality code is 2 and missing when it is
+    otherwise non-finite.
+    """
+    n_missing = n_suspect = 0
+    spans = []
+    start = None
+    for i, (value, flag) in enumerate(zip(values, quality)):
+        if int(flag) == 2:
+            n_suspect += 1
+        elif not math.isfinite(value):
+            n_missing += 1
+        else:
+            if start is not None:
+                spans.append((start, i - 1))
+                start = None
+            continue
+        if start is None:
+            start = i
+    if start is not None:
+        spans.append((start, len(values) - 1))
+    return n_missing, n_suspect, tuple(spans)
+
+
+def mackey_glass_values(params) -> np.ndarray:
+    """Delayed-feedback RK4 written into a numpy array, every g recomputed."""
+    beta, gamma, q, h = params.beta, params.gamma, params.q, params.h
+    x0 = params.x0
+    d = params.delay_steps
+    half = h / 2.0
+    sixth = h / 6.0
+    skip, steps = params.skip, params.steps
+    total = skip + steps
+    xs = np.empty(total, dtype=np.float64)
+    x = float(x0)
+    for i in range(total):
+        xs[i] = x
+        if i == total - 1:
+            break
+        m = i - d
+        xd_now = xs[m] if m >= 0 else x0
+        xd_next = xs[m + 1] if m + 1 >= 0 else x0
+        xd_half = 0.5 * (xd_now + xd_next)
+        g_now = beta * xd_now / (1.0 + xd_now**q)
+        g_half = beta * xd_half / (1.0 + xd_half**q)
+        g_next = beta * xd_next / (1.0 + xd_next**q)
+        k1 = g_now - gamma * x
+        k2 = g_half - gamma * (x + half * k1)
+        k3 = g_half - gamma * (x + half * k2)
+        k4 = g_next - gamma * (x + h * k3)
+        x += sixth * (k1 + 2.0 * (k2 + k3) + k4)
+    return xs[skip:].copy()
+
+
 def write_series_rows(stream, series, metadata=None) -> None:
     """Series table written one ``repr``-formatted row at a time."""
     stream.write("# pemix-series v1\n")

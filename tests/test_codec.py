@@ -3,7 +3,8 @@
 The per-row writers in ``oracles`` are the reference for the bytes; the
 codec must match them for any finite float64, including ``-0.0``,
 subnormals, values near ``1e16`` (where ``repr`` switches to exponent
-form) and the largest double.
+form) and the largest double, and for blocks that repeat a few values,
+where each distinct bit pattern is formatted once and reused.
 """
 
 import io
@@ -18,7 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pemix.series
-from pemix import InvalidInputError, PETrace, PETraceSet, TimeSeries
+from pemix import (
+    AnsatzConfig, InvalidInputError, MackeyGlassParams, PEConfig, PETrace, PETraceSet,
+    TimeSeries, mackey_glass_series, mixing_ansatz, multi_tau_pe,
+)
 from pemix import read_series_csv, write_series_csv
 from pemix.cli import read_trace_csv, write_reversal_csv, write_trace_csv
 from pemix.reversal import ReversalSeries
@@ -33,6 +37,21 @@ EDGE_VALUES = [
 finite = st.one_of(
     st.sampled_from(EDGE_VALUES), st.floats(allow_nan=False, allow_infinity=False)
 )
+# A few values drawn again and again put repeats and both signed zeros in
+# one write block, where each distinct bit pattern is formatted once.
+POOL = [0.0, -0.0, 5e-324, 1e16, 0.1]
+
+
+def cell_lists(min_size, max_size, nan=False):
+    """Lists of any finite values, or of values from ``POOL`` (plus NaN when
+    ``nan``: series only, since the trace reader rejects it)."""
+    pool = st.sampled_from(POOL + [float("nan")] * nan)
+    return st.one_of(
+        st.lists(finite, min_size=min_size, max_size=max_size),
+        st.lists(pool, min_size=min_size, max_size=max_size),
+    )
+
+
 # 1 and 3 split even short tables into several write blocks.
 chunk_rows = st.sampled_from([1, 3, pemix.series._CHUNK_ROWS])
 codec = settings(max_examples=60, deadline=None)
@@ -58,7 +77,7 @@ def trace_sets(draw):
     hop = draw(st.integers(1, 1000))
     anchors = first + hop * np.arange(n, dtype=np.int64)
     traces = tuple(
-        PETrace(tau_min + k, anchors, draw(st.lists(finite, min_size=n, max_size=n)))
+        PETrace(tau_min + k, anchors, draw(cell_lists(n, n)))
         for k in range(n_taus)
     )
     return PETraceSet(traces)
@@ -67,7 +86,7 @@ def trace_sets(draw):
 class TestWriterMatchesRowOracle:
     @codec
     @given(
-        values=st.lists(finite, min_size=1, max_size=40),
+        values=cell_lists(1, 40, nan=True),
         spacing=st.floats(1e-6, 1e6),
         origin=st.floats(-1e12, 1e12),
         chunk=chunk_rows,
@@ -88,12 +107,27 @@ class TestWriterMatchesRowOracle:
         assert _write(write_trace_csv, traces, meta, chunk=chunk) == oracle.getvalue()
 
     @codec
-    @given(values=st.lists(finite, min_size=1, max_size=40), chunk=chunk_rows)
+    @given(values=cell_lists(1, 40), chunk=chunk_rows)
     def test_reversal(self, values, chunk):
         rev = ReversalSeries(np.arange(len(values)) + 99, values, 0.5)
         oracle = io.StringIO()
         write_reversal_rows(oracle, rev, {"r_bar": "0.5"})
         assert _write(write_reversal_csv, rev, {"r_bar": "0.5"}, chunk=chunk) == oracle.getvalue()
+
+    def test_mixed_mackey_glass_traces(self):
+        series = mackey_glass_series(MackeyGlassParams(steps=20_000))
+        traces = multi_tau_pe(mixing_ansatz(series, AnsatzConfig(k=4, seed=3)), PEConfig())
+        block = traces.matrix()[:, : pemix.series._CHUNK_ROWS]
+        # The traces repeat values within a block, so the reuse path runs.
+        assert max(len(np.unique(row)) for row in block) < block.shape[1]
+        oracle = io.StringIO()
+        write_trace_rows(oracle, traces, {"ell": 4})
+        got = _write(write_trace_csv, traces, {"ell": 4}).splitlines()
+        want = oracle.getvalue().splitlines()
+        # Name the first differing line: a diff of the whole table is slow.
+        assert len(got) == len(want)
+        first = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), None)
+        assert first is None, f"line {first + 1}: {got[first]!r} != {want[first]!r}"
 
     def test_empty_tables_write_only_the_header(self):
         rev = ReversalSeries(np.zeros(0, dtype=np.int64), np.zeros(0), 0.0)

@@ -16,7 +16,7 @@ from pemix import (
 )
 from pemix.generators import lorenz_rhs
 
-from oracles import bisect_root
+from oracles import bisect_root, mackey_glass_values
 
 
 class TestLorenz:
@@ -114,6 +114,27 @@ class TestMackeyGlass:
         assert np.isfinite(values).all()
         assert values.min() > 0.0
         assert values.max() < 2.0
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            MackeyGlassParams(steps=300_000),
+            MackeyGlassParams(steps=20_000, skip=500),
+            MackeyGlassParams(steps=3),
+            MackeyGlassParams(steps=200),
+            MackeyGlassParams(steps=1),
+            MackeyGlassParams(t0=0.1, steps=5000),
+            MackeyGlassParams(t0=0.1, steps=50, skip=7),
+            MackeyGlassParams(beta=0.0, steps=5000, skip=30),
+        ],
+        ids=["300k", "skip", "3-steps", "200-steps", "1-step", "delay-1", "delay-1-skip", "beta-0"],
+    )
+    def test_bit_identical_to_array_loop(self, params):
+        series = mackey_glass_series(params)
+        expected = mackey_glass_values(params)
+        assert series.values.shape == expected.shape == (params.steps,)
+        np.testing.assert_array_equal(series.values.view(np.int64), expected.view(np.int64))
+        assert series.origin == params.skip * params.h
 
     def test_delay_must_be_step_multiple(self):
         with pytest.raises(InvalidInputError):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pemix import (
     InsufficientDataError,
@@ -14,7 +16,7 @@ from pemix import (
     regularize,
 )
 
-from oracles import clipped_median
+from oracles import clipped_median, gap_report
 
 
 class TestLoadCsv:
@@ -171,6 +173,29 @@ class TestFillGaps:
         np.testing.assert_array_equal(once.values, twice.values)
         assert report.n_missing_filled == 0
         assert report.gap_spans == ()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        points=st.lists(
+            st.tuples(
+                st.sampled_from([1.5, -0.0, np.nan, np.inf, -np.inf]),
+                st.sampled_from([int(Quality.GOOD), int(Quality.FILLED), int(Quality.SUSPECT)]),
+            ),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    def test_random_masks_match_oracle_and_refill_is_a_no_op(self, points):
+        values = np.array([1.0] + [v for v, _ in points])
+        quality = np.array([0] + [q for _, q in points], dtype=np.uint8)
+        filled, report = fill_gaps(TimeSeries(values, quality=quality))
+        assert (
+            report.n_missing_filled, report.n_suspect_removed, report.gap_spans
+        ) == gap_report(values, quality)
+        again, second = fill_gaps(filled)
+        np.testing.assert_array_equal(again.values.view(np.int64), filled.values.view(np.int64))
+        np.testing.assert_array_equal(again.quality, filled.quality)
+        assert second.as_dict() == {"n_missing_filled": 0, "n_suspect_removed": 0, "gap_spans": []}
 
     def test_leading_gap_suggests_trimming(self):
         series = TimeSeries(np.array([np.nan, 1.0]))

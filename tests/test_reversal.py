@@ -1,6 +1,7 @@
 """Stride-ordering reversal scores and their sliding means."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -145,6 +146,19 @@ class TestReversalSeries:
             per_anchor = {2 + k: float(pe[k, i]) for k in range(5)}
             expected = reversal_metric(focal_tau_vector(per_anchor), ref)
             assert rev.r_values[i] == expected
+
+    def test_peak_memory_is_a_small_multiple_of_the_traces(self):
+        n_strides, n_anchors = 6, 100_000
+        traces = make_traces(np.random.default_rng(5).random((n_strides, n_anchors)))
+        tracemalloc.start()
+        rev = reversal_series(traces)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert len(rev) == n_anchors
+        # The stacked values and the sort order; the displacement is built
+        # in the order's own memory.
+        table_bytes = n_strides * n_anchors * 8
+        assert peak < 2.5 * table_bytes, f"peak {peak} bytes for a {table_bytes}-byte table"
 
     def test_segment_rbar(self):
         pe = np.array([[0.1, 0.6, 0.1, 0.1], [0.2, 0.5, 0.2, 0.2]])
