@@ -35,23 +35,14 @@ from .mixing import (
     recommend_bin_size,
 )
 from .ordinal import (
-    OrdinalPattern,
     PatternConfig,
     PatternDistribution,
-    TiePolicy,
     encode_patterns,
-    index_to_pattern,
-    ordinal_pattern,
     pattern_distribution,
-    pattern_index,
 )
 from .reversal import (
-    FocalTauVector,
-    MonotoneReference,
     ReversalSeries,
-    focal_tau_vector,
     lambda_for_range,
-    reversal_metric,
     reversal_series,
     windowed_rbar,
 )
@@ -68,13 +59,8 @@ __all__ = [
     "TimeSeries",
     "read_series_csv",
     "write_series_csv",
-    "TiePolicy",
-    "OrdinalPattern",
     "PatternConfig",
     "PatternDistribution",
-    "ordinal_pattern",
-    "pattern_index",
-    "index_to_pattern",
     "encode_patterns",
     "pattern_distribution",
     "PEConfig",
@@ -84,12 +70,8 @@ __all__ = [
     "global_pe",
     "windowed_pe",
     "multi_tau_pe",
-    "MonotoneReference",
-    "FocalTauVector",
     "ReversalSeries",
     "lambda_for_range",
-    "focal_tau_vector",
-    "reversal_metric",
     "reversal_series",
     "windowed_rbar",
     "AnsatzConfig",

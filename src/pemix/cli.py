@@ -20,6 +20,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import IO, Callable, Mapping
@@ -161,13 +162,7 @@ def _load(path: Path, reader: Callable[[IO[str]], tuple]) -> tuple:
 
 
 def _pe_config_from_args(args: argparse.Namespace) -> PEConfig:
-    return PEConfig(
-        ell=args.ell,
-        window=args.window,
-        tau_min=args.tau_min,
-        tau_max=args.tau_max,
-        hop=args.hop,
-    )
+    return PEConfig(**{f.name: getattr(args, f.name) for f in fields(PEConfig)})
 
 
 def _add_pe_arguments(parser: argparse.ArgumentParser) -> None:
@@ -176,16 +171,6 @@ def _add_pe_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tau-min", type=int, default=1, help="smallest stride (default 1)")
     parser.add_argument("--tau-max", type=int, default=6, help="largest stride (default 6)")
     parser.add_argument("--hop", type=int, default=1, help="window step (default 1)")
-
-
-def _pe_params(config: PEConfig) -> dict[str, object]:
-    return {
-        "ell": config.ell,
-        "window": config.window,
-        "tau_min": config.tau_min,
-        "tau_max": config.tau_max,
-        "hop": config.hop,
-    }
 
 
 def _sweep_params(result: BinSweepResult) -> dict[str, object]:
@@ -224,11 +209,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
             x0=args.x0, h=args.h, steps=args.steps, skip=args.skip,
         )
         series = mackey_glass_series(params)
-        detail = {
-            "beta": params.beta, "gamma": params.gamma, "q": params.q,
-            "t0": params.t0, "x0": params.x0, "h": params.h,
-            "steps": params.steps, "skip": params.skip,
-        }
+        detail = asdict(params)
     else:
         series = sine_series(args.amplitude, args.period, args.n)
         detail = {"amplitude": args.amplitude, "period": args.period, "n": args.n}
@@ -263,7 +244,7 @@ def cmd_pe(args: argparse.Namespace) -> int:
     config = _pe_config_from_args(args)
     traces = multi_tau_pe(series, config)
     out = _resolve_out(args.out)
-    params = _pe_params(config)
+    params = asdict(config)
     params["spacing"] = repr(series.spacing)
     params["unit"] = series.unit
     params["origin"] = repr(series.origin)
@@ -311,7 +292,7 @@ def cmd_binsweep(args: argparse.Namespace) -> int:
         raise InvalidInputError(f"--j-max must be >= --j-min, got {args.j_max} < {args.j_min}")
     config = _pe_config_from_args(args)
     result = bin_sweep(series, range(args.j_min, args.j_max + 1), config)
-    params = {**_pe_params(config), "j_min": args.j_min, "j_max": args.j_max}
+    params = {**asdict(config), "j_min": args.j_min, "j_max": args.j_max}
     params.update(_sweep_params(result))
     meta = _manifest("binsweep", params, {"input": inp})
     out = _resolve_out(args.out)
@@ -365,9 +346,15 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     report_dict["input"] = str(inp)
     report_dict["output"] = str(out)
     report_dict["created"] = _utc_now()
+    # One key per line, and one line per gap span rather than per number.
+    items = []
+    for key, value in report_dict.items():
+        text = json.dumps(value)
+        if isinstance(value, list) and value:
+            text = "[\n    " + ",\n    ".join(map(json.dumps, value)) + "\n  ]"
+        items.append(f"  {json.dumps(key)}: {text}")
     with open(report_path, "w", encoding="utf-8") as stream:
-        json.dump(report_dict, stream, indent=2)
-        stream.write("\n")
+        stream.write("{\n" + ",\n".join(items) + "\n}\n")
     print(f"wrote {len(series)} grid points to {out}")
     print(f"wrote cleaning report to {report_path}")
     return EXIT_OK
@@ -403,7 +390,7 @@ def _run_study(
         stem = outdir / f"{name}_{label}"
         _save(f"{stem}.csv", write_series_csv, data, {"command": f"reproduce {system}/{label}"})
         traces = multi_tau_pe(data, config)
-        _save(f"{stem}_pe.csv", write_trace_csv, traces, _pe_params(config))
+        _save(f"{stem}_pe.csv", write_trace_csv, traces, asdict(config))
         rev = reversal_series(traces)
         _save(f"{stem}_reversal.csv", write_reversal_csv, rev, {"r_bar": repr(rev.r_bar)})
         r_bars.append(rev.r_bar)
@@ -411,9 +398,27 @@ def _run_study(
     return r_bars, sweep
 
 
+# Integration steps of each reference system at full and desk scale.
+_STUDY_STEPS = {"lorenz": (500_000, 100_000), "mackey-glass": (1_500_000, 300_000)}
+
+# The sweeps study, one row per system: mixing half-width k, largest bin
+# size, seed offset, and the check on the recommended bin with its range.
+_SWEEPS = (
+    ("lorenz", 3, 10, 0, "lorenz_k3_recommended_bin", (2, 4)),
+    ("mackey-glass", 4, 12, 1, "mg_k4_recommended_bin", (1, 8)),
+)
+
+
+def _study_series(system: str, scale: str) -> TimeSeries:
+    full, desk = _STUDY_STEPS[system]
+    steps = full if scale == "full" else desk
+    if system == "lorenz":
+        return lorenz_series(LorenzParams(steps=steps))
+    return mackey_glass_series(MackeyGlassParams(steps=steps))
+
+
 def _reproduce_lorenz(outdir: Path, scale: str, seed: int) -> list[dict[str, object]]:
-    steps = 500_000 if scale == "full" else 100_000
-    series = lorenz_series(LorenzParams(steps=steps))
+    series = _study_series("lorenz", scale)
     (raw, mixed, binned), sweep = _run_study(outdir, "lorenz", series, 3, 10, seed)
     checks = []
     raw_tol = 0.0 if scale == "full" else 0.02
@@ -433,8 +438,7 @@ def _reproduce_lorenz(outdir: Path, scale: str, seed: int) -> list[dict[str, obj
 
 
 def _reproduce_mackey_glass(outdir: Path, scale: str, seed: int) -> list[dict[str, object]]:
-    steps = 1_500_000 if scale == "full" else 300_000
-    series = mackey_glass_series(MackeyGlassParams(steps=steps))
+    series = _study_series("mackey-glass", scale)
     (raw, mixed, binned), _ = _run_study(outdir, "mackey-glass", series, 4, 12, seed)
     return [
         _check("mg_raw_rbar", raw, "<= 0.02", raw <= 0.02),
@@ -445,33 +449,14 @@ def _reproduce_mackey_glass(outdir: Path, scale: str, seed: int) -> list[dict[st
 
 def _reproduce_sweeps(outdir: Path, scale: str, seed: int) -> list[dict[str, object]]:
     config = PEConfig()
-    lorenz_steps = 500_000 if scale == "full" else 100_000
-    mg_steps = 1_500_000 if scale == "full" else 300_000
     checks = []
-    lorenz = lorenz_series(LorenzParams(steps=lorenz_steps))
-    lorenz_mixed = mixing_ansatz(lorenz, AnsatzConfig(k=3, seed=seed))
-    sweep_l = bin_sweep(lorenz_mixed, range(1, 11), config)
-    _save(outdir / "lorenz_k3_sweep.csv", write_sweep_csv, sweep_l, _sweep_params(sweep_l))
-    checks.append(
-        _check(
-            "lorenz_k3_recommended_bin",
-            sweep_l.recommended_j,
-            "within [2, 4]",
-            2 <= sweep_l.recommended_j <= 4,
-        )
-    )
-    mg = mackey_glass_series(MackeyGlassParams(steps=mg_steps))
-    mg_mixed = mixing_ansatz(mg, AnsatzConfig(k=4, seed=seed + 1))
-    sweep_m = bin_sweep(mg_mixed, range(1, 13), config)
-    _save(outdir / "mackey_glass_k4_sweep.csv", write_sweep_csv, sweep_m, _sweep_params(sweep_m))
-    checks.append(
-        _check(
-            "mg_k4_recommended_bin",
-            sweep_m.recommended_j,
-            "within [1, 8]",
-            1 <= sweep_m.recommended_j <= 8,
-        )
-    )
+    for system, k, j_max, offset, check, (lo, hi) in _SWEEPS:
+        mixed = mixing_ansatz(_study_series(system, scale), AnsatzConfig(k=k, seed=seed + offset))
+        sweep = bin_sweep(mixed, range(1, j_max + 1), config)
+        name = system.replace("-", "_")
+        _save(outdir / f"{name}_k{k}_sweep.csv", write_sweep_csv, sweep, _sweep_params(sweep))
+        j = sweep.recommended_j
+        checks.append(_check(check, j, f"within [{lo}, {hi}]", lo <= j <= hi))
     return checks
 
 

@@ -21,7 +21,6 @@ from .series import TimeSeries
 __all__ = [
     "LorenzParams",
     "MackeyGlassParams",
-    "lorenz_rhs",
     "lorenz_trajectory",
     "lorenz_series",
     "mackey_glass_series",
@@ -55,19 +54,6 @@ class LorenzParams:
             raise InvalidInputError(f"skip must be >= 0, got {self.skip}")
         if len(self.initial) != 3:
             raise InvalidInputError("initial state must have three components")
-
-
-def lorenz_rhs(
-    state: tuple[float, float, float],
-    params: LorenzParams,
-) -> tuple[float, float, float]:
-    """Time derivative of the flow at a state."""
-    x, y, z = state
-    return (
-        params.a * (y - x),
-        x * (params.r - z) - y,
-        x * y - params.b * z,
-    )
 
 
 def lorenz_trajectory(params: LorenzParams) -> np.ndarray:

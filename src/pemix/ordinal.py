@@ -10,10 +10,8 @@ one pattern.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -21,13 +19,8 @@ from .errors import InsufficientDataError, InvalidInputError
 from .series import TimeSeries
 
 __all__ = [
-    "TiePolicy",
-    "OrdinalPattern",
     "PatternConfig",
     "PatternDistribution",
-    "ordinal_pattern",
-    "pattern_index",
-    "index_to_pattern",
     "encode_patterns",
     "pattern_distribution",
 ]
@@ -47,42 +40,6 @@ def _check_ell_fits(ell: int) -> None:
         )
 
 
-class TiePolicy(enum.Enum):
-    """How equal values inside a window are ranked.
-
-    BY_TIME: the earlier observation gets the smaller rank.  This is the
-    only policy offered; the enumeration exists so the choice is explicit
-    at call sites and extensible without an API break.
-    """
-
-    BY_TIME = "by_time"
-
-
-@dataclass(frozen=True)
-class OrdinalPattern:
-    """A ranking of window positions plus its lexicographic code.
-
-    ``ranks[i]`` is the rank of the i-th window element, 0 for the
-    smallest.  ``index`` is the position of ``ranks`` in the
-    lexicographic enumeration of all permutations of its length.
-    """
-
-    ranks: tuple[int, ...]
-    index: int
-
-    def __post_init__(self) -> None:
-        _check_permutation(self.ranks)
-        expected = _lehmer_index(self.ranks)
-        if self.index != expected:
-            raise InvalidInputError(
-                f"index {self.index} does not match ranks {self.ranks} "
-                f"(lexicographic position is {expected})"
-            )
-
-    def __len__(self) -> int:
-        return len(self.ranks)
-
-
 @dataclass(frozen=True)
 class PatternConfig:
     """Window shape for pattern extraction.
@@ -91,12 +48,10 @@ class PatternConfig:
         ell: Number of points per window, 2..9 (``ell!`` must not
             exceed the sliding kernel's chunk of 2,000,000 cells).
         tau: Stride between consecutive window points, >= 1.
-        tie_policy: Tie handling rule.
     """
 
     ell: int
     tau: int
-    tie_policy: TiePolicy = TiePolicy.BY_TIME
 
     def __post_init__(self) -> None:
         if not isinstance(self.ell, (int, np.integer)) or self.ell < 2:
@@ -135,117 +90,35 @@ class PatternDistribution:
             raise InvalidInputError(f"count must be >= 0, got {self.count}")
 
 
-def _check_permutation(ranks: Sequence[int]) -> None:
-    ell = len(ranks)
-    if ell < 2:
-        raise InvalidInputError(f"a pattern needs at least 2 elements, got {ell}")
-    if sorted(ranks) != list(range(ell)):
-        raise InvalidInputError(
-            f"ranks must be a permutation of 0..{ell - 1}, got {tuple(ranks)}"
-        )
-
-
-def _lehmer_index(ranks: Sequence[int]) -> int:
-    # Horner evaluation of the factorial-base digits: digit i counts the
-    # later positions holding a smaller rank.
-    ell = len(ranks)
-    value = 0
-    for i in range(ell):
-        smaller_after = 0
-        for j in range(i + 1, ell):
-            if ranks[j] < ranks[i]:
-                smaller_after += 1
-        value = value * (ell - i) + smaller_after
-    return value
-
-
-def pattern_index(ranks: Sequence[int]) -> int:
-    """Lexicographic position of a rank permutation.
-
-    Examples: ``[0, 1, 2] -> 0``, ``[0, 2, 1] -> 1``, ``[2, 1, 0] -> 5``.
-
-    Raises:
-        InvalidInputError: If ``ranks`` is not a permutation of
-            ``0..len(ranks)-1``.
-    """
-    _check_permutation(ranks)
-    return _lehmer_index(ranks)
-
-
-def index_to_pattern(index: int, ell: int) -> OrdinalPattern:
-    """Inverse of :func:`pattern_index` for a given pattern length.
-
-    Raises:
-        InvalidInputError: If ``index`` is outside ``[0, ell!)`` or
-            ``ell`` < 2.
-    """
-    if ell < 2:
-        raise InvalidInputError(f"ell must be >= 2, got {ell}")
-    nfact = math.factorial(ell)
-    if not 0 <= index < nfact:
-        raise InvalidInputError(f"index must lie in [0, {nfact}) for ell={ell}, got {index}")
-    digits = []
-    rem = index
-    for i in range(ell):
-        base = math.factorial(ell - 1 - i)
-        digits.append(rem // base)
-        rem %= base
-    available = list(range(ell))
-    ranks = tuple(available.pop(d) for d in digits)
-    return OrdinalPattern(ranks=ranks, index=index)
-
-
-def ordinal_pattern(
-    values: Sequence[float] | np.ndarray,
-    tie_policy: TiePolicy = TiePolicy.BY_TIME,
-) -> OrdinalPattern:
-    """Ordinal pattern of one window of raw values.
-
-    Example: ``[7.0, 3.0, 11.0] -> ranks (1, 0, 2)``; with ties,
-    ``[5.0, 5.0, 2.0] -> ranks (1, 2, 0)`` because the earlier 5 ranks
-    below the later one.
-
-    Raises:
-        InvalidInputError: On fewer than 2 values or any non-finite value.
-    """
-    del tie_policy  # single policy; the argument documents the choice
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1 or arr.shape[0] < 2:
-        raise InvalidInputError(f"need a 1-D window of >= 2 values, got shape {arr.shape}")
-    bad = ~np.isfinite(arr)
-    if bad.any():
-        pos = int(np.argmax(bad))
-        raise InvalidInputError(f"non-finite value at window position {pos}: {arr[pos]}")
-    order = np.argsort(arr, kind="stable")
-    ranks = np.empty(arr.shape[0], dtype=np.int64)
-    ranks[order] = np.arange(arr.shape[0])
-    ranks_t = tuple(int(r) for r in ranks)
-    return OrdinalPattern(ranks=ranks_t, index=_lehmer_index(ranks_t))
-
-
 def encode_patterns(values: np.ndarray, ell: int, tau: int) -> np.ndarray:
     """Lexicographic pattern code of every strided window of a series.
 
-    Vectorized equivalent of calling :func:`ordinal_pattern` on each
-    window ``(values[n], values[n+tau], ..., values[n+(ell-1)*tau])``.
-    Counting strict ``later < earlier`` comparisons reproduces the
-    by-time tie rule exactly.
+    Window ``n`` is ``(values[n], values[n+tau], ..., values[n+(ell-1)*tau])``.
+    Its points are ranked by value, and of two equal values the earlier
+    one ranks lower.  The code is the position of that rank permutation
+    among all ``ell!`` permutations in lexicographic order: its
+    factorial-base digit ``i`` counts the later points strictly below
+    point ``i``, and counting strict ``<`` is what makes ties go by time.
+    Example: ``[7, 3, 11]`` has ranks ``(1, 0, 2)`` and code 2;
+    ``[5, 5, 2]`` has ranks ``(1, 2, 0)`` and code 3.
 
     Args:
         values: 1-D float array, all finite.
-        ell: Points per window, >= 2.
+        ell: Points per window, 2..9 (see :class:`PatternConfig`).
         tau: Stride, >= 1.
 
     Returns:
         int64 array of length ``len(values) - (ell-1)*tau``.
 
     Raises:
-        InvalidInputError: On non-finite input (reports the position).
+        InvalidInputError: On a bad ``ell`` or ``tau``, or non-finite
+            input (reports the position).
         InsufficientDataError: If no complete window fits.
     """
     arr = np.ascontiguousarray(values, dtype=np.float64)
     if ell < 2:
         raise InvalidInputError(f"ell must be >= 2, got {ell}")
+    _check_ell_fits(ell)
     if tau < 1:
         raise InvalidInputError(f"tau must be >= 1, got {tau}")
     bad = ~np.isfinite(arr)

@@ -12,7 +12,6 @@ any permutation can reach.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -20,12 +19,8 @@ from .entropy import PETraceSet
 from .errors import InsufficientDataError, InvalidInputError
 
 __all__ = [
-    "MonotoneReference",
-    "FocalTauVector",
     "ReversalSeries",
     "lambda_for_range",
-    "focal_tau_vector",
-    "reversal_metric",
     "reversal_series",
     "windowed_rbar",
 ]
@@ -47,83 +42,6 @@ def lambda_for_range(tau_min: int, tau_max: int) -> float:
         )
     m = tau_max - tau_min + 1
     return float((m * m) // 2)
-
-
-@dataclass(frozen=True)
-class MonotoneReference:
-    """The no-mixing reference ordering ``tau_min..tau_max`` and its scale."""
-
-    v_i: np.ndarray
-    lam: float
-
-    @classmethod
-    def for_range(cls, tau_min: int, tau_max: int) -> "MonotoneReference":
-        lam = lambda_for_range(tau_min, tau_max)
-        v_i = np.arange(tau_min, tau_max + 1, dtype=np.int64)
-        return cls(v_i=v_i, lam=lam)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "v_i", np.asarray(self.v_i, dtype=np.int64))
-
-
-@dataclass(frozen=True)
-class FocalTauVector:
-    """Strides sorted by entropy at one anchor, smallest entropy first."""
-
-    order: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.order) < 2:
-            raise InvalidInputError("a focal vector needs at least two strides")
-        lo, hi = min(self.order), max(self.order)
-        if sorted(self.order) != list(range(lo, hi + 1)):
-            raise InvalidInputError(
-                f"order must hold each stride of a contiguous range once, got {self.order}"
-            )
-
-
-def focal_tau_vector(pe_by_tau: Mapping[int, float]) -> FocalTauVector:
-    """Sort strides by entropy value; equal values keep stride order.
-
-    Example: ``{1: 0.5, 2: 0.5, 3: 0.4} -> (3, 1, 2)``.
-
-    Raises:
-        InvalidInputError: If the strides are not a contiguous range or
-            any entropy value is missing or non-finite.
-    """
-    if len(pe_by_tau) < 2:
-        raise InvalidInputError("need entropy values for at least two strides")
-    taus = sorted(int(t) for t in pe_by_tau)
-    if taus != list(range(taus[0], taus[-1] + 1)):
-        raise InvalidInputError(
-            f"strides must form a contiguous range, got {taus}"
-        )
-    for t in taus:
-        v = float(pe_by_tau[t])
-        if not np.isfinite(v):
-            raise InvalidInputError(f"entropy for stride {t} is not finite: {v}")
-    ordered = sorted(taus, key=lambda t: (float(pe_by_tau[t]), t))
-    return FocalTauVector(order=tuple(ordered))
-
-
-def reversal_metric(v: FocalTauVector, reference: MonotoneReference) -> float:
-    """Normalized displacement of one observed ordering, in [0, 1].
-
-    Example: order ``(2, 1, 3, 4, 5, 6)`` against the 1..6 reference
-    scores ``2/18``.
-
-    Raises:
-        InvalidInputError: If the ordering and reference cover different
-            stride ranges.
-    """
-    ref = reference.v_i
-    if sorted(v.order) != list(ref):
-        raise InvalidInputError(
-            f"ordering over strides {sorted(v.order)} does not match "
-            f"reference range {list(ref)}"
-        )
-    displacement = int(np.abs(np.asarray(v.order, dtype=np.int64) - ref).sum())
-    return displacement / reference.lam
 
 
 @dataclass(frozen=True)
@@ -149,15 +67,6 @@ class ReversalSeries:
 
     def __len__(self) -> int:
         return int(self.anchors.shape[0])
-
-    def segment_rbar(self, first: int, last: int) -> float:
-        """Mean score over anchor positions ``first..last`` inclusive."""
-        n = len(self)
-        if not (0 <= first <= last < n):
-            raise InvalidInputError(
-                f"segment [{first}, {last}] is not valid for {n} anchors"
-            )
-        return float(self.r_values[first : last + 1].mean())
 
 
 def reversal_series(traces: PETraceSet) -> ReversalSeries:

@@ -70,6 +70,14 @@ def max_footrule(tau_min: int, tau_max: int) -> int:
     return best
 
 
+def reversal_score(pe_by_tau) -> float:
+    """One anchor's score: strides sorted by (entropy, stride), footrule to
+    the ascending order over the largest footrule of the range."""
+    taus = sorted(pe_by_tau)
+    order = sorted(taus, key=lambda t: (pe_by_tau[t], t))
+    return footrule(order, taus) / max_footrule(taus[0], taus[-1])
+
+
 def sliding_means(values, window: int, hop: int = 1):
     out = []
     for i in range(0, len(values) - window + 1, hop):

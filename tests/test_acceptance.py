@@ -16,12 +16,12 @@ import pytest
 
 from pemix import (
     AnsatzConfig,
-    FocalTauVector,
     LorenzParams,
     MackeyGlassParams,
-    MonotoneReference,
     PatternConfig,
     PEConfig,
+    PETrace,
+    PETraceSet,
     TimeSeries,
     bin_average,
     bin_sweep,
@@ -34,7 +34,6 @@ from pemix import (
     pattern_distribution,
     permutation_entropy,
     read_series_csv,
-    reversal_metric,
     reversal_series,
     sine_series,
     windowed_pe,
@@ -173,7 +172,8 @@ def test_a6_fast_paths_match_reference_implementations():
                 f"window={window}): fast {fast!r} != naive {slow!r}"
             )
 
-    # Reversal scoring vs exhaustive enumeration over every permutation.
+    # Reversal scoring vs exhaustive enumeration over every permutation:
+    # one anchor per permutation, whose entropies sort the strides into it.
     for m in range(2, 8):
         for tau_min in (1, 2):
             tau_max = tau_min + m - 1
@@ -182,9 +182,17 @@ def test_a6_fast_paths_match_reference_implementations():
             assert lam == max_footrule(tau_min, tau_max), (
                 f"m={m}: closed-form lambda {lam} != exhaustive maximum"
             )
-            reference = MonotoneReference.for_range(tau_min, tau_max)
-            for perm in itertools.permutations(taus):
-                got = reversal_metric(FocalTauVector(perm), reference)
+            perms = list(itertools.permutations(taus))
+            # pe[tau - tau_min, a] is the position of tau in perms[a].
+            pe = np.argsort(np.asarray(perms) - tau_min, axis=1).T.astype(float)
+            traces = PETraceSet(
+                traces=tuple(
+                    PETrace(tau=tau, anchors=np.arange(len(perms)), values=pe[k])
+                    for k, tau in enumerate(taus)
+                )
+            )
+            scores = reversal_series(traces).r_values
+            for perm, got in zip(perms, scores):
                 want = footrule(perm, taus) / lam
                 assert got == want, f"permutation {perm}: {got!r} != {want!r}"
 

@@ -13,9 +13,12 @@ from pemix import (
     AnsatzConfig,
     PEConfig,
     bin_average,
+    fill_gaps,
+    load_csv,
     mixing_ansatz,
     multi_tau_pe,
     read_series_csv,
+    regularize,
     reversal_series,
     sine_series,
 )
@@ -238,6 +241,17 @@ class TestIngestCommand:
         assert report["n_records"] == 58
         assert report["n_missing_filled"] + report["n_suspect_removed"] > 0
         assert report["output"] == str(out)
+
+        # The same keys, in the same order, as the library's own report.
+        records = load_csv(raw)
+        _, cleaning = fill_gaps(regularize(records, 10.0))
+        expected = {"n_records": len(records), **cleaning.as_dict()}
+        expected.update(input=str(raw), output=str(out), created=report["created"])
+        assert list(report.items()) == list(expected.items())
+        assert len(report["gap_spans"]) >= 2
+        # One line per key and per gap span, not one per number.
+        n_lines = len(report_path.read_text(encoding="utf-8").splitlines())
+        assert n_lines <= len(report["gap_spans"]) + 12
 
 
 class TestExitCodes:

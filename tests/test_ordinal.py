@@ -1,4 +1,4 @@
-"""Ordinal pattern extraction, indexing, and distribution tallies."""
+"""Ordinal pattern codes and distribution tallies, against the slow oracles."""
 
 import itertools
 import math
@@ -6,30 +6,49 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
 from pemix import (
     InsufficientDataError,
     InvalidInputError,
     PatternConfig,
     TimeSeries,
     encode_patterns,
-    index_to_pattern,
-    ordinal_pattern,
     pattern_distribution,
-    pattern_index,
 )
 
 from oracles import lex_index_by_enumeration, pattern_tally, ranks_by_time
 
 
+def oracle_codes(values, ell, tau):
+    """Per-window lexicographic codes from the slow pairwise ranking."""
+    span = (ell - 1) * tau
+    return [
+        lex_index_by_enumeration(ranks_by_time(values[i : i + span + 1 : tau]))
+        for i in range(len(values) - span)
+    ]
+
+
+def code_of(window):
+    """Code of a single window through the vectorized encoder."""
+    window = np.asarray(window, dtype=float)
+    codes = encode_patterns(window, ell=window.shape[0], tau=1)
+    assert codes.shape == (1,)
+    return int(codes[0])
+
+
 class TestOrdinalPattern:
     def test_basic_ranking(self):
-        assert ordinal_pattern([7.0, 3.0, 11.0]).ranks == (1, 0, 2)
+        assert ranks_by_time([7.0, 3.0, 11.0]) == (1, 0, 2)
+        assert code_of([7.0, 3.0, 11.0]) == 2
 
     def test_tie_goes_to_earlier_point(self):
-        assert ordinal_pattern([5.0, 5.0, 2.0]).ranks == (1, 2, 0)
+        assert ranks_by_time([5.0, 5.0, 2.0]) == (1, 2, 0)
+        assert code_of([5.0, 5.0, 2.0]) == 3
 
     def test_constant_window_is_identity(self):
-        assert ordinal_pattern([4.0, 4.0, 4.0, 4.0]).ranks == (0, 1, 2, 3)
+        assert code_of([4.0, 4.0, 4.0, 4.0]) == 0
 
     def test_matches_pairwise_oracle_on_random_windows(self):
         rng = np.random.default_rng(11)
@@ -37,48 +56,37 @@ class TestOrdinalPattern:
             ell = int(rng.integers(2, 7))
             # Integer values force frequent ties.
             window = rng.integers(0, 4, size=ell).astype(float)
-            assert ordinal_pattern(window).ranks == ranks_by_time(window)
+            assert code_of(window) == lex_index_by_enumeration(ranks_by_time(window))
 
     def test_rejects_short_window(self):
-        with pytest.raises(InvalidInputError):
-            ordinal_pattern([1.0])
+        with pytest.raises(InvalidInputError, match="ell must be >= 2"):
+            encode_patterns(np.arange(5.0), ell=1, tau=1)
+        with pytest.raises(InvalidInputError, match="tau must be >= 1"):
+            encode_patterns(np.arange(5.0), ell=2, tau=0)
 
     def test_rejects_non_finite_and_names_position(self):
         with pytest.raises(InvalidInputError, match="position 2"):
-            ordinal_pattern([1.0, 2.0, np.nan, 4.0])
+            encode_patterns(np.array([1.0, 2.0, np.nan, 4.0]), ell=2, tau=1)
 
 
 class TestPatternIndex:
     def test_pinned_examples(self):
-        assert pattern_index((0, 1, 2)) == 0
-        assert pattern_index((0, 2, 1)) == 1
-        assert pattern_index((2, 1, 0)) == 5
-        assert pattern_index((0, 1)) == 0
-        assert pattern_index((1, 0)) == 1
+        # A window holding the ranks themselves has exactly those ranks.
+        assert code_of((0, 1, 2)) == 0
+        assert code_of((0, 2, 1)) == 1
+        assert code_of((2, 1, 0)) == 5
+        assert code_of((0, 1)) == 0
+        assert code_of((1, 0)) == 1
 
     def test_matches_enumeration_oracle(self):
-        for ell in range(2, 6):
-            for perm in itertools.permutations(range(ell)):
-                assert pattern_index(perm) == lex_index_by_enumeration(perm)
-
-    def test_round_trip_with_index_to_pattern(self):
         for ell in range(2, 7):
-            for index in range(math.factorial(ell)):
-                pattern = index_to_pattern(index, ell)
-                assert pattern.index == index
-                assert pattern_index(pattern.ranks) == index
-
-    def test_rejects_non_permutation(self):
-        with pytest.raises(InvalidInputError):
-            pattern_index((0, 0, 1))
-        with pytest.raises(InvalidInputError):
-            pattern_index((1, 2, 3))
-
-    def test_index_to_pattern_range_check(self):
-        with pytest.raises(InvalidInputError):
-            index_to_pattern(6, 3)
-        with pytest.raises(InvalidInputError):
-            index_to_pattern(-1, 3)
+            perms = list(itertools.permutations(range(ell)))
+            # Every permutation as one window of a strided series: window i
+            # of stride ell is perms[i] when the permutations are interleaved.
+            values = np.asarray(perms, dtype=float).T.ravel()
+            codes = encode_patterns(values, ell=ell, tau=len(perms))
+            assert codes.tolist() == [lex_index_by_enumeration(p) for p in perms]
+            assert sorted(codes.tolist()) == list(range(math.factorial(ell)))
 
 
 class TestEncodePatterns:
@@ -87,8 +95,8 @@ class TestEncodePatterns:
         series = np.array([1.0, 4.0, 6.0, 2.0, 5.0, 3.0])
         codes = encode_patterns(series, ell=3, tau=2)
         assert codes.shape == (2,)
-        assert codes[0] == pattern_index((0, 2, 1))
-        assert codes[1] == pattern_index((2, 0, 1))
+        assert codes[0] == lex_index_by_enumeration((0, 2, 1))
+        assert codes[1] == lex_index_by_enumeration((2, 0, 1))
 
     def test_matches_per_window_calls(self):
         rng = np.random.default_rng(7)
@@ -97,15 +105,28 @@ class TestEncodePatterns:
             values = rng.integers(0, 5, size=n).astype(float)
             ell = int(rng.integers(2, 5))
             tau = int(rng.integers(1, 4))
-            span = (ell - 1) * tau
-            if n <= span:
+            if n <= (ell - 1) * tau:
                 continue
-            codes = encode_patterns(values, ell, tau)
-            expected = [
-                ordinal_pattern(values[i : i + span + 1 : tau]).index
-                for i in range(n - span)
-            ]
-            assert codes.tolist() == expected
+            assert encode_patterns(values, ell, tau).tolist() == oracle_codes(values, ell, tau)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        ell=st.integers(2, 6),
+        tau=st.integers(1, 4),
+        values=st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0]), min_size=1, max_size=60),
+    )
+    def test_property_matches_oracle_on_tied_values(self, ell, tau, values):
+        values = np.asarray(values)
+        assume(len(values) > (ell - 1) * tau)
+        assert encode_patterns(values, ell, tau).tolist() == oracle_codes(values, ell, tau)
+
+    def test_ell_capped_like_the_configs(self):
+        # 21! - 1 does not fit an int64 code; the cap of PatternConfig
+        # applies here too, so no code silently wraps.
+        for ell in (10, 21):
+            with pytest.raises(InvalidInputError, match="ell must be <= 9"):
+                encode_patterns(np.arange(21.0)[::-1], ell, 1)
+        assert encode_patterns(np.arange(9.0)[::-1], 9, 1).tolist() == [math.factorial(9) - 1]
 
     def test_too_short_raises(self):
         with pytest.raises(InsufficientDataError):
@@ -139,7 +160,7 @@ class TestPatternDistribution:
             assert dist.count == n_windows
             expected = np.zeros(math.factorial(ell))
             for ranks, count in tally.items():
-                expected[pattern_index(ranks)] = count / n_windows
+                expected[lex_index_by_enumeration(ranks)] = count / n_windows
             np.testing.assert_array_equal(dist.probs, expected)
 
     def test_probs_sum_to_one_and_count_matches_range(self):

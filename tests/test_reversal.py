@@ -6,22 +6,21 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from pemix import (
-    FocalTauVector,
     InsufficientDataError,
     InvalidInputError,
-    MonotoneReference,
     PETrace,
     PETraceSet,
     ReversalSeries,
-    focal_tau_vector,
     lambda_for_range,
-    reversal_metric,
     reversal_series,
     windowed_rbar,
 )
 
-from oracles import footrule, max_footrule, sliding_means
+from oracles import footrule, max_footrule, reversal_score, sliding_means
 
 
 def make_traces(pe_matrix, tau_min=1, anchors=None):
@@ -54,56 +53,64 @@ class TestLambda:
             lambda_for_range(4, 4)
 
 
+def score_of(pe_by_tau):
+    """Score of a single anchor through ``reversal_series``."""
+    taus = sorted(pe_by_tau)
+    pe = [[pe_by_tau[t]] for t in taus]
+    rev = reversal_series(make_traces(pe, tau_min=taus[0]))
+    assert len(rev) == 1
+    return float(rev.r_values[0])
+
+
+def score_of_order(order):
+    """Score of an anchor whose entropy sorts the strides into ``order``."""
+    return score_of({tau: float(pos) for pos, tau in enumerate(order)})
+
+
 class TestFocalTauVector:
     def test_sorts_by_entropy(self):
-        v = focal_tau_vector({1: 0.9, 2: 0.3, 3: 0.6})
-        assert v.order == (2, 3, 1)
+        # Sorted by entropy the strides read (2, 3, 1, 4): displacement 4 of 8.
+        assert score_of({1: 0.9, 2: 0.3, 3: 0.6, 4: 0.95}) == 0.5
 
     def test_ties_keep_ascending_stride(self):
-        v = focal_tau_vector({1: 0.5, 2: 0.5, 3: 0.4})
-        assert v.order == (3, 1, 2)
+        # Strides 1 and 2 tie; kept ascending the ordering is monotone.
+        assert score_of({1: 0.5, 2: 0.5, 3: 0.6}) == 0.0
+        assert score_of({1: 0.5, 2: 0.5, 3: 0.4}) == 1.0
+        # Three levels over six strides: almost every anchor has ties.
+        pe = np.random.default_rng(3).integers(0, 3, size=(6, 500)) / 2.0
+        rev = reversal_series(make_traces(pe))
+        for i in range(pe.shape[1]):
+            assert rev.r_values[i] == reversal_score({1 + k: pe[k, i] for k in range(6)})
 
     def test_all_equal_gives_monotone_order(self):
-        v = focal_tau_vector({2: 0.1, 3: 0.1, 4: 0.1})
-        assert v.order == (2, 3, 4)
+        assert score_of({2: 0.1, 3: 0.1, 4: 0.1}) == 0.0
 
     def test_missing_stride_raises(self):
-        with pytest.raises(InvalidInputError):
-            focal_tau_vector({1: 0.5, 3: 0.4})
-
-    def test_non_finite_raises(self):
-        with pytest.raises(InvalidInputError):
-            focal_tau_vector({1: 0.5, 2: float("nan")})
+        a = PETrace(tau=1, anchors=np.arange(1), values=np.array([0.5]))
+        b = PETrace(tau=3, anchors=np.arange(1), values=np.array([0.4]))
+        with pytest.raises(InvalidInputError, match="contiguous"):
+            PETraceSet(traces=(a, b))
 
 
 class TestReversalMetric:
     def test_monotone_scores_zero(self):
-        ref = MonotoneReference.for_range(1, 6)
-        assert reversal_metric(FocalTauVector(order=(1, 2, 3, 4, 5, 6)), ref) == 0.0
+        assert score_of_order((1, 2, 3, 4, 5, 6)) == 0.0
 
     def test_full_reversal_scores_one(self):
-        ref = MonotoneReference.for_range(1, 6)
-        assert reversal_metric(FocalTauVector(order=(6, 5, 4, 3, 2, 1)), ref) == 1.0
+        assert score_of_order((6, 5, 4, 3, 2, 1)) == 1.0
 
     def test_pinned_swap_example(self):
-        ref = MonotoneReference.for_range(1, 6)
-        got = reversal_metric(FocalTauVector(order=(2, 1, 3, 4, 5, 6)), ref)
-        assert got == 2.0 / 18.0
+        assert score_of_order((2, 1, 3, 4, 5, 6)) == 2.0 / 18.0
 
     def test_matches_enumeration_and_stays_in_unit_interval(self):
         for tau_min, m in ((1, 4), (2, 5)):
             tau_max = tau_min + m - 1
-            ref = MonotoneReference.for_range(tau_min, tau_max)
+            taus = tuple(range(tau_min, tau_max + 1))
             lam = max_footrule(tau_min, tau_max)
-            for perm in itertools.permutations(range(tau_min, tau_max + 1)):
-                got = reversal_metric(FocalTauVector(order=perm), ref)
-                assert got == footrule(perm, ref.v_i) / lam
+            for perm in itertools.permutations(taus):
+                got = score_of_order(perm)
+                assert got == footrule(perm, taus) / lam
                 assert 0.0 <= got <= 1.0
-
-    def test_range_mismatch_raises(self):
-        ref = MonotoneReference.for_range(1, 3)
-        with pytest.raises(InvalidInputError):
-            reversal_metric(FocalTauVector(order=(2, 3, 4)), ref)
 
 
 class TestReversalSeries:
@@ -139,13 +146,10 @@ class TestReversalSeries:
     def test_matches_focal_vector_path(self):
         rng = np.random.default_rng(97)
         pe = rng.random((5, 30)).round(2)  # rounding forces some ties
-        traces = make_traces(pe, tau_min=2)
-        rev = reversal_series(traces)
-        ref = MonotoneReference.for_range(2, 6)
+        rev = reversal_series(make_traces(pe, tau_min=2))
         for i in range(30):
             per_anchor = {2 + k: float(pe[k, i]) for k in range(5)}
-            expected = reversal_metric(focal_tau_vector(per_anchor), ref)
-            assert rev.r_values[i] == expected
+            assert rev.r_values[i] == reversal_score(per_anchor)
 
     def test_peak_memory_is_a_small_multiple_of_the_traces(self):
         n_strides, n_anchors = 6, 100_000
@@ -159,15 +163,6 @@ class TestReversalSeries:
         # in the order's own memory.
         table_bytes = n_strides * n_anchors * 8
         assert peak < 2.5 * table_bytes, f"peak {peak} bytes for a {table_bytes}-byte table"
-
-    def test_segment_rbar(self):
-        pe = np.array([[0.1, 0.6, 0.1, 0.1], [0.2, 0.5, 0.2, 0.2]])
-        rev = reversal_series(make_traces(pe))
-        assert rev.segment_rbar(0, 3) == rev.r_bar
-        assert rev.segment_rbar(1, 1) == 1.0
-        assert rev.segment_rbar(2, 3) == 0.0
-        with pytest.raises(InvalidInputError):
-            rev.segment_rbar(2, 9)
 
     def test_single_stride_raises(self):
         pe = np.array([[0.1, 0.2]])
@@ -205,6 +200,23 @@ class TestWindowedRbar:
             np.testing.assert_array_equal(
                 smoothed.r_values, sliding_means(scores, window, hop)
             )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        scores=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=300),
+        window=st.integers(1, 300),
+        hop=st.integers(1, 5),
+    )
+    def test_property_equals_naive_recomputation(self, scores, window, hop):
+        scores = np.asarray(scores)
+        window = min(window, scores.shape[0])
+        series = ReversalSeries(
+            anchors=np.arange(scores.shape[0]), r_values=scores, r_bar=float(scores.mean())
+        )
+        smoothed = windowed_rbar(series, window=window, hop=hop)
+        np.testing.assert_array_equal(smoothed.r_values, sliding_means(scores, window, hop))
+        anchors = np.arange(window - 1, scores.shape[0], hop)
+        np.testing.assert_array_equal(smoothed.anchors, anchors)
 
     def test_window_larger_than_series_raises(self):
         rev = ReversalSeries(anchors=np.arange(3), r_values=np.zeros(3), r_bar=0.0)
