@@ -9,7 +9,6 @@ have been mixed.
 
 from .entropy import (
     PEConfig,
-    PETrace,
     PETraceSet,
     global_pe,
     multi_tau_pe,
@@ -64,7 +63,6 @@ __all__ = [
     "encode_patterns",
     "pattern_distribution",
     "PEConfig",
-    "PETrace",
     "PETraceSet",
     "permutation_entropy",
     "global_pe",

@@ -25,7 +25,6 @@ from .series import TimeSeries
 
 __all__ = [
     "PEConfig",
-    "PETrace",
     "PETraceSet",
     "permutation_entropy",
     "global_pe",
@@ -82,68 +81,60 @@ class PEConfig:
 
 
 @dataclass(frozen=True)
-class PETrace:
-    """Windowed entropy values for one stride.
+class PETraceSet:
+    """Windowed entropy at every stride of a contiguous range, as one matrix.
 
-    ``anchors[i]`` is the index of the last observation inside window
-    ``i``; anchors increase by the hop.  ``values[i]`` is that window's
-    normalized entropy.
+    ``traces[k, i]`` is the normalized entropy at stride ``tau_min + k`` of
+    the window whose last observation is ``anchors[i]``.  ``traces`` is a
+    C-contiguous float64 array of shape ``(strides, anchors)``.
+
+    Raises:
+        InvalidInputError: If the shapes do not match or hold no stride, an
+            entropy is not finite, or the anchors do not strictly increase.
     """
 
-    tau: int
+    tau_min: int
     anchors: np.ndarray
-    values: np.ndarray
+    traces: np.ndarray
 
     def __post_init__(self) -> None:
+        # Checked before the contiguous copy, so no check temporary coexists with it.
         anchors = np.asarray(self.anchors, dtype=np.int64)
-        values = np.asarray(self.values, dtype=np.float64)
-        if anchors.shape != values.shape or anchors.ndim != 1:
-            raise InvalidInputError("anchors and values must be matching 1-D arrays")
-        object.__setattr__(self, "anchors", anchors)
-        object.__setattr__(self, "values", values)
+        traces = np.asarray(self.traces, dtype=np.float64)
+        if anchors.ndim != 1 or traces.ndim != 2 or traces.shape[1:] != anchors.shape:
+            raise InvalidInputError(
+                f"traces of shape {traces.shape} do not match {anchors.shape[0]} anchors"
+            )
+        if traces.shape[0] < 1:
+            raise InvalidInputError("a trace set needs at least one stride")
+        if not np.isfinite(traces).all():
+            # The first bad cell in anchor order, as a trace file lists them.
+            i, k = np.argwhere(~np.isfinite(traces.T))[0]
+            raise InvalidInputError(
+                f"non-finite entropy {traces[k, i]} at anchor {anchors[i]}, "
+                f"column pe_tau{self.tau_min + k}"
+            )
+        backward = np.flatnonzero(np.diff(anchors) <= 0)
+        if backward.size:
+            i = backward[0]
+            raise InvalidInputError(
+                f"trace anchors must strictly increase, but anchor {anchors[i + 1]} "
+                f"follows anchor {anchors[i]}"
+            )
+        object.__setattr__(self, "tau_min", int(self.tau_min))
+        object.__setattr__(self, "anchors", np.ascontiguousarray(anchors))
+        object.__setattr__(self, "traces", np.ascontiguousarray(traces))
 
     def __len__(self) -> int:
         return int(self.anchors.shape[0])
 
-
-@dataclass(frozen=True)
-class PETraceSet:
-    """Aligned entropy traces for every stride of a contiguous range."""
-
-    traces: tuple[PETrace, ...]
-
-    def __post_init__(self) -> None:
-        traces = tuple(self.traces)
-        if len(traces) < 1:
-            raise InvalidInputError("a trace set needs at least one trace")
-        taus = [t.tau for t in traces]
-        if taus != list(range(taus[0], taus[0] + len(taus))):
-            raise InvalidInputError(f"traces must cover a contiguous stride range, got {taus}")
-        first = traces[0].anchors
-        for t in traces[1:]:
-            if not np.array_equal(t.anchors, first):
-                raise InvalidInputError("all traces in a set must share the same anchors")
-        object.__setattr__(self, "traces", traces)
-
-    @property
-    def tau_min(self) -> int:
-        return self.traces[0].tau
-
     @property
     def tau_max(self) -> int:
-        return self.traces[-1].tau
+        return self.tau_min + self.traces.shape[0] - 1
 
     @property
     def taus(self) -> np.ndarray:
         return np.arange(self.tau_min, self.tau_max + 1, dtype=np.int64)
-
-    @property
-    def anchors(self) -> np.ndarray:
-        return self.traces[0].anchors
-
-    def matrix(self) -> np.ndarray:
-        """Entropy values stacked as shape ``(n_strides, n_anchors)``."""
-        return np.stack([t.values for t in self.traces], axis=0)
 
 
 def _plogp(probs: np.ndarray) -> np.ndarray:
@@ -187,8 +178,8 @@ def global_pe(series: TimeSeries, ell: int, tau: int) -> float:
     return permutation_entropy(dist, ell)
 
 
-def windowed_pe(series: TimeSeries, config: PEConfig, tau: int) -> PETrace:
-    """Sliding-window entropy trace at one stride.
+def windowed_pe(series: TimeSeries, config: PEConfig, tau: int) -> PETraceSet:
+    """Sliding-window entropy trace at one stride, as a one-stride set.
 
     Windows hold ``config.window`` consecutive observations and advance
     by ``config.hop``; each value is anchored at the index of its
@@ -215,7 +206,7 @@ def windowed_pe(series: TimeSeries, config: PEConfig, tau: int) -> PETrace:
     codes = encode_patterns(series.values, config.ell, tau)
     anchors = np.arange(config.window - 1, n, config.hop, dtype=np.int64)
     values = _sliding_entropy(codes, anchors, config.window, config.ell, span)
-    return PETrace(tau=tau, anchors=anchors, values=values)
+    return PETraceSet(tau_min=tau, anchors=anchors, traces=values[None, :])
 
 
 def _sliding_entropy(
@@ -263,8 +254,13 @@ def _sliding_entropy(
 def multi_tau_pe(series: TimeSeries, config: PEConfig) -> PETraceSet:
     """Windowed entropy at every stride of the configured range.
 
-    All traces share the same anchors, which is what makes the
-    per-anchor stride ordering in the reversal stage well defined.
+    Row ``k`` of the matrix is the :func:`windowed_pe` trace at stride
+    ``tau_min + k``; every row shares the same anchors, which is what makes
+    the per-anchor stride ordering in the reversal stage well defined.
     """
-    traces = tuple(windowed_pe(series, config, tau) for tau in config.taus)
-    return PETraceSet(traces=traces)
+    first = windowed_pe(series, config, config.tau_min)
+    traces = np.empty((len(config.taus), len(first)))
+    traces[0] = first.traces[0]
+    for k, tau in enumerate(config.taus[1:], start=1):
+        traces[k] = windowed_pe(series, config, tau).traces[0]
+    return PETraceSet(tau_min=config.tau_min, anchors=first.anchors, traces=traces)

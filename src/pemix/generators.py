@@ -32,15 +32,17 @@ __all__ = [
 class LorenzParams:
     """Parameters for the three-variable convection flow.
 
-    Defaults reproduce a strongly chaotic regime on a 0.005 time step.
-    ``skip`` discards that many leading samples while still returning
-    ``steps`` samples in total.
+    Defaults reproduce a strongly chaotic regime on a 0.005 time step from
+    the initial state ``(x0, y0, z0)``.  ``skip`` discards that many leading
+    samples while still returning ``steps`` samples in total.
     """
 
     a: float = 16.0
     b: float = 4.0
     r: float = 45.0
-    initial: tuple[float, float, float] = (-13.0, -12.0, 52.0)
+    x0: float = -13.0
+    y0: float = -12.0
+    z0: float = 52.0
     h: float = 0.005
     steps: int = 500_000
     skip: int = 0
@@ -52,8 +54,6 @@ class LorenzParams:
             raise InvalidInputError(f"steps must be >= 1, got {self.steps}")
         if self.skip < 0:
             raise InvalidInputError(f"skip must be >= 0, got {self.skip}")
-        if len(self.initial) != 3:
-            raise InvalidInputError("initial state must have three components")
 
 
 def lorenz_trajectory(params: LorenzParams) -> np.ndarray:
@@ -64,7 +64,7 @@ def lorenz_trajectory(params: LorenzParams) -> np.ndarray:
     skip, steps = params.skip, params.steps
     total = skip + steps
     out = np.empty((steps, 3), dtype=np.float64)
-    x, y, z = (float(c) for c in params.initial)
+    x, y, z = float(params.x0), float(params.y0), float(params.z0)
     for i in range(total):
         if i >= skip:
             row = i - skip

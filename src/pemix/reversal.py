@@ -78,10 +78,10 @@ def reversal_series(traces: PETraceSet) -> ReversalSeries:
     """
     if traces.tau_max <= traces.tau_min:
         raise InvalidInputError("reversal needs traces for at least two strides")
-    if traces.anchors.shape[0] == 0:
+    if len(traces) == 0:
         raise InsufficientDataError("trace set has no anchors")
     # Stable sort along the stride axis: ties keep ascending stride.
-    order = np.argsort(traces.matrix(), axis=0, kind="stable")
+    order = np.argsort(traces.traces, axis=0, kind="stable")
     # The strides are contiguous, so the stride at sorted position i is
     # tau_min + order[i] and its displacement is |order[i] - i|, in place.
     order -= np.arange(order.shape[0])[:, None]

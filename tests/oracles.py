@@ -194,13 +194,13 @@ def write_series_rows(stream, series, metadata=None) -> None:
 
 
 def write_trace_rows(stream, traces, metadata) -> None:
-    """Trace table written one row at a time from the stacked matrix."""
+    """Trace table written one row at a time from the trace matrix."""
     stream.write("# pemix-traces v1\n")
     for key, value in metadata.items():
         stream.write(f"# {key}: {value}\n")
     taus = [int(t) for t in traces.taus]
     stream.write("anchor," + ",".join(f"pe_tau{t}" for t in taus) + "\n")
-    matrix = traces.matrix()
+    matrix = traces.traces
     for i in range(traces.anchors.shape[0]):
         row = ",".join(repr(float(matrix[k, i])) for k in range(len(taus)))
         stream.write(f"{int(traces.anchors[i])},{row}\n")

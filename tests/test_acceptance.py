@@ -20,7 +20,6 @@ from pemix import (
     MackeyGlassParams,
     PatternConfig,
     PEConfig,
-    PETrace,
     PETraceSet,
     TimeSeries,
     bin_average,
@@ -161,7 +160,7 @@ def test_a6_fast_paths_match_reference_implementations():
         config = PEConfig(ell=ell, window=window, tau_min=tau, tau_max=tau, hop=hop)
         trace = windowed_pe(series, config, tau)
         pattern_config = PatternConfig(ell=ell, tau=tau)
-        for anchor, fast in zip(trace.anchors, trace.values):
+        for anchor, fast in zip(trace.anchors, trace.traces[0]):
             dist = pattern_distribution(
                 series, pattern_config, start=int(anchor) - window + 1,
                 end=int(anchor) + 1,
@@ -185,12 +184,7 @@ def test_a6_fast_paths_match_reference_implementations():
             perms = list(itertools.permutations(taus))
             # pe[tau - tau_min, a] is the position of tau in perms[a].
             pe = np.argsort(np.asarray(perms) - tau_min, axis=1).T.astype(float)
-            traces = PETraceSet(
-                traces=tuple(
-                    PETrace(tau=tau, anchors=np.arange(len(perms)), values=pe[k])
-                    for k, tau in enumerate(taus)
-                )
-            )
+            traces = PETraceSet(tau_min=tau_min, anchors=np.arange(len(perms)), traces=pe)
             scores = reversal_series(traces).r_values
             for perm, got in zip(perms, scores):
                 want = footrule(perm, taus) / lam

@@ -101,6 +101,16 @@ def test_summarize_accepts_the_span_files(traced):
     assert set(json.loads(probe.read_text())) == {f"ell{e}" for e in tracer.PROBE_ELLS}
 
 
+def test_pe_step_counts_one_window_per_anchor_and_stride(traced):
+    spans, _, _ = traced
+    record = json.loads(spans[4].read_text())  # the "pe" step
+    calls = [span for span in record["spans"] if span["name"] == "entropy.multi_tau_pe"]
+    assert len(calls) == 1
+    # Anchors range(399, 3000, 7) at the six default strides: the counter
+    # reads anchors x rows of the strides-first trace matrix.
+    assert calls[0]["windows"] == len(range(399, 3000, 7)) * 6 == 372 * 6
+
+
 def test_every_exported_name_resolves():
     for name in pemix.__all__:
         assert hasattr(pemix, name), f"pemix.__all__ names missing {name}"

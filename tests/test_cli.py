@@ -138,7 +138,7 @@ class TestPeAndReversal:
             traces, meta = read_trace_csv(stream)
         config = PEConfig(window=300, tau_max=3, hop=10)
         expected = multi_tau_pe(sine_series(1.0, 50, 1500), config)
-        np.testing.assert_array_equal(traces.matrix(), expected.matrix())
+        np.testing.assert_array_equal(traces.traces, expected.traces)
         np.testing.assert_array_equal(traces.anchors, expected.anchors)
         np.testing.assert_array_equal(traces.taus, expected.taus)
         assert meta["window"] == "300"
@@ -303,6 +303,13 @@ class TestExitCodes:
         code = run("reversal", "-i", traces, "-o", tmp_path / "rev.csv")
         assert code == 2
         assert "anchor 150 follows anchor 151" in capsys.readouterr().err
+
+    def test_non_contiguous_trace_columns_is_2(self, tmp_path, capsys):
+        traces = tmp_path / "traces.csv"
+        traces.write_text("anchor,pe_tau1,pe_tau3\n10,0.5,0.4\n11,0.5,0.4\n", encoding="utf-8")
+        code = run("reversal", "-i", traces, "-o", tmp_path / "rev.csv")
+        assert code == 2
+        assert "contiguous" in capsys.readouterr().err
 
     def test_missing_input_is_4(self, tmp_path):
         code = run("pe", "-i", tmp_path / "absent.csv", "-o", tmp_path / "x.csv")

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import pemix.series
 from pemix import (
-    AnsatzConfig, InvalidInputError, MackeyGlassParams, PEConfig, PETrace, PETraceSet,
+    AnsatzConfig, InvalidInputError, MackeyGlassParams, PEConfig, PETraceSet,
     TimeSeries, mackey_glass_series, mixing_ansatz, multi_tau_pe,
 )
 from pemix import read_series_csv, write_series_csv
@@ -76,11 +76,7 @@ def trace_sets(draw):
     first = draw(st.integers(0, 10**12))
     hop = draw(st.integers(1, 1000))
     anchors = first + hop * np.arange(n, dtype=np.int64)
-    traces = tuple(
-        PETrace(tau_min + k, anchors, draw(cell_lists(n, n)))
-        for k in range(n_taus)
-    )
-    return PETraceSet(traces)
+    return PETraceSet(tau_min, anchors, [draw(cell_lists(n, n)) for _ in range(n_taus)])
 
 
 class TestWriterMatchesRowOracle:
@@ -117,7 +113,7 @@ class TestWriterMatchesRowOracle:
     def test_mixed_mackey_glass_traces(self):
         series = mackey_glass_series(MackeyGlassParams(steps=20_000))
         traces = multi_tau_pe(mixing_ansatz(series, AnsatzConfig(k=4, seed=3)), PEConfig())
-        block = traces.matrix()[:, : pemix.series._CHUNK_ROWS]
+        block = traces.traces[:, : pemix.series._CHUNK_ROWS]
         # The traces repeat values within a block, so the reuse path runs.
         assert max(len(np.unique(row)) for row in block) < block.shape[1]
         oracle = io.StringIO()
@@ -153,16 +149,14 @@ class TestRoundTripIsBitExact:
         loaded, _ = read_trace_csv(io.StringIO(_write(write_trace_csv, traces, {})))
         np.testing.assert_array_equal(loaded.anchors, traces.anchors)
         np.testing.assert_array_equal(loaded.taus, traces.taus)
-        np.testing.assert_array_equal(_bits(loaded.matrix()), _bits(traces.matrix()))
-        assert all(t.values.flags.c_contiguous for t in loaded.traces)
+        np.testing.assert_array_equal(_bits(loaded.traces), _bits(traces.traces))
+        assert loaded.traces.flags.c_contiguous and loaded.anchors.flags.c_contiguous
 
 
 def _trace_set(n, n_taus=6, seed=0):
     rng = np.random.default_rng(seed)
     anchors = np.arange(4999, 4999 + n, dtype=np.int64)
-    return PETraceSet(
-        tuple(PETrace(tau, anchors, rng.random(n)) for tau in range(1, n_taus + 1))
-    )
+    return PETraceSet(1, anchors, rng.random((n_taus, n)))
 
 
 class TestCodecMemory:

@@ -111,7 +111,7 @@ class TestWindowedPE:
         trace = windowed_pe(series, config, tau=2)
         assert len(trace) == 1
         assert trace.anchors[0] == 299
-        assert trace.values[0] == global_pe(series, 3, 2)
+        assert trace.traces[0, 0] == global_pe(series, 3, 2)
 
     def test_anchor_grid(self):
         series = TimeSeries(np.random.default_rng(0).standard_normal(100))
@@ -124,7 +124,7 @@ class TestWindowedPE:
         config = PEConfig(ell=3, window=50, tau_min=1, tau_max=4, hop=3)
         for tau in (1, 4):
             trace = windowed_pe(series, config, tau)
-            assert (trace.values == 0.0).all()
+            assert (trace.traces == 0.0).all()
 
     def test_bit_for_bit_against_per_window_recomputation(self):
         rng = np.random.default_rng(71)
@@ -170,7 +170,7 @@ class TestWindowedPE:
                     start=anchor - window + 1,
                     end=anchor + 1,
                 )
-                assert trace.values[i] == permutation_entropy(dist, ell), (
+                assert trace.traces[0, i] == permutation_entropy(dist, ell), (
                     f"mismatch at anchor {anchor} (ell={ell}, tau={tau}, "
                     f"window={window}, hop={hop})"
                 )
@@ -199,19 +199,34 @@ class TestMultiTauPE:
         series = TimeSeries(rng.standard_normal(500))
         config = PEConfig(ell=3, window=80, tau_min=1, tau_max=5, hop=4)
         traces = multi_tau_pe(series, config)
-        assert [t.tau for t in traces.traces] == [1, 2, 3, 4, 5]
-        for trace in traces.traces:
-            single = windowed_pe(series, config, trace.tau)
-            np.testing.assert_array_equal(trace.anchors, single.anchors)
-            np.testing.assert_array_equal(trace.values, single.values)
+        np.testing.assert_array_equal(traces.taus, [1, 2, 3, 4, 5])
+        for tau, row in zip(config.taus, traces.traces):
+            single = windowed_pe(series, config, tau)
+            assert (single.tau_min, single.traces.shape) == (tau, (1, len(traces)))
+            np.testing.assert_array_equal(single.anchors, traces.anchors)
+            np.testing.assert_array_equal(single.traces[0], row)
 
     def test_matrix_shape(self):
         rng = np.random.default_rng(89)
         series = TimeSeries(rng.standard_normal(200))
         config = PEConfig(ell=2, window=40, tau_min=2, tau_max=4, hop=10)
         traces = multi_tau_pe(series, config)
-        matrix = traces.matrix()
-        assert matrix.shape == (3, len(traces.anchors))
+        assert traces.traces.shape == (3, len(traces))
+        assert traces.traces.flags.c_contiguous
+
+    def test_result_retains_one_matrix_and_one_anchor_array(self):
+        n_anchors = 50_000
+        config = PEConfig(window=1000)
+        series = TimeSeries(np.random.default_rng(7).standard_normal(n_anchors + 999))
+        tracemalloc.start()
+        traces = multi_tau_pe(series, config)
+        retained = tracemalloc.get_traced_memory()[0]
+        tracemalloc.stop()
+        assert len(traces) == n_anchors
+        # The strides x anchors matrix and one anchor array; a copy of the
+        # anchors per stride would add almost 6/7 again.
+        table_bytes = (len(config.taus) + 1) * n_anchors * 8
+        assert retained <= 1.1 * table_bytes, f"{retained} bytes for a {table_bytes}-byte table"
 
 
 class TestPEConfig:

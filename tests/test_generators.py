@@ -51,7 +51,7 @@ class TestLorenz:
         assert abs(dx) <= 1e-10
         assert abs(dy) <= 1e-10
         assert abs(dz) <= 1e-10
-        trajectory = lorenz_trajectory(LorenzParams(initial=state, steps=200))
+        trajectory = lorenz_trajectory(LorenzParams(x0=x, y0=y, z0=z, steps=200))
         drift = np.abs(trajectory - np.asarray(state)).max()
         assert drift <= 1e-9, f"equilibrium drifted by {drift}"
 

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from pemix import (
     InsufficientDataError,
     InvalidInputError,
-    PETrace,
     PETraceSet,
     ReversalSeries,
     lambda_for_range,
@@ -28,12 +27,33 @@ def make_traces(pe_matrix, tau_min=1, anchors=None):
     pe_matrix = np.asarray(pe_matrix, dtype=float)
     if anchors is None:
         anchors = np.arange(pe_matrix.shape[1])
-    return PETraceSet(
-        traces=tuple(
-            PETrace(tau=tau_min + k, anchors=anchors, values=pe_matrix[k])
-            for k in range(pe_matrix.shape[0])
-        )
+    return PETraceSet(tau_min=tau_min, anchors=anchors, traces=pe_matrix)
+
+
+class TestTraceSetConstruction:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entropy_names_anchor_and_stride(self, bad):
+        pe = [[0.1, 0.2, 0.3], [0.4, bad, 0.6]]
+        with pytest.raises(InvalidInputError, match=rf"entropy {bad} at anchor 11, column pe_tau3$"):
+            make_traces(pe, tau_min=2, anchors=[10, 11, 12])
+
+    def test_nan_trace_never_reaches_the_score(self):
+        # argsort puts NaN last, which would score these strides as fully reversed.
+        with pytest.raises(InvalidInputError, match="non-finite entropy nan at anchor 0, column pe_tau1"):
+            reversal_series(make_traces([[np.nan], [0.5], [0.6]]))
+
+    @pytest.mark.parametrize(
+        "anchors, message",
+        [([3, 4, 4], "anchor 4 follows anchor 4"), ([3, 5, 4], "anchor 4 follows anchor 5")],
+        ids=["repeat", "fall"],
     )
+    def test_anchors_must_strictly_increase(self, anchors, message):
+        with pytest.raises(InvalidInputError, match=f"must strictly increase, but {message}$"):
+            make_traces(np.full((2, 3), 0.5), anchors=anchors)
+
+    def test_zero_strides_raise(self):
+        with pytest.raises(InvalidInputError, match="at least one stride"):
+            make_traces(np.empty((0, 3)))
 
 
 class TestLambda:
@@ -84,12 +104,6 @@ class TestFocalTauVector:
 
     def test_all_equal_gives_monotone_order(self):
         assert score_of({2: 0.1, 3: 0.1, 4: 0.1}) == 0.0
-
-    def test_missing_stride_raises(self):
-        a = PETrace(tau=1, anchors=np.arange(1), values=np.array([0.5]))
-        b = PETrace(tau=3, anchors=np.arange(1), values=np.array([0.4]))
-        with pytest.raises(InvalidInputError, match="contiguous"):
-            PETraceSet(traces=(a, b))
 
 
 class TestReversalMetric:
@@ -159,10 +173,10 @@ class TestReversalSeries:
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         assert len(rev) == n_anchors
-        # The stacked values and the sort order; the displacement is built
-        # in the order's own memory.
+        # The sort order plus three per-anchor arrays (displacement, scores,
+        # anchors); argsort reads the trace matrix itself, not a stacked copy.
         table_bytes = n_strides * n_anchors * 8
-        assert peak < 2.5 * table_bytes, f"peak {peak} bytes for a {table_bytes}-byte table"
+        assert peak < 1.75 * table_bytes, f"peak {peak} bytes for a {table_bytes}-byte table"
 
     def test_single_stride_raises(self):
         pe = np.array([[0.1, 0.2]])
@@ -170,10 +184,9 @@ class TestReversalSeries:
             reversal_series(make_traces(pe))
 
     def test_misaligned_anchors_rejected_at_construction(self):
-        a = PETrace(tau=1, anchors=np.array([3, 4]), values=np.array([0.1, 0.2]))
-        b = PETrace(tau=2, anchors=np.array([3, 5]), values=np.array([0.1, 0.2]))
-        with pytest.raises(InvalidInputError):
-            PETraceSet(traces=(a, b))
+        # Three entropy columns for two anchors.
+        with pytest.raises(InvalidInputError, match=r"shape \(2, 3\) do not match 2 anchors"):
+            PETraceSet(tau_min=1, anchors=np.array([3, 4]), traces=np.full((2, 3), 0.1))
 
 
 class TestWindowedRbar:
