@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import InsufficientDataError, InvalidInputError
 from .ordinal import (
-    _CHUNK_CELLS,
     PatternConfig,
     PatternDistribution,
     _check_ell_fits,
@@ -31,6 +30,13 @@ __all__ = [
     "windowed_pe",
     "multi_tau_pe",
 ]
+
+# Counts (changed anchors x ell!) and codes moved per block of the sliding
+# kernel: 1 MB of int64, so a block's counts and their table gather stay in
+# cache.  On 300k Mackey-Glass points, blocks of 2**15 to 2**17 cells ran
+# within 10 % of each other at ell 4 and 6; 2**21 took 1.8 times as long.
+_BLOCK_CELLS = 1 << 17
+
 
 @dataclass(frozen=True)
 class PEConfig:
@@ -89,8 +95,9 @@ class PETraceSet:
     C-contiguous float64 array of shape ``(strides, anchors)``.
 
     Raises:
-        InvalidInputError: If the shapes do not match or hold no stride, an
-            entropy is not finite, or the anchors do not strictly increase.
+        InvalidInputError: If a stride is below 1, the shapes do not match
+            or hold no stride, an entropy is not finite, or the anchors do
+            not strictly increase.
     """
 
     tau_min: int
@@ -98,6 +105,8 @@ class PETraceSet:
     traces: np.ndarray
 
     def __post_init__(self) -> None:
+        if self.tau_min < 1:
+            raise InvalidInputError(f"strides must be >= 1, got column pe_tau{self.tau_min}")
         # Checked before the contiguous copy, so no check temporary coexists with it.
         anchors = np.asarray(self.anchors, dtype=np.int64)
         traces = np.asarray(self.traces, dtype=np.float64)
@@ -219,36 +228,65 @@ def _sliding_entropy(
     """Entropy per anchored window from running pattern counts.
 
     Consecutive windows differ by the ``hop`` pattern codes that enter at
-    the right and the ``hop`` that leave at the left.  Anchors are taken
-    in chunks of at most ``_CHUNK_CELLS // max(ell!, hop)``; per chunk one
-    ``bincount`` tallies the entering codes per anchor and one the
-    leaving codes, the first row is seeded with the first window's full
-    tally, and a ``cumsum`` down the anchors turns the differences into
-    counts.  Each count then indexes a table of ``p * log(p)`` over
-    ``0..per_window``, so no ``log`` is taken per cell.  Working memory is
-    a few ``_CHUNK_CELLS``-sized arrays plus the table, whatever the window.
+    the right and the ``hop`` that leave at the left.  A window whose
+    entering codes all equal their paired leaving codes keeps the previous
+    window's counts, since its +1 and -1 events cancel pair by pair; only
+    the first window and the "changed" ones get a count row, and every
+    other window copies its value.  On oversampled series most windows
+    are unchanged.
+
+    Changed rows go in blocks of at most ``_BLOCK_CELLS`` counts and
+    ``_BLOCK_CELLS`` codes moved, so a block stays in cache.  Per block one
+    ``bincount`` tallies the entering codes per changed row and one the
+    leaving codes, over contiguous slices of the codes (an unchanged row's
+    codes land on the changed row before it and cancel there).  The last
+    count row of the previous block is added to the first row, and a
+    ``cumsum`` down the rows turns differences into counts.  Each count
+    then indexes a table of ``p * log(p)`` over ``0..per_window``, so no
+    ``log`` is taken per cell.  Working memory is a few blocks, a few
+    arrays of one value per anchor and the table, whatever the window.
     """
     nfact = math.factorial(ell)
     per_window = window - span
-    hop = int(anchors[1] - anchors[0]) if anchors.shape[0] > 1 else 1
+    n_rows = anchors.shape[0]
+    hop = int(anchors[1] - anchors[0]) if n_rows > 1 else 1
     table = _plogp(np.arange(per_window + 1) / per_window)
-    out = np.empty(anchors.shape[0], dtype=np.float64)
-    chunk = max(_CHUNK_CELLS // max(nfact, hop), 1)
-    for s in range(0, anchors.shape[0], chunk):
-        rows = min(chunk, anchors.shape[0] - s)
-        head = int(anchors[s]) - span + 1  # one past the first window's last pattern
-        tail = head - per_window  # the first window's first pattern
-        moved = (rows - 1) * hop
-        # Row r >= 1 gains codes[head + (r-1)*hop : head + r*hop] and
-        # loses codes[tail + (r-1)*hop : tail + r*hop].
-        offsets = np.repeat(np.arange(nfact, rows * nfact, nfact), hop)
-        counts = np.bincount(offsets + codes[head : head + moved], minlength=rows * nfact)
-        counts -= np.bincount(offsets + codes[tail : tail + moved], minlength=rows * nfact)
-        counts[:nfact] = np.bincount(codes[tail:head], minlength=nfact)
-        counts = counts.reshape(rows, nfact)
+    head = int(anchors[0]) - span + 1  # one past the first window's last pattern
+    tail = head - per_window  # the first window's first pattern
+    moved = (n_rows - 1) * hop
+    # Row r >= 1 gains enter[(r-1)*hop : r*hop] and loses leave[(r-1)*hop : r*hop].
+    enter = codes[head : head + moved]
+    leave = codes[tail : tail + moved]
+    changed = np.empty(n_rows, dtype=bool)
+    changed[0] = True
+    np.any((enter != leave).reshape(n_rows - 1, hop), axis=1, out=changed[1:])
+    # crow[r] numbers the last changed row at or before row r: row r has its counts.
+    crow = np.cumsum(changed)
+    crow -= 1
+    vals = np.empty(int(crow[-1]) + 1, dtype=np.float64)
+    max_rows = max(_BLOCK_CELLS // nfact, 1)
+    max_moves = max(_BLOCK_CELLS // hop, 1)
+    carry = np.bincount(codes[tail:head], minlength=nfact)
+    a0 = 0
+    while a0 < n_rows:
+        # Rows a0..a1-1 hold changed rows c0..c1-1; a0 may fall inside an
+        # unchanged run, whose counts are then the carried row itself.
+        c0 = int(crow[a0])
+        a1 = min(a0 + max_moves, int(np.searchsorted(crow, c0 + max_rows)))
+        c1 = int(crow[a1 - 1]) + 1
+        lo = max(a0, 1)  # row 0 moves no code
+        moves = slice((lo - 1) * hop, (a1 - 1) * hop)
+        offsets = np.repeat((crow[lo:a1] - c0) * nfact, hop)
+        cells = (c1 - c0) * nfact
+        counts = np.bincount(offsets + enter[moves], minlength=cells)
+        counts -= np.bincount(offsets + leave[moves], minlength=cells)
+        counts = counts.reshape(c1 - c0, nfact)
+        counts[0] += carry
         np.cumsum(counts, axis=0, out=counts)
-        out[s : s + rows] = _normalized_entropy(table[counts], ell)
-    return out
+        vals[c0:c1] = _normalized_entropy(table[counts], ell)
+        carry = counts[-1].copy()
+        a0 = a1
+    return vals[crow]
 
 
 def multi_tau_pe(series: TimeSeries, config: PEConfig) -> PETraceSet:

@@ -61,18 +61,11 @@ def lorenz_trajectory(params: LorenzParams) -> np.ndarray:
     a, b, r, h = params.a, params.b, params.r, params.h
     half = h / 2.0
     sixth = h / 6.0
-    skip, steps = params.skip, params.steps
-    total = skip + steps
-    out = np.empty((steps, 3), dtype=np.float64)
     x, y, z = float(params.x0), float(params.y0), float(params.z0)
-    for i in range(total):
-        if i >= skip:
-            row = i - skip
-            out[row, 0] = x
-            out[row, 1] = y
-            out[row, 2] = z
-        if i == total - 1:
-            break
+    # Lists of floats keep numpy scalars out of the loop; entry i of each
+    # list is the state after i steps.
+    xs, ys, zs = [x], [y], [z]
+    for _ in range(params.skip + params.steps - 1):
         k1x = a * (y - x)
         k1y = x * (r - z) - y
         k1z = x * y - b * z
@@ -97,7 +90,11 @@ def lorenz_trajectory(params: LorenzParams) -> np.ndarray:
         x += sixth * (k1x + 2.0 * (k2x + k3x) + k4x)
         y += sixth * (k1y + 2.0 * (k2y + k3y) + k4y)
         z += sixth * (k1z + 2.0 * (k2z + k3z) + k4z)
-    return out
+        xs.append(x)
+        ys.append(y)
+        zs.append(z)
+    skip = params.skip
+    return np.column_stack((xs[skip:], ys[skip:], zs[skip:]))
 
 
 def lorenz_series(params: LorenzParams = LorenzParams()) -> TimeSeries:

@@ -25,18 +25,16 @@ __all__ = [
     "pattern_distribution",
 ]
 
-# Cells (anchors x ell! pattern counts) per chunk of the sliding-window
-# entropy kernel; bounds its working memory to a few tens of MB.  A chunk
-# holds at least one full row of ell! counts, which caps ell at 9.
-_CHUNK_CELLS = 2_000_000
-_MAX_ELL = max(e for e in range(2, 13) if math.factorial(e) <= _CHUNK_CELLS)
+# The sliding-window entropy kernel holds at least one row of ell! pattern
+# counts: 9! = 362,880 counts are 2.9 MB of int64, 10! would be 29 MB.
+_MAX_ELL = 9
 
 
 def _check_ell_fits(ell: int) -> None:
     if ell > _MAX_ELL:
         raise InvalidInputError(
-            f"ell must be <= {_MAX_ELL} so that ell! pattern counts fit one "
-            f"chunk of {_CHUNK_CELLS} cells, got {ell}"
+            f"ell must be <= {_MAX_ELL} so that one row of ell! pattern counts "
+            f"stays a few MB, got {ell}"
         )
 
 
@@ -45,8 +43,8 @@ class PatternConfig:
     """Window shape for pattern extraction.
 
     Attributes:
-        ell: Number of points per window, 2..9 (``ell!`` must not
-            exceed the sliding kernel's chunk of 2,000,000 cells).
+        ell: Number of points per window, 2..9 (one row of ``ell!``
+            counts in the sliding kernel stays a few MB).
         tau: Stride between consecutive window points, >= 1.
     """
 

@@ -179,6 +179,82 @@ def mackey_glass_values(params) -> np.ndarray:
     return xs[skip:].copy()
 
 
+def sliding_entropy_chunked(codes, anchors, window: int, ell: int, span: int) -> np.ndarray:
+    """The previous sliding-window kernel: a full count row at every anchor.
+
+    Anchors go in chunks of at most 2,000,000 // max(ell!, hop); per chunk
+    two ``bincount`` calls tally the entering and leaving codes of every
+    anchor, the first row is seeded with its window's tally, a ``cumsum``
+    turns differences into counts, and each count indexes a table of
+    ``p * log(p)``.
+    """
+    nfact = math.factorial(ell)
+    per_window = window - span
+    hop = int(anchors[1] - anchors[0]) if anchors.shape[0] > 1 else 1
+    probs = np.arange(per_window + 1) / per_window
+    table = probs * np.log(np.where(probs > 0.0, probs, 1.0))
+    out = np.empty(anchors.shape[0], dtype=np.float64)
+    chunk = max(2_000_000 // max(nfact, hop), 1)
+    for s in range(0, anchors.shape[0], chunk):
+        rows = min(chunk, anchors.shape[0] - s)
+        head = int(anchors[s]) - span + 1
+        tail = head - per_window
+        moved = (rows - 1) * hop
+        offsets = np.repeat(np.arange(nfact, rows * nfact, nfact), hop)
+        counts = np.bincount(offsets + codes[head : head + moved], minlength=rows * nfact)
+        counts -= np.bincount(offsets + codes[tail : tail + moved], minlength=rows * nfact)
+        counts[:nfact] = np.bincount(codes[tail:head], minlength=nfact)
+        counts = counts.reshape(rows, nfact)
+        np.cumsum(counts, axis=0, out=counts)
+        h = -(table[counts].sum(axis=-1)) / math.log(nfact)
+        out[s : s + rows] = np.minimum(h + 0.0, 1.0)
+    return out
+
+
+def lorenz_values(params) -> np.ndarray:
+    """Lorenz RK4 with every step stored into a ``(steps, 3)`` numpy array."""
+    a, b, r, h = params.a, params.b, params.r, params.h
+    half = h / 2.0
+    sixth = h / 6.0
+    skip, steps = params.skip, params.steps
+    total = skip + steps
+    out = np.empty((steps, 3), dtype=np.float64)
+    x, y, z = float(params.x0), float(params.y0), float(params.z0)
+    for i in range(total):
+        if i >= skip:
+            row = i - skip
+            out[row, 0] = x
+            out[row, 1] = y
+            out[row, 2] = z
+        if i == total - 1:
+            break
+        k1x = a * (y - x)
+        k1y = x * (r - z) - y
+        k1z = x * y - b * z
+        x2 = x + half * k1x
+        y2 = y + half * k1y
+        z2 = z + half * k1z
+        k2x = a * (y2 - x2)
+        k2y = x2 * (r - z2) - y2
+        k2z = x2 * y2 - b * z2
+        x3 = x + half * k2x
+        y3 = y + half * k2y
+        z3 = z + half * k2z
+        k3x = a * (y3 - x3)
+        k3y = x3 * (r - z3) - y3
+        k3z = x3 * y3 - b * z3
+        x4 = x + h * k3x
+        y4 = y + h * k3y
+        z4 = z + h * k3z
+        k4x = a * (y4 - x4)
+        k4y = x4 * (r - z4) - y4
+        k4z = x4 * y4 - b * z4
+        x += sixth * (k1x + 2.0 * (k2x + k3x) + k4x)
+        y += sixth * (k1y + 2.0 * (k2y + k3y) + k4y)
+        z += sixth * (k1z + 2.0 * (k2z + k3z) + k4z)
+    return out
+
+
 def write_series_rows(stream, series, metadata=None) -> None:
     """Series table written one ``repr``-formatted row at a time."""
     stream.write("# pemix-series v1\n")

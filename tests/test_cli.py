@@ -311,6 +311,14 @@ class TestExitCodes:
         assert code == 2
         assert "contiguous" in capsys.readouterr().err
 
+    def test_trace_strides_below_one_is_2(self, tmp_path, capsys):
+        traces = tmp_path / "traces.csv"
+        traces.write_text("anchor,pe_tau-1,pe_tau0\n10,0.5,0.4\n11,0.5,0.4\n", encoding="utf-8")
+        code = run("reversal", "-i", traces, "-o", tmp_path / "rev.csv")
+        assert code == 2
+        assert "strides must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "rev.csv").exists()
+
     def test_missing_input_is_4(self, tmp_path):
         code = run("pe", "-i", tmp_path / "absent.csv", "-o", tmp_path / "x.csv")
         assert code == 4

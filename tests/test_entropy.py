@@ -5,22 +5,30 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import pemix.entropy as entropy_module
 from pemix import (
+    AnsatzConfig,
     InsufficientDataError,
     InvalidInputError,
+    MackeyGlassParams,
     PatternConfig,
     PatternDistribution,
     PEConfig,
     TimeSeries,
+    encode_patterns,
     global_pe,
+    mackey_glass_series,
+    mixing_ansatz,
     multi_tau_pe,
     pattern_distribution,
     permutation_entropy,
     windowed_pe,
 )
 
-from oracles import entropy_from_tally, pattern_tally
+from oracles import entropy_from_tally, pattern_tally, sliding_entropy_chunked
 
 
 class TestPermutationEntropy:
@@ -193,6 +201,98 @@ class TestWindowedPE:
             windowed_pe(series, config, tau=10)
 
 
+@st.composite
+def plateau_series(draw):
+    """Runs of constant or unit-slope values on a small integer grid, so
+    windows repeat their counts for long stretches and values tie often."""
+    runs = draw(
+        st.lists(
+            st.tuples(st.integers(-3, 3), st.sampled_from([0, 0, 1, -1]), st.integers(1, 25)),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    return np.concatenate(
+        [start + slope * np.arange(length, dtype=np.float64) for start, slope, length in runs]
+    )
+
+
+class TestSlidingKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), values=plateau_series())
+    def test_every_window_matches_its_own_tally(self, data, values):
+        ell = data.draw(st.integers(2, 6), label="ell")
+        tau = data.draw(st.integers(1, 3), label="tau")
+        span = (ell - 1) * tau
+        if values.shape[0] <= span:
+            values = np.concatenate([values, np.arange(span + 1.0 - values.shape[0])])
+        window = data.draw(st.integers(span + 1, values.shape[0]), label="window")
+        # Up to past window - span, where consecutive windows share no pattern.
+        hop = data.draw(st.integers(1, window - span + 3), label="hop")
+        # A block of a few changed rows, so that block edges fall inside
+        # unchanged runs (the moved-codes bound) and on changed rows.
+        rows = data.draw(st.integers(1, 4), label="rows per block")
+        series = TimeSeries(values)
+        config = PEConfig(ell=ell, window=window, tau_min=tau, tau_max=tau, hop=hop)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(entropy_module, "_BLOCK_CELLS", rows * math.factorial(ell))
+            trace = windowed_pe(series, config, tau)
+        for i, anchor in enumerate(trace.anchors):
+            dist = pattern_distribution(
+                series,
+                PatternConfig(ell=ell, tau=tau),
+                start=int(anchor) - window + 1,
+                end=int(anchor) + 1,
+            )
+            assert trace.traces[0, i] == permutation_entropy(dist, ell), f"anchor {anchor}"
+
+    @pytest.mark.parametrize("hop", [1, 100])
+    @pytest.mark.parametrize("ell", [4, 6])
+    def test_bit_identical_to_the_full_count_kernel(self, ell, hop):
+        raw = mackey_glass_series(MackeyGlassParams(steps=20_000))
+        mixed = mixing_ansatz(raw, AnsatzConfig(k=4, seed=0))
+        for series in (raw, mixed):
+            for tau in (1, 3):
+                span = (ell - 1) * tau
+                codes = encode_patterns(series.values, ell, tau)
+                anchors = np.arange(4999, len(series), hop, dtype=np.int64)
+                got = entropy_module._sliding_entropy(codes, anchors, 5000, ell, span)
+                expected = sliding_entropy_chunked(codes, anchors, 5000, ell, span)
+                assert got.shape == expected.shape
+                np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+
+    @pytest.mark.parametrize("ell", [4, 6])
+    def test_peak_memory_is_a_few_arrays_of_one_value_per_anchor(self, ell):
+        # Every window changes, so no anchor is skipped: the worst case.
+        series = TimeSeries(np.random.default_rng(5).standard_normal(300_000))
+        config = PEConfig(ell=ell, tau_max=1)
+        tracemalloc.start()
+        trace = windowed_pe(series, config, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert len(trace) == 295_001
+        # 2.4 MB per array of one value per point; blocks of 2**17 int64
+        # counts take 1 MB each.  Counts for 2,000,000 cells per chunk
+        # (16 MB, plus as much again for their table gather) do not fit.
+        assert peak <= 20e6, f"peak {peak / 1e6:.1f} MB"
+
+    def test_codes_moved_per_block_are_bounded_on_unchanged_runs(self):
+        # A constant series changes no window after the first, so one block
+        # of changed rows would span every anchor if only rows bounded it.
+        peaks = {}
+        for n in (100_000, 400_000):
+            codes = encode_patterns(np.zeros(n), 4, 1)
+            anchors = np.arange(999, n, 3, dtype=np.int64)
+            tracemalloc.start()
+            entropy_module._sliding_entropy(codes, anchors, 1000, 4, 3)
+            peaks[n] = tracemalloc.get_traced_memory()[1], anchors.shape[0]
+            tracemalloc.stop()
+        # A few int64 arrays of one value per anchor; offsets for all 3
+        # codes moved per anchor would add 48 bytes per anchor.
+        grown = (peaks[400_000][0] - peaks[100_000][0]) / (peaks[400_000][1] - peaks[100_000][1])
+        assert grown <= 32, f"{grown:.1f} bytes per anchor"
+
+
 class TestMultiTauPE:
     def test_traces_align_and_match_single_stride_calls(self):
         rng = np.random.default_rng(83)
@@ -248,7 +348,7 @@ class TestPEConfig:
         with pytest.raises(InvalidInputError):
             PEConfig(ell=1)
 
-    def test_ell_bounded_by_one_chunk_of_counts(self):
+    def test_ell_is_capped_at_nine(self):
         assert PEConfig(ell=9, window=100, tau_max=1).ell == 9
         for ell in (10, 13, 21, 10**6):
             with pytest.raises(InvalidInputError, match="ell must be <= 9"):

@@ -15,7 +15,7 @@ from pemix import (
     sine_series,
 )
 
-from oracles import bisect_root, mackey_glass_values
+from oracles import bisect_root, lorenz_values, mackey_glass_values
 
 
 class TestLorenz:
@@ -79,6 +79,24 @@ class TestLorenz:
             LorenzParams(h=0.0)
         with pytest.raises(InvalidInputError):
             LorenzParams(steps=0)
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            LorenzParams(steps=100_000),
+            LorenzParams(steps=5000, skip=77),
+            LorenzParams(steps=2, skip=3),
+            LorenzParams(steps=1),
+            LorenzParams(x0=-10.0, z0=40.5, h=0.001, steps=3000, skip=100),
+        ],
+        ids=["100k", "skip", "2-steps-skip", "1-step", "other-state"],
+    )
+    def test_bit_identical_to_array_loop(self, params):
+        trajectory = lorenz_trajectory(params)
+        expected = lorenz_values(params)
+        assert trajectory.shape == expected.shape == (params.steps, 3)
+        assert trajectory.dtype == np.float64
+        np.testing.assert_array_equal(trajectory.view(np.int64), expected.view(np.int64))
 
 
 class TestMackeyGlass:

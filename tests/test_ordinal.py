@@ -213,8 +213,8 @@ class TestPatternConfig:
         with pytest.raises(InvalidInputError):
             PatternConfig(ell=3, tau=0)
 
-    def test_ell_bounded_by_one_chunk_of_counts(self):
-        # 9! = 362,880 counts fit the kernel's 2,000,000-cell chunk; 10! does not.
+    def test_ell_is_capped_at_nine(self):
+        # One row of 9! = 362,880 counts is 2.9 MB; 10! would be 29 MB.
         assert PatternConfig(ell=9, tau=1).ell == 9
         for ell in (10, 13, 21, 10**6):
             with pytest.raises(InvalidInputError, match="ell must be <= 9"):

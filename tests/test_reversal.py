@@ -55,6 +55,11 @@ class TestTraceSetConstruction:
         with pytest.raises(InvalidInputError, match="at least one stride"):
             make_traces(np.empty((0, 3)))
 
+    @pytest.mark.parametrize("tau_min", [0, -1])
+    def test_strides_below_one_raise(self, tau_min):
+        with pytest.raises(InvalidInputError, match=rf"strides must be >= 1, got column pe_tau{tau_min}$"):
+            make_traces(np.full((2, 3), 0.5), tau_min=tau_min)
+
 
 class TestLambda:
     def test_pinned_values(self):
