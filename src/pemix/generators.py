@@ -11,6 +11,7 @@ state at time ``n * h`` after the skipped stretch.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,9 +63,10 @@ def lorenz_trajectory(params: LorenzParams) -> np.ndarray:
     half = h / 2.0
     sixth = h / 6.0
     x, y, z = float(params.x0), float(params.y0), float(params.z0)
-    # Lists of floats keep numpy scalars out of the loop; entry i of each
-    # list is the state after i steps.
-    xs, ys, zs = [x], [y], [z]
+    # Python floats keep numpy scalars out of the loop, and array('d')
+    # stores each as 8 bytes rather than as a 32-byte float object; entry
+    # i of each array is the state after i steps.
+    xs, ys, zs = array("d", [x]), array("d", [y]), array("d", [z])
     for _ in range(params.skip + params.steps - 1):
         k1x = a * (y - x)
         k1y = x * (r - z) - y
@@ -94,7 +96,7 @@ def lorenz_trajectory(params: LorenzParams) -> np.ndarray:
         ys.append(y)
         zs.append(z)
     skip = params.skip
-    return np.column_stack((xs[skip:], ys[skip:], zs[skip:]))
+    return np.column_stack([np.frombuffer(col, dtype=np.float64)[skip:] for col in (xs, ys, zs)])
 
 
 def lorenz_series(params: LorenzParams = LorenzParams()) -> TimeSeries:

@@ -9,10 +9,12 @@ quality flags record what was observed and what was synthesized.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -48,13 +50,44 @@ class CleaningReport:
         }
 
 
+# Lines parsed per block of ``load_csv``: bounds the strings and arrays
+# that one block holds, whatever the length of the file.
+_BLOCK_LINES = 1 << 15
+
+_RECORD = np.dtype([("time", np.float64), ("value", np.float64)])
+
+# Bytes per time cell in the strict UTC check; no strict stamp is longer
+# than 27 characters.
+_UTC_WIDTH = 32
+
+
+def _utc_templates() -> np.ndarray:
+    """Strict UTC stamps ``YYYY-MM-DDTHH:MM:SS[.f to .ffffff]Z`` as
+    ``_UTC_WIDTH``-byte rows indexed by cell length, every digit written
+    as "0" and viewed as uint64 words.  Lengths without a form hold 0xFF,
+    which no ASCII byte matches.
+    """
+    table = np.full((_UTC_WIDTH + 1, _UTC_WIDTH), 0xFF, dtype=np.uint8)
+    for digits in range(7):
+        form = "0000-00-00T00:00:00" + ("." + "0" * digits if digits else "") + "Z"
+        table[len(form)] = np.frombuffer(form.encode().ljust(_UTC_WIDTH, b"\0"), np.uint8)
+    return table.view(np.uint64)
+
+
+_UTC_TEMPLATES = _utc_templates()
+
+
 def _parse_time(cell: str, lineno: int) -> float:
     """Numeric timestamp, or ISO-8601 converted to epoch seconds (UTC)."""
     text = cell.strip()
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         pass
+    else:
+        if math.isfinite(value):
+            return value
+        raise InvalidInputError(f"row {lineno}: time {cell!r} is not finite")
     try:
         stamp = datetime.fromisoformat(text.replace("Z", "+00:00"))
     except ValueError:
@@ -76,12 +109,22 @@ def _parse_value(cell: str) -> float:
 
 
 def _split_row(line: str) -> list[str]:
-    if "," in line:
-        return next(csv.reader([line]))
-    return line.split()
+    if "," not in line:
+        return line.split()
+    if '"' not in line:
+        # What the csv module makes of a line without quotes.
+        return line.split(",")
+    return next(csv.reader([line]))
 
 
-def _looks_like_header(cells: list[str]) -> bool:
+def _looks_like_header(cells: list[str], time_column: int | str) -> bool:
+    """A first row is data when its time cell parses or any cell is a number."""
+    if isinstance(time_column, (int, np.integer)) and 0 <= time_column < len(cells):
+        try:
+            _parse_time(cells[time_column], 0)
+            return False
+        except InvalidInputError:
+            pass
     for cell in cells:
         try:
             float(cell.strip())
@@ -91,78 +134,183 @@ def _looks_like_header(cells: list[str]) -> bool:
     return True
 
 
+def _data_lines(lines: list[str], first_lineno: int) -> tuple[list[str], np.ndarray]:
+    """Stripped lines that are neither blank nor ``#`` comments, and their file line numbers."""
+    stripped = list(map(str.strip, lines))
+    keep = [i for i, line in enumerate(stripped) if line and line[0] != "#"]
+    if len(keep) < len(stripped):
+        stripped = [stripped[i] for i in keep]
+    return stripped, np.asarray(keep, dtype=np.int64) + first_lineno
+
+
+def _columns(lines: list[str], t_idx: int, v_idx: int) -> tuple[list[str], list[str], int]:
+    """Time and value cells of the leading rows that have both, and the
+    index of the first row too short to have them (``len(lines)`` if none).
+    """
+    need = max(t_idx, v_idx)
+    text = "\n".join(lines)
+    if '"' not in text:
+        commas = set(map(str.count, lines, itertools.repeat(",")))
+        width = commas.pop() + 1 if len(commas) == 1 else 0
+        if width > max(need, 1):
+            # Every row has the same number of comma-separated cells, so
+            # one split of the whole block lays them out row after row.
+            cells = text.replace("\n", ",").split(",")
+            return cells[t_idx::width], cells[v_idx::width], len(lines)
+    rows = [_split_row(line) for line in lines]
+    short = next((i for i, row in enumerate(rows) if len(row) <= need), len(rows))
+    return [row[t_idx] for row in rows[:short]], [row[v_idx] for row in rows[:short]], short
+
+
+def _utc_seconds(cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Which cells are strict UTC ISO-8601 stamps, and their epoch seconds.
+
+    The seconds equal ``datetime.timestamp()`` bit for bit: microsecond
+    counts below 2**53 convert to float exactly before the one rounded
+    division, and the rest are divided as Python integers.
+    """
+    try:
+        raw = np.array(cells, dtype=f"S{_UTC_WIDTH}")
+    except UnicodeEncodeError:
+        return np.zeros(len(cells), dtype=bool), np.empty(0)
+    # Python lengths, not numpy's, which leave out trailing NULs: a cell
+    # is strict only in exactly the strict form.
+    lengths = np.fromiter(map(len, cells), dtype=np.intp, count=len(cells))
+    np.minimum(lengths, _UTC_WIDTH, out=lengths)
+    codes = raw.view(np.uint8).reshape(len(cells), _UTC_WIDTH)
+    above_zero = codes - np.uint8(ord("0"))
+    classes = codes - above_zero * (above_zero < 10)  # every digit becomes "0"
+    strict = (classes.view(np.uint64) == _UTC_TEMPLATES[lengths]).all(axis=1)
+    # Year 0 is valid for numpy but not for datetime.
+    strict &= (codes[:, :4] != ord("0")).any(axis=1)
+    if not strict.any():
+        return strict, np.empty(0)
+    picked = codes[strict]
+    picked[picked == ord("Z")] = 0
+    micros = picked.view(f"S{_UTC_WIDTH}").ravel().astype("datetime64[us]").view(np.int64)
+    seconds = micros / 1e6
+    wide = np.abs(micros) >= 1 << 53
+    if wide.any():
+        seconds[wide] = [m / 10**6 for m in micros[wide].tolist()]
+    return strict, seconds
+
+
+def _parse_times(
+    cells: list[str], linenos: np.ndarray
+) -> tuple[np.ndarray, InvalidInputError | None]:
+    """Epoch seconds of the leading cells, up to the first that does not
+    parse, and that cell's error (``None`` when every cell parses).
+    """
+    times = np.empty(len(cells), dtype=np.float64)
+    try:
+        strict, seconds = _utc_seconds(cells)
+        times[strict] = seconds
+    except ValueError:
+        # A strict-looking stamp out of range (hour 24, February 30):
+        # parse the block cell by cell for the message and row.
+        strict = np.zeros(len(cells), dtype=bool)
+    for i in np.flatnonzero(~strict).tolist():
+        try:
+            times[i] = _parse_time(cells[i], int(linenos[i]))
+        except InvalidInputError as exc:
+            return times[:i], exc
+    return times, None
+
+
 def load_csv(
     path: str | Path,
     time_column: int | str = 0,
     value_column: int | str = 1,
     header_policy: str = "auto",
-) -> list[tuple[float, float]]:
+) -> np.ndarray:
     """Parse a delimited text export into (time, value) records.
 
     Columns may be given by zero-based index or, when the file has a
-    header row, by name.  The delimiter is comma when present,
-    whitespace otherwise.  Blank lines and ``#`` comments are skipped.
-    Unparseable or non-finite values become NaN records (missing
-    markers); unparseable times are an error.
+    header row, by name.  A row is split at commas (with ``csv``
+    quoting) when it holds one, at whitespace otherwise.  Blank lines
+    and ``#`` comments are skipped.  Unparseable or non-finite values
+    become NaN records (missing markers); unparseable or non-finite
+    times are an error.  The file is parsed in blocks of
+    ``_BLOCK_LINES`` lines; stamps in the strict UTC form
+    ``YYYY-MM-DDTHH:MM:SS[.ffffff]Z`` are converted together and any
+    other time cell one at a time.
 
     Args:
         path: File to read.  I/O failures propagate as OSError.
         time_column: Index or header name of the timestamp column.
         value_column: Index or header name of the value column.
-        header_policy: "auto" detects a non-numeric first row, "skip"
-            always drops the first row, "none" treats every row as data.
+        header_policy: "auto" takes the first row as a header when its
+            time cell is neither a number nor a timestamp and no cell is
+            a number; "skip" always drops the first row; "none" treats
+            every row as data.
+
+    Returns:
+        A ``(n,)`` structured array with float64 fields ``time`` (epoch
+        seconds for ISO-8601 stamps) and ``value``, in file order.
 
     Raises:
         InvalidInputError: On missing columns, unusable header policy,
-            or timestamps that go backwards (the first offending row is
-            named).
+            unparseable or non-finite times, or timestamps that go
+            backwards (the first offending row is named).
         InsufficientDataError: If no usable rows remain.
     """
     if header_policy not in ("auto", "skip", "none"):
         raise InvalidInputError(
             f"header_policy must be 'auto', 'skip' or 'none', got {header_policy!r}"
         )
-    records: list[tuple[float, float]] = []
+    blocks: list[np.ndarray] = []
     header: list[str] | None = None
-    t_idx: int | None = None
-    v_idx: int | None = None
+    columns: tuple[int, int] | None = None
+    first_row = True
     prev_time = -math.inf
     prev_row = -1
     with open(path, "r", encoding="utf-8", errors="replace") as stream:
-        seen_rows = 0
-        for lineno, raw in enumerate(stream, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
+        next_lineno = 1
+        while lines := list(itertools.islice(stream, _BLOCK_LINES)):
+            data, linenos = _data_lines(lines, next_lineno)
+            next_lineno += len(lines)
+            if first_row and data:
+                first_row = False
+                first = _split_row(data[0])
+                if header_policy == "skip" or (
+                    header_policy == "auto" and _looks_like_header(first, time_column)
+                ):
+                    header = [c.strip() for c in first]
+                    data, linenos = data[1:], linenos[1:]
+            if not data:
                 continue
-            cells = _split_row(line)
-            seen_rows += 1
-            if seen_rows == 1:
-                is_header = header_policy == "skip" or (
-                    header_policy == "auto" and _looks_like_header(cells)
+            if columns is None:
+                columns = (
+                    _resolve_column(time_column, header, "time"),
+                    _resolve_column(value_column, header, "value"),
                 )
-                if is_header:
-                    header = [c.strip() for c in cells]
-                    continue
-            if t_idx is None:
-                t_idx = _resolve_column(time_column, header, "time")
-                v_idx = _resolve_column(value_column, header, "value")
-            if len(cells) <= max(t_idx, v_idx):
+            t_idx, v_idx = columns
+            t_cells, v_cells, short = _columns(data, t_idx, v_idx)
+            times, error = _parse_times(t_cells, linenos)
+            earlier = np.flatnonzero(times < np.concatenate(([prev_time], times[:-1])))
+            if earlier.shape[0] > 0:
+                i = int(earlier[0])
+                before = int(linenos[i - 1]) if i > 0 else prev_row
                 raise InvalidInputError(
-                    f"row {lineno}: expected at least {max(t_idx, v_idx) + 1} "
-                    f"columns, got {len(cells)}"
+                    f"row {linenos[i]}: time {t_cells[i].strip()!r} is earlier than "
+                    f"the previous row (row {before}); input must be sorted"
                 )
-            t = _parse_time(cells[t_idx], lineno)
-            if t < prev_time:
+            if error is not None:
+                raise error
+            if short < len(data):
                 raise InvalidInputError(
-                    f"row {lineno}: time {cells[t_idx].strip()!r} is earlier than "
-                    f"the previous row (row {prev_row}); input must be sorted"
+                    f"row {linenos[short]}: expected at least {max(columns) + 1} "
+                    f"columns, got {len(_split_row(data[short]))}"
                 )
-            prev_time = t
-            prev_row = lineno
-            records.append((t, _parse_value(cells[v_idx])))
-    if not records:
+            block = np.empty(len(times), dtype=_RECORD)
+            block["time"] = times
+            block["value"] = np.fromiter(map(_parse_value, v_cells), np.float64, len(v_cells))
+            blocks.append(block)
+            prev_time = float(times[-1])
+            prev_row = int(linenos[-1])
+    if not blocks:
         raise InsufficientDataError(f"{path}: no usable data rows")
-    return records
+    return np.concatenate(blocks)
 
 
 def _resolve_column(selector: int | str, header: list[str] | None, kind: str) -> int:
@@ -182,11 +330,14 @@ def _resolve_column(selector: int | str, header: list[str] | None, kind: str) ->
 
 
 def regularize(
-    records: list[tuple[float, float]],
+    records: np.ndarray | Sequence[tuple[float, float]],
     target_spacing: float,
     unit: str = "seconds",
 ) -> TimeSeries:
     """Snap records onto an even grid anchored at the first record.
+
+    ``records`` is what :func:`load_csv` returns, or any sequence of
+    ``(time, value)`` pairs in time order.
 
     The grid runs from the first to the last record time with the given
     spacing.  Each record lands in its nearest grid cell; when several
@@ -195,16 +346,21 @@ def regularize(
     whose winning record carries a NaN value are flagged suspect.
 
     Raises:
-        InvalidInputError: On an empty record list, non-positive
-            spacing, or a target spacing finer than the data's native
-            spacing.
+        InvalidInputError: On an empty record list, records that are not
+            pairs, non-finite times, non-positive spacing, or a target
+            spacing finer than the data's native spacing.
     """
-    if not records:
+    records = np.asarray(records, dtype=_RECORD)
+    if records.ndim != 1:
+        raise InvalidInputError("records must be a sequence of (time, value) pairs")
+    if records.shape[0] == 0:
         raise InvalidInputError("no records to regularize")
     if not (target_spacing > 0.0) or not math.isfinite(target_spacing):
         raise InvalidInputError(f"target spacing must be finite and > 0, got {target_spacing}")
-    times = np.asarray([r[0] for r in records], dtype=np.float64)
-    values = np.asarray([r[1] for r in records], dtype=np.float64)
+    times = records["time"]
+    values = records["value"]
+    if not np.isfinite(times).all():
+        raise InvalidInputError("record times must be finite")
     if times.shape[0] > 1:
         diffs = np.diff(times)
         positive = diffs[diffs > 0.0]

@@ -7,10 +7,14 @@ code paths, so agreement between the two is meaningful.
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
+from datetime import datetime, timezone
 
 import numpy as np
+
+from pemix.errors import InsufficientDataError, InvalidInputError
 
 
 def ranks_by_time(window) -> tuple[int, ...]:
@@ -147,6 +151,118 @@ def gap_report(values, quality) -> tuple[int, int, tuple[tuple[int, int], ...]]:
     if start is not None:
         spans.append((start, len(values) - 1))
     return n_missing, n_suspect, tuple(spans)
+
+
+def _record_time(cell: str, lineno: int) -> float:
+    text = cell.strip()
+    try:
+        value = float(text)
+    except ValueError:
+        pass
+    else:
+        if math.isfinite(value):
+            return value
+        raise InvalidInputError(f"row {lineno}: time {cell!r} is not finite")
+    try:
+        stamp = datetime.fromisoformat(text.replace("Z", "+00:00"))
+    except ValueError:
+        raise InvalidInputError(
+            f"row {lineno}: cannot parse time {cell!r} as a number or ISO-8601 timestamp"
+        ) from None
+    if stamp.tzinfo is None:
+        stamp = stamp.replace(tzinfo=timezone.utc)
+    return stamp.timestamp()
+
+
+def _record_value(cell: str) -> float:
+    try:
+        value = float(cell.strip())
+    except ValueError:
+        return math.nan
+    return value if math.isfinite(value) else math.nan
+
+
+def _record_column(selector, header, kind: str) -> int:
+    if isinstance(selector, (int, np.integer)):
+        if selector < 0:
+            raise InvalidInputError(f"{kind} column index must be >= 0, got {selector}")
+        return int(selector)
+    if header is None:
+        raise InvalidInputError(
+            f"{kind} column {selector!r} given by name but the file has no header row"
+        )
+    if selector not in header:
+        raise InvalidInputError(f"{kind} column {selector!r} not found in header {header}")
+    return header.index(selector)
+
+
+def _is_header_row(cells: list[str], time_column) -> bool:
+    if isinstance(time_column, (int, np.integer)) and 0 <= time_column < len(cells):
+        try:
+            _record_time(cells[time_column], 0)
+            return False
+        except InvalidInputError:
+            pass
+    for cell in cells:
+        try:
+            float(cell.strip())
+            return False
+        except ValueError:
+            continue
+    return True
+
+
+def load_records(path, time_column=0, value_column=1, header_policy="auto"):
+    """``load_csv`` one line at a time: a list of ``(time, value)`` tuples.
+
+    Each line is stripped, skipped when blank or a ``#`` comment, split by
+    ``csv`` when it holds a comma and on whitespace otherwise; every time
+    cell goes through ``float`` or ``datetime.fromisoformat``.
+    """
+    if header_policy not in ("auto", "skip", "none"):
+        raise InvalidInputError(
+            f"header_policy must be 'auto', 'skip' or 'none', got {header_policy!r}"
+        )
+    records = []
+    header = None
+    t_idx = v_idx = None
+    prev_time = -math.inf
+    prev_row = -1
+    with open(path, "r", encoding="utf-8", errors="replace") as stream:
+        seen_rows = 0
+        for lineno, raw in enumerate(stream, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            cells = next(csv.reader([line])) if "," in line else line.split()
+            seen_rows += 1
+            if seen_rows == 1:
+                is_header = header_policy == "skip" or (
+                    header_policy == "auto" and _is_header_row(cells, time_column)
+                )
+                if is_header:
+                    header = [c.strip() for c in cells]
+                    continue
+            if t_idx is None:
+                t_idx = _record_column(time_column, header, "time")
+                v_idx = _record_column(value_column, header, "value")
+            if len(cells) <= max(t_idx, v_idx):
+                raise InvalidInputError(
+                    f"row {lineno}: expected at least {max(t_idx, v_idx) + 1} "
+                    f"columns, got {len(cells)}"
+                )
+            t = _record_time(cells[t_idx], lineno)
+            if t < prev_time:
+                raise InvalidInputError(
+                    f"row {lineno}: time {cells[t_idx].strip()!r} is earlier than "
+                    f"the previous row (row {prev_row}); input must be sorted"
+                )
+            prev_time = t
+            prev_row = lineno
+            records.append((t, _record_value(cells[v_idx])))
+    if not records:
+        raise InsufficientDataError(f"{path}: no usable data rows")
+    return records
 
 
 def mackey_glass_values(params) -> np.ndarray:

@@ -319,6 +319,19 @@ class TestExitCodes:
         assert "strides must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "rev.csv").exists()
 
+    @pytest.mark.parametrize(
+        "rows, bad_row",
+        [("0,1.0\n1,2.0\n2,3.0\ninf,4.0\n", 5), ("0,1.0\nnan,2.0\n2,3.0\n3,4.0\n", 3)],
+    )
+    def test_non_finite_time_is_2(self, tmp_path, capsys, rows, bad_row):
+        raw = tmp_path / "raw.csv"
+        raw.write_text("t,v\n" + rows, encoding="utf-8")
+        out = tmp_path / "clean.csv"
+        code = run("ingest", "-i", raw, "--target-spacing", 1.0, "-o", out)
+        assert code == 2
+        assert f"row {bad_row}: time" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_input_is_4(self, tmp_path):
         code = run("pe", "-i", tmp_path / "absent.csv", "-o", tmp_path / "x.csv")
         assert code == 4

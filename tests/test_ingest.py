@@ -1,10 +1,15 @@
 """Loading, gridding, gap filling, and prefiltering of raw exports."""
 
+import tracemalloc
+from datetime import datetime, timezone
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import pemix.ingest as ingest_module
 from pemix import (
     InsufficientDataError,
     InvalidInputError,
@@ -16,7 +21,7 @@ from pemix import (
     regularize,
 )
 
-from oracles import clipped_median, gap_report
+from oracles import clipped_median, gap_report, load_records
 
 
 class TestLoadCsv:
@@ -24,19 +29,19 @@ class TestLoadCsv:
         path = tmp_path / "data.csv"
         path.write_text("timestamp,level\n0,10.5\n60,11.0\n120,11.5\n")
         records = load_csv(path)
-        assert records == [(0.0, 10.5), (60.0, 11.0), (120.0, 11.5)]
+        assert records.tolist() == [(0.0, 10.5), (60.0, 11.0), (120.0, 11.5)]
 
     def test_columns_by_name(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("a,t,v\n9,0,1.5\n9,10,2.5\n")
         records = load_csv(path, time_column="t", value_column="v")
-        assert records == [(0.0, 1.5), (10.0, 2.5)]
+        assert records.tolist() == [(0.0, 1.5), (10.0, 2.5)]
 
     def test_whitespace_delimited(self, tmp_path):
         path = tmp_path / "data.txt"
         path.write_text("0 1.0\n1 2.0\n2 3.0\n")
         records = load_csv(path, header_policy="none")
-        assert records == [(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)]
+        assert records.tolist() == [(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)]
 
     def test_iso_timestamps(self, tmp_path):
         path = tmp_path / "data.csv"
@@ -88,6 +93,226 @@ class TestLoadCsv:
         assert len(load_csv(path, header_policy="skip")) == 1
         assert len(load_csv(path, header_policy="none")) == 2
 
+    def test_records_are_a_structured_time_value_array(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("t,v\n0,1.0\n1,bad\n")
+        records = load_csv(path)
+        assert records.shape == (2,)
+        assert records.dtype.names == ("time", "value")
+        assert records["time"].dtype == records["value"].dtype == np.float64
+        np.testing.assert_array_equal(records["time"], [0.0, 1.0])
+        assert records["value"][0] == 1.0 and np.isnan(records["value"][1])
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", " NaN "])
+    def test_non_finite_time_names_its_row(self, tmp_path, cell):
+        path = tmp_path / "data.csv"
+        path.write_text(f"t,v\n0,1.0\n{cell},2.0\n2,3.0\n")
+        with pytest.raises(InvalidInputError, match=r"^row 3: time .* is not finite"):
+            load_csv(path)
+
+    def test_timestamp_first_row_is_data_whatever_its_value(self, tmp_path):
+        # No cell of the first row is a number, but its time cell is a stamp.
+        path = tmp_path / "data.csv"
+        path.write_text(
+            "2021-03-01T00:00:00Z,ERR\n2021-03-01T00:00:01Z,1.0\n"
+            "2021-03-01T00:00:02Z,2.0\n2021-03-01T00:00:03Z,3.0\n"
+        )
+        records = load_csv(path)
+        assert len(records) == 4
+        assert records["time"][0] == datetime(2021, 3, 1, tzinfo=timezone.utc).timestamp()
+        assert np.isnan(records["value"][0])
+        assert len(load_csv(path, header_policy="skip")) == 3
+
+    def test_peak_memory_grows_by_a_few_bytes_per_row(self, tmp_path):
+        peaks = {}
+        for n in (50_000, 200_000):
+            start = np.datetime64("2021-03-01T00:00:00.000")
+            stamps = np.datetime_as_string(start + np.arange(n) * np.timedelta64(250, "ms"))
+            values = np.linspace(-9.0, 9.0, n)
+            rows = [f"{stamp}Z,{value!r}" for stamp, value in zip(stamps, values.tolist())]
+            path = tmp_path / f"export{n}.csv"
+            path.write_text("timestamp,value\n" + "\n".join(rows) + "\n")
+            tracemalloc.start()
+            records = load_csv(path)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert len(records) == n
+        # The records take 16 bytes a row and are joined from their blocks
+        # once; the lines, cells and arrays of one block do not grow with
+        # the file.  A list of (time, value) tuples grows by about 110.
+        assert peaks[200_000] - peaks[50_000] <= 40 * 150_000
+
+
+# Time cells: strict UTC stamps, other ISO-8601 forms, epoch seconds, and
+# cells that fail or only pass the per-cell parser.
+_ODD_TIMES = [
+    "2021-03-01T24:00:00Z",
+    "2021-03-01T00:00:60Z",
+    "2021-02-29T00:00:00Z",
+    "0000-01-01T00:00:00Z",
+    "2021-03-01T00:00:00.1234567Z",
+    "2021-03-01T00:00:00Z\x00",
+    "2021-03-01T00:00:00ZZ",
+    "\u0661\u0662\u0663",
+    "nan",
+    "-inf",
+    "",
+    "bad",
+]
+_VALUES = [
+    "1.5", "-0", "", "ERR", "nan", "-nan", "inf", "1e400",
+    " 2.5 ", "1_000", "0x10", "\u00a03\u00a0", '"4,5"',
+]
+_SPACE_FREE_VALUES = [v for v in _VALUES if v and v.strip() == v and "," not in v]
+
+
+def _iso(stamp: datetime, digits: int, zone: str) -> str:
+    text = (
+        f"{stamp.year:04d}-{stamp.month:02d}-{stamp.day:02d}"
+        f"T{stamp.hour:02d}:{stamp.minute:02d}:{stamp.second:02d}"
+    )
+    if digits:
+        text += "." + f"{stamp.microsecond:06d}"[:digits]
+    return text + zone
+
+
+@st.composite
+def _time_cells(draw, size, faulty):
+    years_1_to_9999 = st.datetimes(datetime(1, 1, 1), datetime(9999, 12, 31, 23, 59, 59, 999999))
+    stamps = sorted(draw(st.lists(years_1_to_9999, min_size=size, max_size=size)))
+    forms = ["Z", "Z", "Z", "", "+00:00", "-03:30", "epoch"] + (["odd", "swap"] if faulty else [])
+    cells = []
+    for stamp in stamps:
+        form = draw(st.sampled_from(forms))
+        if form == "epoch":
+            cells.append(repr((stamp - datetime(1970, 1, 1)).total_seconds()))
+        elif form == "odd":
+            cells.append(draw(st.sampled_from(_ODD_TIMES)))
+        elif form == "swap" and cells:
+            cells.insert(-1, _iso(stamp, 0, "Z"))
+        else:
+            zone = "Z" if form == "swap" else form
+            cells.append(_iso(stamp, draw(st.integers(0, 6)), zone))
+    return cells
+
+
+@st.composite
+def _exports(draw):
+    """Export text, (time, value) column selectors and header policy.
+
+    A faulty export may hold bad or unordered stamps and short rows; any
+    export may hold blank and comment lines, quoted stamps, rows with an
+    extra cell and whitespace-delimited rows.
+    """
+    faulty = draw(st.booleans())
+    times = draw(_time_cells(draw(st.integers(0, 20)), faulty))
+    lead = draw(st.booleans())
+    extra = draw(st.integers(0, 2))
+    shapes = ["row"] * 8 + ["wide", "spaced", "blank", "comment"] + (["short"] if faulty else [])
+    lines = []
+    has_header = draw(st.booleans())
+    if has_header:
+        names = (["a"] if lead else []) + ["t", "v"] + [f"x{i}" for i in range(extra)]
+        lines.append(",".join(names))
+    for t in times:
+        shape = draw(st.sampled_from(shapes))
+        if shape == "spaced":
+            value = draw(st.sampled_from(_SPACE_FREE_VALUES))
+        else:
+            value = draw(st.sampled_from(_VALUES))
+            if draw(st.integers(0, 9)) == 0:
+                t = f'"{t}"'
+        cells = (["9"] if lead else []) + [t, value] + ["x"] * extra
+        if shape == "short":
+            cells = cells[:1]
+        elif shape == "wide":
+            cells.append("y")
+        elif shape == "blank":
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+        elif shape == "comment":
+            lines.append("# note, " + t)
+        lines.append(" ".join(cells) if shape == "spaced" else ",".join(cells))
+    by_name = has_header and draw(st.booleans())
+    columns = ("t", "v") if by_name else (int(lead), int(lead) + 1)
+    policy = draw(st.sampled_from(["auto", "auto", "skip", "none"]))
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    return ending.join(lines) + ending, columns, policy
+
+
+def _outcome(load, path, columns, policy):
+    try:
+        records = load(path, *columns, header_policy=policy)
+    except (InvalidInputError, InsufficientDataError) as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(records, list):
+        pairs = np.array(records, dtype=np.float64).reshape(-1, 2)
+    else:
+        pairs = np.column_stack([records["time"], records["value"]])
+    return "records", pairs.view(np.int64).tolist()
+
+
+class TestLoadCsvMatchesRowOracle:
+    """``load_csv`` against the row-by-row loop in ``oracles.load_records``:
+    the same records bit for bit, or the same error type, message and row."""
+
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(export=_exports(), block_lines=st.sampled_from([1, 2, 3, 4, 1 << 15]))
+    def test_records_and_errors_match(self, tmp_path, export, block_lines):
+        text, columns, policy = export
+        path = tmp_path / "export.csv"
+        path.write_bytes(text.encode("utf-8"))
+        expected = _outcome(load_records, path, columns, policy)
+        with mock.patch.object(ingest_module, "_BLOCK_LINES", block_lines):
+            assert _outcome(load_csv, path, columns, policy) == expected
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            "0,1\n2,1\n1,1\nbad,1\n5\n",
+            "0,1\nbad,1\n1,1\n5\n",
+            "0,1\n5\nbad,1\n1,1\n",
+            '0,1\n2,1\n"1",1\nnan,1\n',
+            "0,1\n2,1\n2021-03-01T24:00:00Z,1\n1,1\n",
+        ],
+    )
+    @pytest.mark.parametrize("block_lines", [1, 2, 3, 1 << 15])
+    def test_first_fault_in_file_order_wins(self, tmp_path, rows, block_lines):
+        path = tmp_path / "export.csv"
+        path.write_text("t,v\n" + rows)
+        expected = _outcome(load_records, path, (0, 1), "auto")
+        assert expected[0] == "InvalidInputError"
+        with mock.patch.object(ingest_module, "_BLOCK_LINES", block_lines):
+            assert _outcome(load_csv, path, (0, 1), "auto") == expected
+
+    @pytest.mark.parametrize("cell", _ODD_TIMES)
+    @pytest.mark.parametrize("block_lines", [1, 2, 1 << 15])
+    def test_odd_time_cells_match(self, tmp_path, cell, block_lines):
+        path = tmp_path / "export.csv"
+        path.write_text(
+            "t,v\n2021-03-01T00:00:00Z,1.0\n2021-03-01T00:00:01Z,2.0\n"
+            f"{cell},3.0\n2021-03-01T00:00:02Z,4.0\n"
+        )
+        expected = _outcome(load_records, path, (0, 1), "auto")
+        with mock.patch.object(ingest_module, "_BLOCK_LINES", block_lines):
+            assert _outcome(load_csv, path, (0, 1), "auto") == expected
+
+    @pytest.mark.parametrize("year", [1, 1684, 1970, 2255, 2262, 9999])
+    def test_strict_stamps_equal_timestamp_in_every_year(self, tmp_path, year):
+        # Microsecond counts reach 2**53 before 1685 and after 2255.
+        rng = np.random.default_rng(year)
+        micros = np.sort(rng.integers(0, 365 * 86_400_000_000, size=400))
+        stamps = np.datetime64(f"{year:04d}-01-01T00:00:00", "us") + micros.astype("m8[us]")
+        rows = [f"{stamp}Z,1.0" for stamp in np.datetime_as_string(stamps).tolist()]
+        path = tmp_path / "export.csv"
+        path.write_text("\n".join(rows) + "\n")
+        expected = np.array(load_records(path))[:, 0]
+        got = load_csv(path)["time"]
+        np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+
 
 class TestRegularize:
     def test_downsample_keeps_nearest_record(self):
@@ -134,6 +359,25 @@ class TestRegularize:
     def test_no_records_raises(self):
         with pytest.raises(InvalidInputError):
             regularize([], 1.0)
+
+    def test_loaded_records_grid_like_their_pairs(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("t,v\n0,1.0\n1,bad\n2,3.0\n4.1,4.0\n")
+        records = load_csv(path)
+        from_array = regularize(records, 1.0)
+        from_pairs = regularize(records.tolist(), 1.0)
+        np.testing.assert_array_equal(from_array.values, from_pairs.values)
+        np.testing.assert_array_equal(from_array.quality, from_pairs.quality)
+        assert from_array.origin == from_pairs.origin == 0.0
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_times_raise(self, bad):
+        with pytest.raises(InvalidInputError, match="finite"):
+            regularize([(0.0, 1.0), (bad, 2.0), (2.0, 3.0)], 1.0)
+
+    def test_records_must_be_pairs(self):
+        with pytest.raises(InvalidInputError, match="pairs"):
+            regularize([[0.0, 1.0], [1.0, 2.0]], 1.0)
 
 
 class TestFillGaps:
