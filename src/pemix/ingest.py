@@ -62,13 +62,14 @@ _UTC_WIDTH = 32
 
 
 def _utc_templates() -> np.ndarray:
-    """Strict UTC stamps ``YYYY-MM-DDTHH:MM:SS[.f to .ffffff]Z`` as
+    """Strict UTC stamps ``YYYY-MM-DDTHH:MM:SS[.fff|.ffffff]Z`` as
     ``_UTC_WIDTH``-byte rows indexed by cell length, every digit written
     as "0" and viewed as uint64 words.  Lengths without a form hold 0xFF,
-    which no ASCII byte matches.
+    which no ASCII byte matches.  Fractions of other lengths are left to
+    ``datetime.fromisoformat``, which rejects them before Python 3.11.
     """
     table = np.full((_UTC_WIDTH + 1, _UTC_WIDTH), 0xFF, dtype=np.uint8)
-    for digits in range(7):
+    for digits in (0, 3, 6):
         form = "0000-00-00T00:00:00" + ("." + "0" * digits if digits else "") + "Z"
         table[len(form)] = np.frombuffer(form.encode().ljust(_UTC_WIDTH, b"\0"), np.uint8)
     return table.view(np.uint64)
@@ -109,12 +110,9 @@ def _parse_value(cell: str) -> float:
 
 
 def _split_row(line: str) -> list[str]:
-    if "," not in line:
-        return line.split()
-    if '"' not in line:
-        # What the csv module makes of a line without quotes.
-        return line.split(",")
-    return next(csv.reader([line]))
+    if "," in line:
+        return next(csv.reader([line]))
+    return line.split()
 
 
 def _looks_like_header(cells: list[str], time_column: int | str) -> bool:
@@ -148,14 +146,14 @@ def _columns(lines: list[str], t_idx: int, v_idx: int) -> tuple[list[str], list[
     index of the first row too short to have them (``len(lines)`` if none).
     """
     need = max(t_idx, v_idx)
-    text = "\n".join(lines)
+    text = ",".join(lines)
     if '"' not in text:
         commas = set(map(str.count, lines, itertools.repeat(",")))
         width = commas.pop() + 1 if len(commas) == 1 else 0
-        if width > max(need, 1):
+        if width > need:
             # Every row has the same number of comma-separated cells, so
             # one split of the whole block lays them out row after row.
-            cells = text.replace("\n", ",").split(",")
+            cells = text.split(",")
             return cells[t_idx::width], cells[v_idx::width], len(lines)
     rows = [_split_row(line) for line in lines]
     short = next((i for i, row in enumerate(rows) if len(row) <= need), len(rows))
@@ -232,8 +230,8 @@ def load_csv(
     become NaN records (missing markers); unparseable or non-finite
     times are an error.  The file is parsed in blocks of
     ``_BLOCK_LINES`` lines; stamps in the strict UTC form
-    ``YYYY-MM-DDTHH:MM:SS[.ffffff]Z`` are converted together and any
-    other time cell one at a time.
+    ``YYYY-MM-DDTHH:MM:SS[.fff|.ffffff]Z`` are converted together and
+    any other time cell one at a time.
 
     Args:
         path: File to read.  I/O failures propagate as OSError.
@@ -350,15 +348,23 @@ def regularize(
             pairs, non-finite times, non-positive spacing, or a target
             spacing finer than the data's native spacing.
     """
-    records = np.asarray(records, dtype=_RECORD)
-    if records.ndim != 1:
-        raise InvalidInputError("records must be a sequence of (time, value) pairs")
-    if records.shape[0] == 0:
+    if isinstance(records, np.ndarray) and records.dtype.names is not None:
+        times = np.asarray(records["time"], dtype=np.float64)
+        values = np.asarray(records["value"], dtype=np.float64)
+    else:
+        try:
+            pairs = np.asarray(records, dtype=np.float64)
+        except ValueError:
+            raise InvalidInputError("records must be a sequence of (time, value) pairs") from None
+        if pairs.size == 0:
+            raise InvalidInputError("no records to regularize")
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise InvalidInputError("records must be a sequence of (time, value) pairs")
+        times, values = pairs[:, 0], pairs[:, 1]
+    if times.shape[0] == 0:
         raise InvalidInputError("no records to regularize")
     if not (target_spacing > 0.0) or not math.isfinite(target_spacing):
         raise InvalidInputError(f"target spacing must be finite and > 0, got {target_spacing}")
-    times = records["time"]
-    values = records["value"]
     if not np.isfinite(times).all():
         raise InvalidInputError("record times must be finite")
     if times.shape[0] > 1:

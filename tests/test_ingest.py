@@ -375,9 +375,27 @@ class TestRegularize:
         with pytest.raises(InvalidInputError, match="finite"):
             regularize([(0.0, 1.0), (bad, 2.0), (2.0, 3.0)], 1.0)
 
-    def test_records_must_be_pairs(self):
+    def test_lists_and_arrays_of_pairs_grid_like_tuples(self):
+        pairs = [(0.0, 1.0), (1.0, np.nan), (3.2, 3.0), (4.0, 4.0)]
+        from_tuples = regularize(pairs, 1.0)
+        for records in ([list(p) for p in pairs], np.array(pairs)):
+            series = regularize(records, 1.0)
+            np.testing.assert_array_equal(series.values, from_tuples.values)
+            np.testing.assert_array_equal(series.quality, from_tuples.quality)
+            assert series.origin == from_tuples.origin
+
+    @pytest.mark.parametrize(
+        "records",
+        [
+            [(0.0, 1.0), (1.0,)],
+            [(0.0, 1.0, 5.0), (1.0, 2.0, 6.0)],
+            np.zeros((3, 3)),
+            [0.0, 1.0, 2.0],
+        ],
+    )
+    def test_records_must_be_pairs(self, records):
         with pytest.raises(InvalidInputError, match="pairs"):
-            regularize([[0.0, 1.0], [1.0, 2.0]], 1.0)
+            regularize(records, 1.0)
 
 
 class TestFillGaps:
