@@ -45,6 +45,7 @@ from .mixing import (
     bin_average,
     bin_sweep,
     mixing_ansatz,
+    recommend_bin_size,
 )
 from .reversal import ReversalSeries, reversal_series, windowed_rbar
 from .series import (
@@ -228,15 +229,18 @@ def cmd_pe(args: argparse.Namespace) -> int:
 
 
 def cmd_reversal(args: argparse.Namespace) -> int:
+    if args.hop is not None and args.window is None:
+        raise InvalidInputError("--hop sets the step of the sliding mean and needs --window")
     inp = Path(args.input)
     traces, _ = _load(inp, read_trace_csv)
     rev = reversal_series(traces)
     params: dict[str, object] = {"r_bar": repr(rev.r_bar)}
     output = rev
     if args.window is not None:
-        output = windowed_rbar(rev, window=args.window, hop=args.hop)
+        hop = 1 if args.hop is None else args.hop
+        output = windowed_rbar(rev, window=args.window, hop=hop)
         params["rbar_window"] = args.window
-        params["rbar_hop"] = args.hop
+        params["rbar_hop"] = hop
         params["windowed_r_bar"] = repr(output.r_bar)
     meta = _manifest("reversal", params, {"input": inp})
     out = _resolve_out(args.out)
@@ -278,6 +282,8 @@ def cmd_binsweep(args: argparse.Namespace) -> int:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
+    if args.median_width is not None and args.prefilter != "moving_median":
+        raise InvalidInputError("--median-width needs --prefilter moving_median")
     inp = Path(args.input)
 
     def column(selector: str) -> int | str:
@@ -349,23 +355,29 @@ def _run_study(
     bin at the recommended size.  Writes each of the three series with its
     traces and reversal scores, then the sweep, and returns the sweep and the
     three mean reversal scores (raw, mixed, binned).
+
+    The mixed series' traces are computed once: their mean score is the
+    sweep's ``j = 1`` point, so only ``j >= 2`` is swept.
     """
     config = PEConfig()
     mixed = mixing_ansatz(series, AnsatzConfig(k=k, seed=seed))
-    sweep = bin_sweep(mixed, range(1, j_max + 1), config)
-    binned = bin_average(mixed, sweep.recommended_j)
     name = system.replace("-", "_")
-    r_bars = []
-    for label, data in (
-        ("raw", series), (f"mixed_k{k}", mixed), (f"binned_j{sweep.recommended_j}", binned)
-    ):
+
+    def write(label: str, data: TimeSeries) -> float:
         stem = outdir / f"{name}_{label}"
         _save(f"{stem}.csv", write_series_csv, data, {"command": f"reproduce {system}/{label}"})
         traces = multi_tau_pe(data, config)
         _save(f"{stem}_pe.csv", write_trace_csv, traces, asdict(config))
         rev = reversal_series(traces)
         _save(f"{stem}_reversal.csv", write_reversal_csv, rev, {"r_bar": repr(rev.r_bar)})
-        r_bars.append(rev.r_bar)
+        return rev.r_bar
+
+    r_bars = [write("raw", series), write(f"mixed_k{k}", mixed)]
+    sizes = np.arange(1, j_max + 1)
+    scores = np.concatenate(([r_bars[1]], bin_sweep(mixed, sizes[1:], config).r_bars))
+    sweep = BinSweepResult(sizes, scores, np.isfinite(scores), *recommend_bin_size(sizes, scores))
+    j = sweep.recommended_j
+    r_bars.append(write(f"binned_j{j}", bin_average(mixed, j)))
     _save(outdir / f"{name}_sweep.csv", write_sweep_csv, sweep, _sweep_params(sweep))
     return r_bars, sweep
 
@@ -504,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     rev = sub.add_parser("reversal", help="stride-ordering reversal scores")
     rev.add_argument("-i", "--input", required=True, help="trace CSV from 'pemix pe'")
     rev.add_argument("--window", type=int, default=None, help="emit a sliding mean instead of raw scores")
-    rev.add_argument("--hop", type=int, default=1)
+    rev.add_argument("--hop", type=int, default=None, help="step of the sliding mean (default 1)")
     rev.add_argument("-o", "--out", required=True)
     rev.set_defaults(func=cmd_reversal)
 

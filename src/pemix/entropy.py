@@ -85,6 +85,14 @@ class PEConfig:
     def taus(self) -> tuple[int, ...]:
         return tuple(range(self.tau_min, self.tau_max + 1))
 
+    def anchor_grid(self, n: int) -> range:
+        """Anchors of the windows over ``n`` points: each window's last point."""
+        return range(self.window - 1, n, self.hop)
+
+    def covered_points(self, anchors: range) -> slice:
+        """The points that the windows of a run of grid anchors cover."""
+        return slice(anchors[0] - self.window + 1, anchors[-1] + 1)
+
 
 @dataclass(frozen=True)
 class PETraceSet:
@@ -213,7 +221,8 @@ def windowed_pe(series: TimeSeries, config: PEConfig, tau: int) -> PETraceSet:
             f"series of length {n} is shorter than one window of {config.window}"
         )
     codes = encode_patterns(series.values, config.ell, tau)
-    anchors = np.arange(config.window - 1, n, config.hop, dtype=np.int64)
+    grid = config.anchor_grid(n)
+    anchors = np.arange(grid.start, grid.stop, grid.step, dtype=np.int64)
     values = _sliding_entropy(codes, anchors, config.window, config.ell, span)
     return PETraceSet(tau_min=tau, anchors=anchors, traces=values[None, :])
 

@@ -114,7 +114,7 @@ def lorenz_series(params: LorenzParams = LorenzParams()) -> TimeSeries:
 class MackeyGlassParams:
     """Parameters for the delayed feedback system.
 
-    The delay ``t0`` must be an integer multiple of the step ``h``.
+    The delay ``t0`` must be a positive integer multiple of the step ``h``.
     ``beta = 0`` is allowed; it reduces the system to pure exponential
     decay, which is useful as an analytic check.
     """
@@ -148,6 +148,8 @@ class MackeyGlassParams:
             raise InvalidInputError(
                 f"delay {self.t0} must be an integer multiple of step {self.h}"
             )
+        if self.delay_steps < 1:
+            raise InvalidInputError(f"delay {self.t0} must be at least one step {self.h}")
 
     @property
     def delay_steps(self) -> int:
@@ -168,13 +170,17 @@ def mackey_glass_series(params: MackeyGlassParams = MackeyGlassParams()) -> Time
     sixth = h / 6.0
     x = float(params.x0)
     # xs[j] is the state at step j - d: d copies of x0 stand for the history.
-    # A list of floats keeps numpy scalars out of the loop, and g at the next
-    # delayed point is carried over as the next step's g at the current one.
-    xs = [x] * (d + 1)
+    # Python floats keep numpy scalars out of the loop, and array('d')
+    # stores each as 8 bytes rather than as a 32-byte float object.  The
+    # delayed value and g at the next delayed point are carried over as
+    # the next step's values at the current one.
+    xs = array("d", [x]) * (d + 1)
+    append = xs.append
+    xd_now = x
     g_now = beta * x / (1.0 + x**q)
-    for i in range(params.skip + params.steps - 1):
-        xd_next = xs[i + 1]
-        xd_half = 0.5 * (xs[i] + xd_next)
+    for i in range(1, params.skip + params.steps):
+        xd_next = xs[i]
+        xd_half = 0.5 * (xd_now + xd_next)
         g_half = beta * xd_half / (1.0 + xd_half**q)
         g_next = beta * xd_next / (1.0 + xd_next**q)
         k1 = g_now - gamma * x
@@ -182,9 +188,10 @@ def mackey_glass_series(params: MackeyGlassParams = MackeyGlassParams()) -> Time
         k3 = g_half - gamma * (x + half * k2)
         k4 = g_next - gamma * (x + h * k3)
         x += sixth * (k1 + 2.0 * (k2 + k3) + k4)
-        xs.append(x)
+        append(x)
+        xd_now = xd_next
         g_now = g_next
-    values = np.array(xs[d + params.skip :], dtype=np.float64)
+    values = np.frombuffer(xs, dtype=np.float64)[d + params.skip :].copy()
     return TimeSeries(
         values=values,
         spacing=h,

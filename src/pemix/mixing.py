@@ -38,6 +38,14 @@ ZERO_RBAR_TOL = 1e-12
 # Generator behind mixing draws; recorded in output metadata.
 RNG_ALGORITHM = "pcg64"
 
+# Anchors scored per block of the bin sweep.  A block's traces and sort
+# order take a few MB at six strides, whatever the length of the series.
+_SWEEP_BLOCK_ANCHORS = 1 << 16
+
+# Windows per block of the mixing surrogate's mean and deviation, so the
+# (rows, 2k + 1) temporaries of one block stay a few MB.
+_ANSATZ_BLOCK_ROWS = 1 << 16
+
 
 @dataclass(frozen=True)
 class AnsatzConfig:
@@ -70,6 +78,11 @@ def mixing_ansatz(series: TimeSeries, config: AnsatzConfig) -> TimeSeries:
     generator seeded with ``config.seed``, one per point in series
     order, so equal seeds give equal output.
 
+    The full windows are summarized in blocks of ``_ANSATZ_BLOCK_ROWS``
+    windows, so working memory is a few arrays of one value per point
+    whatever ``k``; each window's mean and deviation are those of the
+    whole-series computation bit for bit.
+
     Raises:
         InvalidInputError: On non-finite input values.
         InsufficientDataError: If the series has fewer than ``2k + 1``
@@ -92,10 +105,13 @@ def mixing_ansatz(series: TimeSeries, config: AnsatzConfig) -> TimeSeries:
     if k == 0:
         mu[:] = x
     else:
-        width = 2 * k + 1
-        windows = np.lib.stride_tricks.sliding_window_view(x, width)
-        mu[k : n - k] = windows.mean(axis=-1)
-        sigma[k : n - k] = windows.std(axis=-1, ddof=1)
+        windows = np.lib.stride_tricks.sliding_window_view(x, 2 * k + 1)
+        for r0 in range(0, windows.shape[0], _ANSATZ_BLOCK_ROWS):
+            rows = windows[r0 : r0 + _ANSATZ_BLOCK_ROWS]
+            # Window r is centred on point k + r.
+            centres = slice(k + r0, k + r0 + rows.shape[0])
+            mu[centres] = rows.mean(axis=-1)
+            sigma[centres] = rows.std(axis=-1, ddof=1)
         for i in range(k):
             left = x[: i + k + 1]
             mu[i] = left.mean()
@@ -105,7 +121,10 @@ def mixing_ansatz(series: TimeSeries, config: AnsatzConfig) -> TimeSeries:
             sigma[n - 1 - i] = right.std(ddof=1)
     rng = np.random.default_rng(config.seed)
     draws = rng.standard_normal(n)
-    return series.replace_values(mu + sigma * draws)
+    # mu + sigma * draws, in place.
+    draws *= sigma
+    draws += mu
+    return series.replace_values(draws)
 
 
 def bin_average(series: TimeSeries, j: int) -> TimeSeries:
@@ -209,6 +228,17 @@ def recommend_bin_size(
     raise AssertionError("a finite sequence always has a first local minimum")
 
 
+def _mean_reversal(values: np.ndarray, config: PEConfig) -> float:
+    """Mean reversal score of a series at least one window long, by blocks."""
+    grid = config.anchor_grid(values.shape[0])
+    scores = np.empty(len(grid), dtype=np.float64)
+    for a0 in range(0, len(grid), _SWEEP_BLOCK_ANCHORS):
+        block = grid[a0 : a0 + _SWEEP_BLOCK_ANCHORS]
+        points = TimeSeries(values[config.covered_points(block)])
+        scores[a0 : a0 + len(block)] = reversal_series(multi_tau_pe(points, config)).r_values
+    return float(scores.mean())
+
+
 def bin_sweep(
     series: TimeSeries,
     j_range: Iterable[int],
@@ -221,6 +251,14 @@ def bin_sweep(
     reversal score over the full span is recorded.  Sizes that leave
     fewer points than one entropy window are marked insufficient and
     skipped by the recommendation.
+
+    Each size is scored in blocks of ``_SWEEP_BLOCK_ANCHORS`` anchors:
+    the traces of a block come from the slice of the binned series its
+    windows cover, and only the per-anchor scores are kept, so no
+    strides x anchors matrix of the whole series is ever held.  The mean
+    is taken once over all scores, so ``r_bars[i]`` equals
+    ``reversal_series(multi_tau_pe(bin_average(series, j), pe_config)).r_bar``
+    bit for bit.
 
     Raises:
         InvalidInputError: On an empty or non-positive candidate list.
@@ -237,9 +275,7 @@ def bin_sweep(
     for idx, j in enumerate(sizes):
         if n // j < pe_config.window:
             continue
-        binned = bin_average(series, j)
-        traces = multi_tau_pe(binned, pe_config)
-        r_bars[idx] = reversal_series(traces).r_bar
+        r_bars[idx] = _mean_reversal(bin_average(series, j).values, pe_config)
         sufficient[idx] = True
     if not sufficient.any():
         raise InsufficientDataError(

@@ -25,6 +25,10 @@ __all__ = [
     "windowed_rbar",
 ]
 
+# Anchors per sort block of ``reversal_series``: the block's int64 sort
+# order is 768 KB at six strides, not a matrix-sized copy of the traces.
+_BLOCK_ANCHORS = 1 << 14
+
 
 def lambda_for_range(tau_min: int, tau_max: int) -> float:
     """Largest possible displacement for a stride range.
@@ -72,6 +76,9 @@ class ReversalSeries:
 def reversal_series(traces: PETraceSet) -> ReversalSeries:
     """Reversal score at every anchor of an aligned trace set.
 
+    The strides are sorted in blocks of ``_BLOCK_ANCHORS`` anchors, so
+    besides the scores only one block's sort order is held.
+
     Raises:
         InvalidInputError: If the set holds fewer than two strides.
         InsufficientDataError: If the traces have no anchors.
@@ -80,14 +87,17 @@ def reversal_series(traces: PETraceSet) -> ReversalSeries:
         raise InvalidInputError("reversal needs traces for at least two strides")
     if len(traces) == 0:
         raise InsufficientDataError("trace set has no anchors")
-    # Stable sort along the stride axis: ties keep ascending stride.
-    order = np.argsort(traces.traces, axis=0, kind="stable")
-    # The strides are contiguous, so the stride at sorted position i is
-    # tau_min + order[i] and its displacement is |order[i] - i|, in place.
-    order -= np.arange(order.shape[0])[:, None]
-    displacement = np.abs(order, out=order).sum(axis=0)
-    lam = lambda_for_range(traces.tau_min, traces.tau_max)
-    r_values = displacement / lam
+    positions = np.arange(traces.traces.shape[0])[:, None]
+    r_values = np.empty(len(traces), dtype=np.float64)
+    for a0 in range(0, len(traces), _BLOCK_ANCHORS):
+        block = traces.traces[:, a0 : a0 + _BLOCK_ANCHORS]
+        # Stable sort along the stride axis: ties keep ascending stride.
+        order = np.argsort(block, axis=0, kind="stable")
+        # The strides are contiguous, so the stride at sorted position i is
+        # tau_min + order[i] and its displacement is |order[i] - i|, in place.
+        order -= positions
+        r_values[a0 : a0 + block.shape[1]] = np.abs(order, out=order).sum(axis=0)
+    r_values /= lambda_for_range(traces.tau_min, traces.tau_max)
     return ReversalSeries(
         anchors=traces.anchors.copy(),
         r_values=r_values,

@@ -105,6 +105,25 @@ def clipped_window_stats(values, n: int, k: int) -> tuple[float, float]:
     return mu, sigma
 
 
+def ansatz_moments(values, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Clipped-window means and sample deviations of every point, with the
+    full windows summarized over the whole series in one pass: the values
+    that ``mixing_ansatz``'s row blocks must reproduce bit for bit."""
+    x = np.asarray(values, dtype=np.float64)
+    n = x.shape[0]
+    mu = x.copy()
+    sigma = np.zeros(n)
+    if k:
+        windows = np.lib.stride_tricks.sliding_window_view(x, 2 * k + 1)
+        mu[k : n - k] = windows.mean(axis=-1)
+        sigma[k : n - k] = windows.std(axis=-1, ddof=1)
+        for i in range(k):
+            mu[i], sigma[i] = x[: i + k + 1].mean(), x[: i + k + 1].std(ddof=1)
+            right = x[n - 1 - i - k :]
+            mu[n - 1 - i], sigma[n - 1 - i] = right.mean(), right.std(ddof=1)
+    return mu, sigma
+
+
 def clipped_median(values, n: int, half: int) -> float:
     lo = max(n - half, 0)
     hi = min(n + half, len(values) - 1)

@@ -1,0 +1,39 @@
+"""The alternating-pairs benchmark tool: seed lists and the per-workload summary."""
+
+import importlib.util
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+METRICS = [{"name": "wall_s", "better": "lower"}, {"name": "ok_frac", "better": "higher"}]
+
+
+def run(seed, side, wall, ok=1.0):
+    metrics = {"wall_s": {"value": wall}, "ok_frac": {"value": ok}}
+    return {"workload": "w", "seed": seed, "side": side, "result": {"metrics": metrics}}
+
+
+def test_seed_ranges_and_lists():
+    assert bench_pairs._seeds("301-303,7") == [301, 302, 303, 7]
+    assert bench_pairs._seeds("5") == [5]
+
+
+def test_summary_counts_wins_by_each_metric_direction():
+    runs = [
+        run(1, "parent", 2.0), run(1, "change", 1.0),
+        run(2, "change", 3.0, ok=0.5), run(2, "parent", 2.0),
+        run(3, "parent", 4.0), run(3, "change", 4.0),
+        run(4, "parent", 6.0),  # no change side yet: not a pair
+    ]
+    entry = bench_pairs.summarize(runs, METRICS)["w"]
+    assert (entry["seeds"], entry["pairs"]) == ([1, 2, 3], 3)
+    wall = entry["wall_s"]
+    assert (wall["change_wins"], wall["ties"]) == (1, 1)
+    assert wall["parent"] == {"median": 2.0, "q1": 2.0, "q3": 3.0}
+    assert wall["change"] == {"median": 3.0, "q1": 2.0, "q3": 3.5}
+    assert wall["median_change_pct"] == 50.0
+    ok = entry["ok_frac"]
+    assert (ok["change_wins"], ok["ties"]) == (0, 2)

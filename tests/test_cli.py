@@ -11,10 +11,13 @@ import pytest
 
 from pemix import (
     AnsatzConfig,
+    MackeyGlassParams,
     PEConfig,
     bin_average,
+    bin_sweep,
     fill_gaps,
     load_csv,
+    mackey_glass_series,
     mixing_ansatz,
     multi_tau_pe,
     read_series_csv,
@@ -22,6 +25,8 @@ from pemix import (
     reversal_series,
     sine_series,
 )
+from pemix import cli
+from pemix import mixing as mixing_module
 from pemix.cli import main, read_trace_csv
 
 
@@ -332,6 +337,38 @@ class TestExitCodes:
         assert f"row {bad_row}: time" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_reversal_hop_without_window_is_2(self, tmp_path, capsys):
+        src = tmp_path / "src.csv"
+        run("generate", "sine", "--period", 40, "--n", 400, "-o", src)
+        traces = tmp_path / "traces.csv"
+        assert run("pe", "-i", src, "--window", 100, "--tau-max", 2, "-o", traces) == 0
+        code = run("reversal", "-i", traces, "--hop", 5, "-o", tmp_path / "rev.csv")
+        assert code == 2
+        assert "--hop" in capsys.readouterr().err
+        assert not (tmp_path / "rev.csv").exists()
+
+    def test_reversal_window_without_hop_steps_by_one(self, tmp_path):
+        src = tmp_path / "src.csv"
+        run("generate", "sine", "--period", 40, "--n", 400, "-o", src)
+        traces = tmp_path / "traces.csv"
+        assert run("pe", "-i", src, "--window", 100, "--tau-max", 2, "-o", traces) == 0
+        rev = tmp_path / "rev.csv"
+        assert run("reversal", "-i", traces, "--window", 10, "-o", rev) == 0
+        lines = rev.read_text(encoding="utf-8").splitlines()
+        assert "# rbar_window: 10" in lines
+        assert "# rbar_hop: 1" in lines
+        _, _, rows = read_rows(rev)
+        assert len(rows) == 301 - 10 + 1
+
+    def test_ingest_median_width_without_moving_median_is_2(self, tmp_path, capsys):
+        raw = tmp_path / "raw.csv"
+        raw.write_text("t,v\n0,1.0\n1,2.0\n2,3.0\n", encoding="utf-8")
+        out = tmp_path / "clean.csv"
+        code = run("ingest", "-i", raw, "--target-spacing", 1.0, "--median-width", 3, "-o", out)
+        assert code == 2
+        assert "--median-width" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_input_is_4(self, tmp_path):
         code = run("pe", "-i", tmp_path / "absent.csv", "-o", tmp_path / "x.csv")
         assert code == 4
@@ -363,6 +400,39 @@ class TestOutDirEnv:
 
 
 class TestReproduce:
+    def test_study_computes_the_mixed_traces_once(self, tmp_path, monkeypatch):
+        # The mixed series' traces are both written and the sweep's j = 1
+        # point; no other call may see the mixed series.
+        mixed = []
+        calls = []
+
+        def mix(series, config):
+            mixed.append(mixing_ansatz(series, config))
+            return mixed[-1]
+
+        def count(series, config):
+            calls.append(series.values)
+            return multi_tau_pe(series, config)
+
+        monkeypatch.setattr(cli, "mixing_ansatz", mix)
+        monkeypatch.setattr(cli, "multi_tau_pe", count)
+        monkeypatch.setattr(mixing_module, "multi_tau_pe", count)
+        series = mackey_glass_series(MackeyGlassParams(steps=22_000))
+        r_bars, sweep = cli._run_study(tmp_path, "mackey-glass", series, 4, 5, 3)
+        (values,) = (m.values for m in mixed)
+        assert sum(np.array_equal(v, values) for v in calls) == 1
+        assert sum(v.shape == values.shape for v in calls) == 2  # raw and mixed
+        expected = bin_sweep(mixed[0], range(1, 6), PEConfig())
+        np.testing.assert_array_equal(sweep.bin_sizes, expected.bin_sizes)
+        np.testing.assert_array_equal(sweep.r_bars.view(np.int64), expected.r_bars.view(np.int64))
+        np.testing.assert_array_equal(sweep.sufficient, expected.sufficient)
+        assert (sweep.recommended_j, sweep.achieved_zero) == (
+            expected.recommended_j, expected.achieved_zero
+        )
+        assert r_bars[1] == expected.r_bars[0]
+        _, _, rows = read_rows(tmp_path / "mackey_glass_sweep.csv")
+        assert [int(r[0]) for r in rows] == [1, 2, 3, 4, 5]
+
     def test_desk_lorenz_passes_its_checks(self, tmp_path):
         outdir = tmp_path / "rep"
         code = run("reproduce", "lorenz", "--outdir", outdir, "--scale", "desk")

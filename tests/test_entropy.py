@@ -126,6 +126,12 @@ class TestWindowedPE:
         config = PEConfig(ell=2, window=20, tau_min=1, tau_max=1, hop=7)
         trace = windowed_pe(series, config, tau=1)
         np.testing.assert_array_equal(trace.anchors, np.arange(19, 100, 7))
+        assert list(config.anchor_grid(100)) == trace.anchors.tolist()
+        # The points a run of anchors covers give that run's values alone.
+        block = config.anchor_grid(100)[2:5]
+        assert config.covered_points(block) == slice(14, 48)
+        part = windowed_pe(TimeSeries(series.values[14:48]), config, tau=1)
+        np.testing.assert_array_equal(part.traces, trace.traces[:, 2:5])
 
     def test_constant_series_gives_zero_everywhere(self):
         series = TimeSeries(np.zeros(200))

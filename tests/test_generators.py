@@ -1,6 +1,7 @@
 """Reference generators: integration accuracy and pinned analytics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -156,9 +157,26 @@ class TestMackeyGlass:
         np.testing.assert_array_equal(series.values.view(np.int64), expected.view(np.int64))
         assert series.origin == params.skip * params.h
 
+    def test_peak_memory_grows_by_a_few_bytes_per_step(self):
+        peaks = {}
+        for steps in (50_000, 200_000):
+            tracemalloc.start()
+            mackey_glass_series(MackeyGlassParams(steps=steps))
+            peaks[steps] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        # 8 bytes per state in array('d') and 8 per output value; a list
+        # of floats holds a 32-byte object and an 8-byte pointer per state.
+        grown = (peaks[200_000] - peaks[50_000]) / 150_000
+        assert grown <= 20, f"{grown:.1f} bytes per step"
+
     def test_delay_must_be_step_multiple(self):
         with pytest.raises(InvalidInputError):
             MackeyGlassParams(t0=17.05, h=0.1)
+
+    def test_delay_must_be_at_least_one_step(self):
+        # 1e-10 / 0.1 is within the multiple tolerance of zero steps.
+        with pytest.raises(InvalidInputError, match="at least one step"):
+            MackeyGlassParams(t0=1e-10, h=0.1)
 
     def test_validation(self):
         with pytest.raises(InvalidInputError):

@@ -1,7 +1,12 @@
 """Mixing surrogate, bin averaging, and the bin-size sweep."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pemix import (
     AnsatzConfig,
@@ -12,10 +17,13 @@ from pemix import (
     bin_average,
     bin_sweep,
     mixing_ansatz,
+    multi_tau_pe,
     recommend_bin_size,
+    reversal_series,
 )
+from pemix import mixing as mixing_module
 
-from oracles import bin_means, clipped_window_stats
+from oracles import ansatz_moments, bin_means, clipped_window_stats
 
 
 class TestMixingAnsatz:
@@ -79,6 +87,30 @@ class TestMixingAnsatz:
         sigma = np.array([clipped_window_stats(values, i, k)[1] for i in range(40)])
         tolerance = 4.0 * sigma / np.sqrt(n_seeds) + 1e-12
         assert (np.abs(draws.mean(axis=0) - mu) <= tolerance).all()
+
+    @pytest.mark.parametrize("block_rows", [1, 2, 3])
+    @pytest.mark.parametrize("k,n", [(1, 3), (1, 40), (3, 8), (4, 9), (4, 61), (7, 33)])
+    def test_row_blocks_match_the_whole_series_pass(self, block_rows, k, n):
+        values = np.cumsum(np.random.default_rng(n + k).standard_normal(n)) * 1e3
+        mu, sigma = ansatz_moments(values, k)
+        expected = mu + sigma * np.random.default_rng(5).standard_normal(n)
+        with mock.patch.object(mixing_module, "_ANSATZ_BLOCK_ROWS", block_rows):
+            out = mixing_ansatz(TimeSeries(values), AnsatzConfig(k=k, seed=5))
+        np.testing.assert_array_equal(out.values.view(np.int64), expected.view(np.int64))
+
+    def test_peak_memory_grows_by_a_few_arrays_per_point(self):
+        peaks = {}
+        for n in (100_000, 400_000):
+            series = TimeSeries(np.random.default_rng(3).standard_normal(n))
+            tracemalloc.start()
+            mixing_ansatz(series, AnsatzConfig(k=4, seed=1))
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        # Means, deviations and draws: 24 bytes per point.  Summarizing all
+        # 9-point windows at once takes 72 bytes per point for the
+        # deviations alone.
+        grown = (peaks[400_000] - peaks[100_000]) / 300_000
+        assert grown <= 40, f"{grown:.1f} bytes per point"
 
     def test_metadata_preserved(self):
         series = TimeSeries(np.arange(30.0), spacing=0.5, unit="seconds", origin=2.0)
@@ -210,3 +242,45 @@ class TestBinSweep:
         result = bin_sweep(series, range(1, 4), config)
         assert result.recommended_j == 1
         assert result.achieved_zero
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        values=st.lists(st.integers(0, 3), min_size=12, max_size=70),
+        window=st.integers(7, 12),
+        tau_max=st.integers(2, 3),
+        hop=st.integers(1, 4),
+        block=st.integers(1, 5),
+    )
+    def test_blocked_scores_equal_the_whole_series_scores(
+        self, values, window, tau_max, hop, block
+    ):
+        # Small integer values make ties and equal windows; blocks of 1-5
+        # anchors put block edges everywhere.
+        series = TimeSeries(np.asarray(values, dtype=np.float64))
+        config = PEConfig(ell=3, window=window, tau_min=1, tau_max=tau_max, hop=hop)
+        sizes = range(1, 4)
+        expected = np.full(len(sizes), np.nan)
+        for idx, j in enumerate(sizes):
+            if len(series) // j >= window:
+                traces = multi_tau_pe(bin_average(series, j), config)
+                expected[idx] = reversal_series(traces).r_bar
+        if np.isnan(expected).all():
+            return
+        with mock.patch.object(mixing_module, "_SWEEP_BLOCK_ANCHORS", block):
+            result = bin_sweep(series, sizes, config)
+        np.testing.assert_array_equal(result.r_bars.view(np.int64), expected.view(np.int64))
+        np.testing.assert_array_equal(result.sufficient, np.isfinite(expected))
+
+    def test_peak_memory_grows_by_a_few_arrays_per_point(self):
+        config = PEConfig(window=1000)
+        peaks = {}
+        for n in (100_000, 400_000):
+            series = TimeSeries(np.random.default_rng(9).standard_normal(n))
+            tracemalloc.start()
+            bin_sweep(series, range(1, 3), config)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        # The binned series and one score per anchor: 16 bytes per point at
+        # j = 1.  A strides x anchors matrix and its sort order take 96.
+        grown = (peaks[400_000] - peaks[100_000]) / 300_000
+        assert grown <= 24, f"{grown:.1f} bytes per point"
