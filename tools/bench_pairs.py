@@ -36,6 +36,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -71,12 +73,6 @@ def _run(checkout: Path, workload: str, seed: int, seconds: int, trace: int) -> 
         raise RuntimeError(f"{' '.join(argv)} in {checkout} exited {done.returncode}:\n"
                            f"{done.stderr[-2000:]}")
     return json.loads(lines[-1])
-
-
-def _numpy_version() -> str:
-    """numpy of the interpreter that runs bench/run.py, without importing it here."""
-    return subprocess.run([sys.executable, "-c", "import numpy; print(numpy.__version__)"],
-                          check=True, capture_output=True, text=True).stdout.strip()
 
 
 def _quartiles(values: list[float]) -> dict[str, float]:
@@ -145,7 +141,7 @@ def main(argv: list[str] | None = None) -> int:
         "command": f"python3 bench/run.py --workload <workload> --seed <seed> "
                    f"--seconds {seconds} --trace 0 (traced runs: --trace 1)",
         "host": f"{platform.system()} {platform.machine()}, {os.cpu_count()} CPUs, "
-                f"Python {platform.python_version()}, numpy {_numpy_version()}",
+                f"Python {platform.python_version()}, numpy {numpy.__version__}",
         "method": "alternating pairs: for each workload and seed the parent and the change ran "
                   "one after the other, each in its own git worktree with identical bench/ "
                   "files, the side that ran first alternating from seed to seed",
