@@ -13,6 +13,7 @@ from .entropy import (
     global_pe,
     multi_tau_pe,
     permutation_entropy,
+    trace_blocks,
     windowed_pe,
 )
 from .errors import InsufficientDataError, InvalidInputError, PemixError
@@ -68,6 +69,7 @@ __all__ = [
     "global_pe",
     "windowed_pe",
     "multi_tau_pe",
+    "trace_blocks",
     "ReversalSeries",
     "lambda_for_range",
     "reversal_series",

@@ -23,12 +23,12 @@ import time
 from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import IO, Callable, Mapping
+from typing import IO, Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
 from . import __version__
-from .entropy import PEConfig, PETraceSet, multi_tau_pe
+from .entropy import PEConfig, PETraceSet, trace_blocks
 from .errors import InsufficientDataError, InvalidInputError
 from .generators import (
     LorenzParams,
@@ -47,7 +47,7 @@ from .mixing import (
     mixing_ansatz,
     recommend_bin_size,
 )
-from .reversal import ReversalSeries, reversal_series, windowed_rbar
+from .reversal import ReversalSeries, _scored_blocks, reversal_series, windowed_rbar
 from .series import (
     TimeSeries,
     read_header,
@@ -101,9 +101,34 @@ def _manifest(command: str, params: Mapping[str, object], inputs: Mapping[str, P
     return meta
 
 
-def write_trace_csv(stream: IO[str], traces: PETraceSet, metadata: Mapping[str, object]) -> None:
-    columns = "anchor," + ",".join(f"pe_tau{tau}" for tau in traces.taus)
-    write_table(stream, _TRACE_TAG, metadata, columns, [traces.anchors, *traces.traces])
+def write_trace_csv(
+    stream: IO[str], traces: PETraceSet | Iterable[PETraceSet], metadata: Mapping[str, object]
+) -> None:
+    """Write one trace set, or the blocks of one in anchor order as they arrive.
+
+    Blocks come from :func:`~pemix.entropy.trace_blocks`, at least one; the
+    column line is taken from the first.  The bytes are those of the joined
+    set, and only one block is held at a time.
+    """
+    blocks = iter([traces] if isinstance(traces, PETraceSet) else traces)
+    first = next(blocks)
+    columns = "anchor," + ",".join(f"pe_tau{tau}" for tau in first.taus)
+    rows = _trace_columns(first, blocks)
+    del first  # written, and then let go of, by ``rows``
+    write_table(stream, _TRACE_TAG, metadata, columns, rows)
+
+
+def _trace_columns(first: PETraceSet, rest: Iterator[PETraceSet]) -> Iterator[list[np.ndarray]]:
+    """The column arrays of ``first``, then of each block of ``rest``.
+
+    A block is let go of here once the writer asks for the next one, so
+    streamed blocks are released as they are written.
+    """
+    yield [first.anchors, *first.traces]
+    del first
+    for block in rest:
+        yield [block.anchors, *block.traces]
+        del block
 
 
 def read_trace_csv(stream: IO[str]) -> tuple[PETraceSet, dict[str, str]]:
@@ -126,7 +151,8 @@ def read_trace_csv(stream: IO[str]) -> tuple[PETraceSet, dict[str, str]]:
 
 
 def write_reversal_csv(stream: IO[str], rev: ReversalSeries, metadata: Mapping[str, object]) -> None:
-    write_table(stream, _REVERSAL_TAG, metadata, "anchor,reversal", (rev.anchors, rev.r_values))
+    columns = "anchor,reversal"
+    write_table(stream, _REVERSAL_TAG, metadata, columns, [(rev.anchors, rev.r_values)])
 
 
 def write_sweep_csv(stream: IO[str], result: BinSweepResult, metadata: Mapping[str, object]) -> None:
@@ -149,12 +175,22 @@ def _from_args(cls: type, args: argparse.Namespace):
     return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
 
 
+_PE_HELP = {
+    "ell": "points per pattern",
+    "window": "observations per window",
+    "tau_min": "smallest stride",
+    "tau_max": "largest stride",
+    "hop": "window step",
+}
+
+
 def _add_pe_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--ell", type=int, default=4, help="points per pattern (default 4)")
-    parser.add_argument("--window", type=int, default=5000, help="observations per window (default 5000)")
-    parser.add_argument("--tau-min", type=int, default=1, help="smallest stride (default 1)")
-    parser.add_argument("--tau-max", type=int, default=6, help="largest stride (default 6)")
-    parser.add_argument("--hop", type=int, default=1, help="window step (default 1)")
+    # One flag per PEConfig field, typed and defaulted by the field.
+    for f in fields(PEConfig):
+        parser.add_argument(
+            f"--{f.name.replace('_', '-')}", type=type(f.default), default=f.default,
+            help=f"{_PE_HELP[f.name]} (default {f.default})",
+        )
 
 
 def _sweep_params(result: BinSweepResult) -> dict[str, object]:
@@ -215,7 +251,7 @@ def cmd_pe(args: argparse.Namespace) -> int:
     inp = Path(args.input)
     series, _ = _load(inp, read_series_csv)
     config = _from_args(PEConfig, args)
-    traces = multi_tau_pe(series, config)
+    blocks = trace_blocks(series, config)
     out = _resolve_out(args.out)
     params = asdict(config)
     params["spacing"] = repr(series.spacing)
@@ -223,8 +259,9 @@ def cmd_pe(args: argparse.Namespace) -> int:
     params["origin"] = repr(series.origin)
     params["seed"] = "none"
     meta = _manifest("pe", params, {"input": inp})
-    _save(out, write_trace_csv, traces, meta)
-    print(f"wrote {len(traces.anchors)} anchors x {len(traces.taus)} strides to {out}")
+    _save(out, write_trace_csv, blocks, meta)
+    n_anchors = len(config.anchor_grid(len(series)))
+    print(f"wrote {n_anchors} anchors x {len(config.taus)} strides to {out}")
     return EXIT_OK
 
 
@@ -348,6 +385,24 @@ def _check(name: str, value: float, target: str, ok: bool) -> dict[str, object]:
     return {"name": name, "value": value, "target": target, "pass": bool(ok)}
 
 
+def _write_study_series(stem: Path, command: str, data: TimeSeries, config: PEConfig) -> float:
+    """Write ``data``, its traces and its reversal scores next to ``stem``;
+    return the mean reversal score.
+
+    The traces are streamed block by block into their file and scored as
+    they pass, so only the per-anchor scores of the whole series are held.
+    """
+    _save(f"{stem}.csv", write_series_csv, data, {"command": command})
+    grid = config.anchor_grid(len(data))
+    scores = np.empty(len(grid), dtype=np.float64)
+    blocks = _scored_blocks(trace_blocks(data, config), scores)
+    _save(f"{stem}_pe.csv", write_trace_csv, blocks, asdict(config))
+    anchors = np.arange(grid.start, grid.stop, grid.step, dtype=np.int64)
+    rev = ReversalSeries(anchors, scores, float(scores.mean()))
+    _save(f"{stem}_reversal.csv", write_reversal_csv, rev, {"r_bar": repr(rev.r_bar)})
+    return rev.r_bar
+
+
 def _run_study(
     outdir: Path, system: str, series: TimeSeries, k: int, j_max: int, seed: int
 ) -> tuple[list[float], BinSweepResult]:
@@ -364,13 +419,8 @@ def _run_study(
     name = system.replace("-", "_")
 
     def write(label: str, data: TimeSeries) -> float:
-        stem = outdir / f"{name}_{label}"
-        _save(f"{stem}.csv", write_series_csv, data, {"command": f"reproduce {system}/{label}"})
-        traces = multi_tau_pe(data, config)
-        _save(f"{stem}_pe.csv", write_trace_csv, traces, asdict(config))
-        rev = reversal_series(traces)
-        _save(f"{stem}_reversal.csv", write_reversal_csv, rev, {"r_bar": repr(rev.r_bar)})
-        return rev.r_bar
+        command = f"reproduce {system}/{label}"
+        return _write_study_series(outdir / f"{name}_{label}", command, data, config)
 
     r_bars = [write("raw", series), write(f"mixed_k{k}", mixed)]
     sizes = np.arange(1, j_max + 1)

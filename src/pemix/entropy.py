@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from .ordinal import (
     encode_patterns,
     pattern_distribution,
 )
-from .series import TimeSeries
+from .series import TimeSeries, _check_finite
 
 __all__ = [
     "PEConfig",
@@ -29,6 +30,7 @@ __all__ = [
     "global_pe",
     "windowed_pe",
     "multi_tau_pe",
+    "trace_blocks",
 ]
 
 # Counts (changed anchors x ell!) and codes moved per block of the sliding
@@ -36,6 +38,12 @@ __all__ = [
 # cache.  On 300k Mackey-Glass points, blocks of 2**15 to 2**17 cells ran
 # within 10 % of each other at ell 4 and 6; 2**21 took 1.8 times as long.
 _BLOCK_CELLS = 1 << 17
+
+# Grid anchors per block of :func:`trace_blocks`.  A block's traces and the
+# kernel's working arrays take a few MB at six strides, whatever the length
+# of the series.  A multiple of ``series._CHUNK_ROWS``, so a streamed table
+# is formatted in the same pieces as a whole one.
+_BLOCK_ANCHORS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -311,3 +319,38 @@ def multi_tau_pe(series: TimeSeries, config: PEConfig) -> PETraceSet:
     for k, tau in enumerate(config.taus[1:], start=1):
         traces[k] = windowed_pe(series, config, tau).traces[0]
     return PETraceSet(tau_min=config.tau_min, anchors=first.anchors, traces=traces)
+
+
+def trace_blocks(series: TimeSeries, config: PEConfig) -> Iterator[PETraceSet]:
+    """The :func:`multi_tau_pe` traces of ``series``, one run of anchors at a time.
+
+    Each block holds at most ``_BLOCK_ANCHORS`` consecutive grid anchors,
+    numbered as positions in ``series``, and is computed by
+    :func:`multi_tau_pe` from only the points its windows cover.  Joined
+    along the anchors, the blocks equal ``multi_tau_pe(series, config)``
+    bit for bit, but no more than one block's matrix is held at a time.
+
+    The series is checked by this call, before any block is computed, so an
+    error names a position in ``series`` and comes before any output.
+
+    Raises:
+        InvalidInputError: On a non-finite value.
+        InsufficientDataError: If the series is shorter than one window.
+    """
+    values = series.values
+    _check_finite(values)
+    if len(series) < config.window:
+        raise InsufficientDataError(
+            f"series of length {len(series)} is shorter than one window of {config.window}"
+        )
+
+    def blocks() -> Iterator[PETraceSet]:
+        grid = config.anchor_grid(values.shape[0])
+        for a0 in range(0, len(grid), _BLOCK_ANCHORS):
+            points = config.covered_points(grid[a0 : a0 + _BLOCK_ANCHORS])
+            block = multi_tau_pe(TimeSeries(values[points]), config)
+            block.anchors[:] += points.start  # a fresh array: renumbered in place
+            yield block
+            del block  # released before the next block is computed
+
+    return blocks()

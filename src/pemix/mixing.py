@@ -12,15 +12,16 @@ stride ordering.
 
 from __future__ import annotations
 
+import collections
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .entropy import PEConfig, multi_tau_pe
+from .entropy import PEConfig, trace_blocks
 from .errors import InsufficientDataError, InvalidInputError
-from .reversal import reversal_series
-from .series import TimeSeries
+from .reversal import _scored_blocks
+from .series import TimeSeries, _check_finite
 
 __all__ = [
     "AnsatzConfig",
@@ -37,10 +38,6 @@ ZERO_RBAR_TOL = 1e-12
 
 # Generator behind mixing draws; recorded in output metadata.
 RNG_ALGORITHM = "pcg64"
-
-# Anchors scored per block of the bin sweep.  A block's traces and sort
-# order take a few MB at six strides, whatever the length of the series.
-_SWEEP_BLOCK_ANCHORS = 1 << 16
 
 # Windows per block of the mixing surrogate's mean and deviation, so the
 # (rows, 2k + 1) temporaries of one block stay a few MB.
@@ -78,10 +75,11 @@ def mixing_ansatz(series: TimeSeries, config: AnsatzConfig) -> TimeSeries:
     generator seeded with ``config.seed``, one per point in series
     order, so equal seeds give equal output.
 
-    The full windows are summarized in blocks of ``_ANSATZ_BLOCK_ROWS``
-    windows, so working memory is a few arrays of one value per point
-    whatever ``k``; each window's mean and deviation are those of the
-    whole-series computation bit for bit.
+    The draws are taken first and each is then scaled and shifted in
+    place, the full windows in blocks of ``_ANSATZ_BLOCK_ROWS``, so besides
+    the output only one block's statistics are held whatever ``k``; each
+    point is ``mu_n + sigma_n * z_n`` of the whole-series computation bit
+    for bit.
 
     Raises:
         InvalidInputError: On non-finite input values.
@@ -96,34 +94,23 @@ def mixing_ansatz(series: TimeSeries, config: AnsatzConfig) -> TimeSeries:
             f"series of length {n} is too short for neighborhood half-width k={k} "
             f"(needs more than {2 * k} points)"
         )
-    bad = ~np.isfinite(x)
-    if bad.any():
-        pos = int(np.argmax(bad))
-        raise InvalidInputError(f"non-finite value at position {pos}: {x[pos]}")
-    mu = np.empty(n, dtype=np.float64)
-    sigma = np.zeros(n, dtype=np.float64)
-    if k == 0:
-        mu[:] = x
-    else:
-        windows = np.lib.stride_tricks.sliding_window_view(x, 2 * k + 1)
-        for r0 in range(0, windows.shape[0], _ANSATZ_BLOCK_ROWS):
-            rows = windows[r0 : r0 + _ANSATZ_BLOCK_ROWS]
-            # Window r is centred on point k + r.
-            centres = slice(k + r0, k + r0 + rows.shape[0])
-            mu[centres] = rows.mean(axis=-1)
-            sigma[centres] = rows.std(axis=-1, ddof=1)
-        for i in range(k):
-            left = x[: i + k + 1]
-            mu[i] = left.mean()
-            sigma[i] = left.std(ddof=1)
-            right = x[n - 1 - i - k :]
-            mu[n - 1 - i] = right.mean()
-            sigma[n - 1 - i] = right.std(ddof=1)
-    rng = np.random.default_rng(config.seed)
-    draws = rng.standard_normal(n)
+    _check_finite(x)
+    draws = np.random.default_rng(config.seed).standard_normal(n)
     # mu + sigma * draws, in place.
-    draws *= sigma
-    draws += mu
+    if k == 0:
+        draws *= 0.0
+        draws += x
+        return series.replace_values(draws)
+    windows = np.lib.stride_tricks.sliding_window_view(x, 2 * k + 1)
+    for r0 in range(0, windows.shape[0], _ANSATZ_BLOCK_ROWS):
+        rows = windows[r0 : r0 + _ANSATZ_BLOCK_ROWS]
+        # Window r is centred on point k + r.
+        centres = draws[k + r0 : k + r0 + rows.shape[0]]
+        centres *= rows.std(axis=-1, ddof=1)
+        centres += rows.mean(axis=-1)
+    for i in range(k):
+        for point, edge in ((i, x[: i + k + 1]), (n - 1 - i, x[n - 1 - i - k :])):
+            draws[point] = draws[point] * edge.std(ddof=1) + edge.mean()
     return series.replace_values(draws)
 
 
@@ -228,14 +215,11 @@ def recommend_bin_size(
     raise AssertionError("a finite sequence always has a first local minimum")
 
 
-def _mean_reversal(values: np.ndarray, config: PEConfig) -> float:
-    """Mean reversal score of a series at least one window long, by blocks."""
-    grid = config.anchor_grid(values.shape[0])
-    scores = np.empty(len(grid), dtype=np.float64)
-    for a0 in range(0, len(grid), _SWEEP_BLOCK_ANCHORS):
-        block = grid[a0 : a0 + _SWEEP_BLOCK_ANCHORS]
-        points = TimeSeries(values[config.covered_points(block)])
-        scores[a0 : a0 + len(block)] = reversal_series(multi_tau_pe(points, config)).r_values
+def _mean_reversal(series: TimeSeries, config: PEConfig) -> float:
+    """Mean reversal score of a series at least one window long, block by block."""
+    scores = np.empty(len(config.anchor_grid(len(series))), dtype=np.float64)
+    # Drained without keeping a block while the next is computed.
+    collections.deque(_scored_blocks(trace_blocks(series, config), scores), maxlen=0)
     return float(scores.mean())
 
 
@@ -252,16 +236,18 @@ def bin_sweep(
     fewer points than one entropy window are marked insufficient and
     skipped by the recommendation.
 
-    Each size is scored in blocks of ``_SWEEP_BLOCK_ANCHORS`` anchors:
-    the traces of a block come from the slice of the binned series its
-    windows cover, and only the per-anchor scores are kept, so no
-    strides x anchors matrix of the whole series is ever held.  The mean
-    is taken once over all scores, so ``r_bars[i]`` equals
+    Each size is scored block by block from
+    :func:`~pemix.entropy.trace_blocks` of the binned series, and only the
+    per-anchor scores are kept, so no strides x anchors matrix of the
+    whole series is ever held.  The mean is taken once over all scores, so
+    ``r_bars[i]`` equals
     ``reversal_series(multi_tau_pe(bin_average(series, j), pe_config)).r_bar``
-    bit for bit.
+    bit for bit.  The input is checked for non-finite values once, before
+    any binning, so an error names the position in ``series``.
 
     Raises:
-        InvalidInputError: On an empty or non-positive candidate list.
+        InvalidInputError: On an empty or non-positive candidate list, or
+            a non-finite value.
         InsufficientDataError: If no candidate leaves enough data.
     """
     sizes = sorted({int(j) for j in j_range})
@@ -269,13 +255,14 @@ def bin_sweep(
         raise InvalidInputError("bin size range is empty")
     if sizes[0] < 1:
         raise InvalidInputError(f"bin sizes must be >= 1, got {sizes[0]}")
+    _check_finite(series.values)
     n = len(series)
     r_bars = np.full(len(sizes), np.nan, dtype=np.float64)
     sufficient = np.zeros(len(sizes), dtype=bool)
     for idx, j in enumerate(sizes):
         if n // j < pe_config.window:
             continue
-        r_bars[idx] = _mean_reversal(bin_average(series, j).values, pe_config)
+        r_bars[idx] = _mean_reversal(bin_average(series, j), pe_config)
         sufficient[idx] = True
     if not sufficient.any():
         raise InsufficientDataError(

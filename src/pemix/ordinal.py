@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientDataError, InvalidInputError
-from .series import TimeSeries
+from .series import TimeSeries, _check_finite
 
 __all__ = [
     "PatternConfig",
@@ -119,10 +119,7 @@ def encode_patterns(values: np.ndarray, ell: int, tau: int) -> np.ndarray:
     _check_ell_fits(ell)
     if tau < 1:
         raise InvalidInputError(f"tau must be >= 1, got {tau}")
-    bad = ~np.isfinite(arr)
-    if bad.any():
-        pos = int(np.argmax(bad))
-        raise InvalidInputError(f"non-finite value at position {pos}: {arr[pos]}")
+    _check_finite(arr)
     span = (ell - 1) * tau
     n_pat = arr.shape[0] - span
     if n_pat < 1:

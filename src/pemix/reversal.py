@@ -12,6 +12,7 @@ any permutation can reach.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -103,6 +104,21 @@ def reversal_series(traces: PETraceSet) -> ReversalSeries:
         r_values=r_values,
         r_bar=float(r_values.mean()),
     )
+
+
+def _scored_blocks(blocks: Iterable[PETraceSet], scores: np.ndarray) -> Iterator[PETraceSet]:
+    """Pass trace blocks through, writing each one's scores into ``scores``.
+
+    The :func:`reversal_series` scores of each block fill the next cells of
+    ``scores``, so once the blocks are drained ``scores`` holds the scores
+    of the joined blocks and its mean is their ``r_bar`` bit for bit.
+    """
+    a0 = 0
+    for block in blocks:
+        scores[a0 : a0 + len(block)] = reversal_series(block).r_values
+        a0 += len(block)
+        yield block
+        del block  # released before the next block is computed
 
 
 def windowed_rbar(rev: ReversalSeries, window: int, hop: int = 1) -> ReversalSeries:

@@ -18,7 +18,7 @@ import operator
 import re
 import warnings
 from dataclasses import dataclass, field
-from typing import IO, Mapping, NamedTuple, Sequence
+from typing import IO, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -114,6 +114,18 @@ _SERIES_DTYPE = np.dtype([("time", "f8"), ("value", "f8")])
 _CHUNK_ROWS = 512
 
 
+def _check_finite(values: np.ndarray) -> None:
+    """Reject a NaN or infinite value, naming its position in ``values``.
+
+    Raises:
+        InvalidInputError: On the first non-finite value.
+    """
+    bad = ~np.isfinite(values)
+    if bad.any():
+        pos = int(np.argmax(bad))
+        raise InvalidInputError(f"non-finite value at position {pos}: {values[pos]}")
+
+
 class TableHeader(NamedTuple):
     """A table's lines up to and including its column line."""
 
@@ -131,21 +143,30 @@ def write_header(stream: IO[str], tag: str, metadata: Mapping[str, object]) -> N
 
 
 def write_table(
-    stream: IO[str], tag: str, metadata: Mapping[str, object], columns: str, data: Sequence
+    stream: IO[str],
+    tag: str,
+    metadata: Mapping[str, object],
+    columns: str,
+    blocks: Iterable[Sequence[np.ndarray]],
 ) -> None:
-    """Write the header, the ``columns`` line, then one row per index of ``data``.
+    """Write the header, the ``columns`` line, then the rows of each block in turn.
 
-    ``data`` holds one equal-length 1-D array of 8-byte items per column.
-    Each cell is the ``repr`` of the array's ``tolist()`` item, so integers
-    print as integers and floats read back bit for bit.  Within a block of
+    A block holds one equal-length 1-D array of 8-byte items per column,
+    and its rows follow those of the block before, so a table can be
+    written while later blocks are still being computed.  Each cell is the
+    ``repr`` of the array's ``tolist()`` item, so integers print as
+    integers and floats read back bit for bit.  Within a piece of
     ``_CHUNK_ROWS`` rows each distinct bit pattern of a column is formatted
     once, which pays off on traces that repeat a value anchor after anchor.
+    The bytes do not depend on how the rows are split into blocks.
     """
     write_header(stream, tag, metadata)
     stream.write(f"{columns}\n")
-    for start in range(0, len(data[0]), _CHUNK_ROWS):
-        cells = [_cells(column[start : start + _CHUNK_ROWS]) for column in data]
-        stream.write("\n".join(map(",".join, zip(*cells))) + "\n")
+    for data in blocks:
+        for start in range(0, len(data[0]), _CHUNK_ROWS):
+            cells = [_cells(column[start : start + _CHUNK_ROWS]) for column in data]
+            stream.write("\n".join(map(",".join, zip(*cells))) + "\n")
+        del data  # released before the next block is computed
 
 
 def _cells(block: np.ndarray) -> list[str]:
@@ -229,7 +250,7 @@ def write_series_csv(
         "origin": repr(series.origin),
     }
     header.update(metadata or {})
-    write_table(stream, _FORMAT_TAG, header, _COLUMNS, (series.times(), series.values))
+    write_table(stream, _FORMAT_TAG, header, _COLUMNS, [(series.times(), series.values)])
 
 
 def read_series_csv(stream: IO[str]) -> tuple[TimeSeries, dict[str, str]]:

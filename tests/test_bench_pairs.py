@@ -37,3 +37,26 @@ def test_summary_counts_wins_by_each_metric_direction():
     assert wall["median_change_pct"] == 50.0
     ok = entry["ok_frac"]
     assert (ok["change_wins"], ok["ties"]) == (0, 2)
+
+
+def ten_pairs(parent, change, ok=(1.0, 1.0)):
+    runs = []
+    for seed, (p, c) in enumerate(zip(parent, change)):
+        runs += [run(seed, "parent", p, ok=ok[0]), run(seed, "change", c, ok=ok[1])]
+    return bench_pairs.summarize(runs, METRICS)["w"]
+
+
+def test_gain_shown_needs_nine_wins_in_ten_and_a_gap_wider_than_the_parent_iqr():
+    parent = [10.0, 10.2, 10.4, 10.6, 10.8, 11.0, 11.2, 11.4, 11.6, 11.8]  # IQR 0.9
+    faster = [p - 1.0 for p in parent]
+    assert ten_pairs(parent, faster)["wall_s"]["gain_shown"] is True
+    # Nine wins are enough; eight are not.
+    assert ten_pairs(parent, faster[:9] + [12.0])["wall_s"]["gain_shown"] is True
+    assert ten_pairs(parent, faster[:8] + [12.0, 12.0])["wall_s"]["gain_shown"] is False
+    # Ten wins by less than the parent's spread show no gain.
+    closer = [p - 0.5 for p in parent]
+    assert ten_pairs(parent, closer)["wall_s"]["gain_shown"] is False
+    # Ties show no gain, and a higher-is-better metric needs a rise.
+    assert ten_pairs(parent, faster)["ok_frac"]["gain_shown"] is False
+    assert ten_pairs(parent, faster, ok=(0.5, 0.9))["ok_frac"]["gain_shown"] is True
+    assert ten_pairs(parent, faster, ok=(0.9, 0.5))["ok_frac"]["gain_shown"] is False

@@ -4,10 +4,17 @@ Every test drives ``pemix.cli.main`` in process with an argv list, so exit
 codes and file contents can be asserted without spawning subprocesses.
 """
 
+import io
 import json
+import tempfile
+from dataclasses import asdict
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pemix import (
     AnsatzConfig,
@@ -24,10 +31,13 @@ from pemix import (
     regularize,
     reversal_series,
     sine_series,
+    write_series_csv,
 )
+from pemix import TimeSeries
 from pemix import cli
-from pemix import mixing as mixing_module
+from pemix import entropy as entropy_module
 from pemix.cli import main, read_trace_csv
+from pemix.series import write_table
 
 
 def run(*argv):
@@ -185,6 +195,58 @@ class TestPeAndReversal:
         np.testing.assert_array_equal(
             [float(r[1]) for r in rows], expected.r_values
         )
+
+
+    @pytest.mark.parametrize("block", [1, 3, 512])
+    def test_pe_streams_the_bytes_of_the_whole_matrix(self, tmp_path, block):
+        src = tmp_path / "src.csv"
+        run("generate", "sine", "--period", 50, "--n", 1501, "-o", src)
+        out = tmp_path / "pe.csv"
+        with mock.patch.object(entropy_module, "_BLOCK_ANCHORS", block):
+            assert run("pe", "-i", src, "--window", 300, "--hop", 7, "-o", out) == 0
+        traces = multi_tau_pe(sine_series(1.0, 50, 1501), PEConfig(window=300, hop=7))
+        whole = io.StringIO()
+        cli.write_trace_csv(whole, traces, {})
+
+        def rows(text):
+            return [line for line in text.splitlines() if not line.startswith("#")]
+
+        assert rows(out.read_text(encoding="utf-8")) == rows(whole.getvalue())
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        half=st.integers(8, 40),
+        levels=st.integers(2, 50),
+        seed=st.integers(0, 2**16),
+        window=st.integers(7, 12),
+        tau_max=st.integers(2, 3),
+        hop=st.integers(1, 4),
+        block=st.integers(1, 5),
+    )
+    def test_streamed_study_files_equal_the_whole_matrix_tables(
+        self, half, levels, seed, window, tau_max, hop, block
+    ):
+        # Odd lengths and few distinct values, so windows tie and repeat;
+        # blocks of 1-5 anchors put block edges everywhere.
+        values = np.random.default_rng(seed).integers(0, levels, 2 * half + 1).astype(float)
+        series = TimeSeries(values)
+        config = PEConfig(ell=3, window=window, tau_min=1, tau_max=tau_max, hop=hop)
+        traces = multi_tau_pe(series, config)
+        rev = reversal_series(traces)
+        columns = "anchor," + ",".join(f"pe_tau{tau}" for tau in config.taus)
+        tables = {"pe": io.StringIO(), "reversal": io.StringIO()}
+        write_table(tables["pe"], "pemix-traces v1", asdict(config), columns,
+                    [[traces.anchors, *traces.traces]])
+        write_table(tables["reversal"], "pemix-reversal v1", {"r_bar": repr(rev.r_bar)},
+                    "anchor,reversal", [(rev.anchors, rev.r_values)])
+        with tempfile.TemporaryDirectory() as tmp:
+            stem = Path(tmp) / "s"
+            with mock.patch.object(entropy_module, "_BLOCK_ANCHORS", block):
+                r_bar = cli._write_study_series(stem, "test", series, config)
+            for kind, table in tables.items():
+                text = Path(f"{stem}_{kind}.csv").read_text(encoding="utf-8")
+                assert text == table.getvalue(), kind
+        assert np.float64(r_bar).view(np.int64) == np.float64(rev.r_bar).view(np.int64)
 
 
 class TestBinCommands:
@@ -369,6 +431,26 @@ class TestExitCodes:
         assert "--median-width" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["pe", "binsweep"])
+    def test_non_finite_series_value_is_2_and_named_by_input_position(
+        self, tmp_path, capsys, command
+    ):
+        # Blocks of 64 anchors and bins of 2: the NaN lies in neither the
+        # first block nor at its own index in the binned series.
+        values = np.sin(np.arange(1000) / 7.0)
+        values[731] = np.nan
+        src = tmp_path / "src.csv"
+        with open(src, "w", encoding="utf-8") as stream:
+            write_series_csv(stream, TimeSeries(values))
+        out = tmp_path / "out.csv"
+        flags = ["--window", 100, "--tau-max", 3, "-o", out]
+        if command == "binsweep":
+            flags = ["--j-min", 2, "--j-max", 3, *flags]
+        with mock.patch.object(entropy_module, "_BLOCK_ANCHORS", 64):
+            assert run(command, "-i", src, *flags) == 2
+        assert "non-finite value at position 731: nan" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_input_is_4(self, tmp_path):
         code = run("pe", "-i", tmp_path / "absent.csv", "-o", tmp_path / "x.csv")
         assert code == 4
@@ -415,8 +497,8 @@ class TestReproduce:
             return multi_tau_pe(series, config)
 
         monkeypatch.setattr(cli, "mixing_ansatz", mix)
-        monkeypatch.setattr(cli, "multi_tau_pe", count)
-        monkeypatch.setattr(mixing_module, "multi_tau_pe", count)
+        # Every trace computation goes through the block iterator's binding.
+        monkeypatch.setattr(entropy_module, "multi_tau_pe", count)
         series = mackey_glass_series(MackeyGlassParams(steps=22_000))
         r_bars, sweep = cli._run_study(tmp_path, "mackey-glass", series, 4, 5, 3)
         (values,) = (m.values for m in mixed)

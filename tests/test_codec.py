@@ -19,9 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pemix.series
+import pemix.entropy
 from pemix import (
     AnsatzConfig, InvalidInputError, MackeyGlassParams, PEConfig, PETraceSet,
-    TimeSeries, mackey_glass_series, mixing_ansatz, multi_tau_pe,
+    TimeSeries, mackey_glass_series, mixing_ansatz, multi_tau_pe, trace_blocks,
 )
 from pemix import read_series_csv, write_series_csv
 from pemix.cli import read_trace_csv, write_reversal_csv, write_trace_csv
@@ -186,6 +187,48 @@ class TestCodecMemory:
         # Both sizes hold one write block of cell strings at a time; a
         # stacked copy of the values would add 16 bytes per extra row.
         assert peaks[200_000] - peaks[50_000] < 64 * 1024, peaks
+
+
+    def test_streamed_trace_write_does_not_grow_with_anchors(self):
+        config = PEConfig(window=1000)
+        grown = {}
+        for name, traces in (("streamed", trace_blocks), ("matrix", multi_tau_pe)):
+            peaks = {}
+            for n in (12_000, 36_000):
+                series = TimeSeries(np.random.default_rng(5).standard_normal(n))
+                with open(os.devnull, "w", encoding="utf-8") as sink:
+                    # Blocks of 1024 anchors, so both lengths fill whole blocks.
+                    with mock.patch.object(pemix.entropy, "_BLOCK_ANCHORS", 1024):
+                        tracemalloc.start()
+                        write_trace_csv(sink, traces(series, config), {"ell": 4})
+                        peaks[n] = tracemalloc.get_traced_memory()[1]
+                        tracemalloc.stop()
+            grown[name] = (peaks[36_000] - peaks[12_000]) / 24_000
+        # One block at a time; the whole strides x anchors matrix alone
+        # takes 48 bytes per anchor at six strides.
+        assert grown["streamed"] <= 4, grown
+        assert grown["matrix"] >= 48, grown
+
+    def test_streamed_trace_write_lets_go_of_each_block_once_written(self):
+        series = TimeSeries(np.random.default_rng(5).standard_normal(45_000))
+        block_bytes = 7 * 8192 * 8  # anchors and six strides
+        held = []
+        compute = pemix.entropy.multi_tau_pe
+
+        def probe(*args):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return compute(*args)
+
+        with open(os.devnull, "w", encoding="utf-8") as sink:
+            with mock.patch.object(pemix.entropy, "_BLOCK_ANCHORS", 8192), \
+                    mock.patch.object(pemix.entropy, "multi_tau_pe", probe):
+                tracemalloc.start()
+                write_trace_csv(sink, trace_blocks(series, PEConfig(window=1000)), {})
+                tracemalloc.stop()
+        # While each block is computed, no earlier block is still held: only
+        # the cell strings of the last 512 rows written, about half a block.
+        assert len(held) == 6
+        assert max(held) - held[0] < block_bytes, (held, block_bytes)
 
 
 class TestErrorsNameTheFileLine:

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pemix.entropy as entropy_module
+import pemix.series
 from pemix import (
     AnsatzConfig,
     InsufficientDataError,
@@ -25,6 +27,7 @@ from pemix import (
     multi_tau_pe,
     pattern_distribution,
     permutation_entropy,
+    trace_blocks,
     windowed_pe,
 )
 
@@ -333,6 +336,44 @@ class TestMultiTauPE:
         # anchors per stride would add almost 6/7 again.
         table_bytes = (len(config.taus) + 1) * n_anchors * 8
         assert retained <= 1.1 * table_bytes, f"{retained} bytes for a {table_bytes}-byte table"
+
+
+class TestTraceBlocks:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        values=st.lists(st.integers(0, 3), min_size=12, max_size=71),
+        window=st.integers(7, 12),
+        tau_max=st.integers(2, 3),
+        hop=st.integers(1, 4),
+        block=st.integers(1, 5),
+    )
+    def test_joined_blocks_equal_the_whole_series_traces(
+        self, values, window, tau_max, hop, block
+    ):
+        series = TimeSeries(np.asarray(values, dtype=np.float64))
+        config = PEConfig(ell=3, window=window, tau_min=1, tau_max=tau_max, hop=hop)
+        if len(series) < window:
+            return
+        whole = multi_tau_pe(series, config)
+        with mock.patch.object(entropy_module, "_BLOCK_ANCHORS", block):
+            blocks = list(trace_blocks(series, config))
+        assert all(0 < len(b) <= block and b.tau_min == 1 for b in blocks)
+        np.testing.assert_array_equal(np.concatenate([b.anchors for b in blocks]), whole.anchors)
+        joined = np.concatenate([b.traces for b in blocks], axis=1)
+        np.testing.assert_array_equal(joined.view(np.int64), whole.traces.view(np.int64))
+
+    def test_series_is_checked_before_the_first_block(self):
+        config = PEConfig(ell=3, window=20, tau_max=3)
+        values = np.arange(100.0)
+        values[83] = np.nan
+        with mock.patch.object(entropy_module, "_BLOCK_ANCHORS", 4):
+            with pytest.raises(InvalidInputError, match="^non-finite value at position 83: nan$"):
+                trace_blocks(TimeSeries(values), config)
+        with pytest.raises(InsufficientDataError, match="shorter than one window of 20"):
+            trace_blocks(TimeSeries(np.arange(19.0)), config)
+
+    def test_blocks_are_whole_write_pieces(self):
+        assert entropy_module._BLOCK_ANCHORS % pemix.series._CHUNK_ROWS == 0
 
 
 class TestPEConfig:

@@ -21,6 +21,7 @@ from pemix import (
     recommend_bin_size,
     reversal_series,
 )
+from pemix import entropy as entropy_module
 from pemix import mixing as mixing_module
 
 from oracles import ansatz_moments, bin_means, clipped_window_stats
@@ -106,11 +107,11 @@ class TestMixingAnsatz:
             mixing_ansatz(series, AnsatzConfig(k=4, seed=1))
             peaks[n] = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
-        # Means, deviations and draws: 24 bytes per point.  Summarizing all
-        # 9-point windows at once takes 72 bytes per point for the
-        # deviations alone.
+        # The draws, scaled and shifted in place: 8 bytes per point.  Arrays
+        # of means and deviations add 16, and summarizing all 9-point
+        # windows at once takes 72 for the deviations alone.
         grown = (peaks[400_000] - peaks[100_000]) / 300_000
-        assert grown <= 40, f"{grown:.1f} bytes per point"
+        assert grown <= 12, f"{grown:.1f} bytes per point"
 
     def test_metadata_preserved(self):
         series = TimeSeries(np.arange(30.0), spacing=0.5, unit="seconds", origin=2.0)
@@ -266,10 +267,23 @@ class TestBinSweep:
                 expected[idx] = reversal_series(traces).r_bar
         if np.isnan(expected).all():
             return
-        with mock.patch.object(mixing_module, "_SWEEP_BLOCK_ANCHORS", block):
+        with mock.patch.object(entropy_module, "_BLOCK_ANCHORS", block):
             result = bin_sweep(series, sizes, config)
         np.testing.assert_array_equal(result.r_bars.view(np.int64), expected.view(np.int64))
         np.testing.assert_array_equal(result.sufficient, np.isfinite(expected))
+
+    @pytest.mark.parametrize("block", [1, 4, 64])
+    @pytest.mark.parametrize("position", [0, 150, 377, 399])
+    def test_non_finite_value_is_named_by_its_input_position(self, block, position):
+        # Bins of 2 and 3 and blocks of anchors would each shift a position
+        # found in a binned slice.
+        values = np.sin(np.arange(400) / 5.0)
+        values[position] = np.inf
+        config = PEConfig(ell=3, window=40, tau_min=1, tau_max=3)
+        message = f"^non-finite value at position {position}: inf$"
+        with mock.patch.object(entropy_module, "_BLOCK_ANCHORS", block):
+            with pytest.raises(InvalidInputError, match=message):
+                bin_sweep(TimeSeries(values), range(2, 4), config)
 
     def test_peak_memory_grows_by_a_few_arrays_per_point(self):
         config = PEConfig(window=1000)

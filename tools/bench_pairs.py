@@ -5,9 +5,9 @@ Run from the repository root::
     python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD \\
         --workload study-sweeps --seeds 301-310 --out BENCH_10.json
 
-Both commits of this repository are checked out with ``git worktree add
---detach`` under ``--work``, and each checkout runs its own, unchanged
-``bench/run.py`` for the ``run_seconds`` that ``BENCHMARK.json`` sets::
+Both commits of this repository are exported with ``git archive`` into
+``--work``, and each copy runs its own, unchanged ``bench/run.py`` for the
+``run_seconds`` that ``BENCHMARK.json`` sets::
 
     python3 bench/run.py --workload W --seed S --seconds N --trace T
 
@@ -18,11 +18,14 @@ must hold identical ``bench/`` files and ``BENCHMARK.json``.
 
 The record holds every result line (``runs``), and per workload and
 end-to-end metric the median and quartiles of each side, the pairs the
-change won or tied, and the change of the median in percent
-(``summary``).  ``--traced-seed`` adds one ``--trace 1`` run per side
+change won or tied, the change of the median in percent and a verdict
+(``summary``).  The verdict ``gain_shown`` holds when the change won at
+least nine in ten pairs and its median beats the parent's by more than the
+parent's interquartile range, so a gain stands out of the run-to-run
+spread.  ``--traced-seed`` adds one ``--trace 1`` run per side
 (``traced_runs``).  The record is rewritten after every run, so an
-interrupted run keeps what it measured.  The checkouts are removed at
-the end.
+interrupted run keeps what it measured.  The copies are removed at the
+end.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -57,10 +61,13 @@ def _seeds(text: str) -> list[int]:
 
 
 def _checkout(work: Path, side: str, commit: str) -> Path:
+    """The committed files of ``commit`` in a fresh ``work/side``."""
     path = work / side
-    if path.exists():
-        _git("worktree", "remove", "--force", str(path))
-    _git("worktree", "add", "--detach", str(path), commit)
+    shutil.rmtree(path, ignore_errors=True)
+    path.mkdir(parents=True)
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", commit],
+                             check=True, capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(path)], input=archive, check=True)
     return path
 
 
@@ -75,13 +82,17 @@ def _run(checkout: Path, workload: str, seed: int, seconds: int, trace: int) -> 
     return json.loads(lines[-1])
 
 
-def _quartiles(values: list[float]) -> dict[str, float]:
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+def _quartiles(values: list[float]) -> list[float]:
+    return statistics.quantiles(values, n=4, method="inclusive")
+
+
+def _rounded(quartiles: list[float]) -> dict[str, float]:
+    q1, median, q3 = quartiles
     return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
 
 
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
-    """Per workload and metric: quartiles per side, pair wins, median change."""
+    """Per workload and metric: quartiles per side, pair wins, median change, verdict."""
     summary: dict[str, dict] = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         pairs: dict[int, dict[str, dict]] = {}
@@ -99,13 +110,17 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
             change = [p["change"][name]["value"] for p in pairs.values()]
             wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
             ties = sum(c == p for p, c in zip(parent, change))
-            before, after = statistics.median(parent), statistics.median(change)
+            before, after = _quartiles(parent), _quartiles(change)
+            gain = (before[1] - after[1]) if lower else (after[1] - before[1])
             entry[name] = {
-                "parent": _quartiles(parent),
-                "change": _quartiles(change),
+                "parent": _rounded(before),
+                "change": _rounded(after),
                 "change_wins": wins,
                 "ties": ties,
-                "median_change_pct": round(100.0 * (after - before) / before, 1) if before else 0.0,
+                "median_change_pct": (
+                    round(100.0 * (after[1] - before[1]) / before[1], 1) if before[1] else 0.0
+                ),
+                "gain_shown": 10 * wins >= 9 * len(pairs) and gain > before[2] - before[0],
             }
         summary[workload] = entry
     return summary
@@ -143,8 +158,8 @@ def main(argv: list[str] | None = None) -> int:
         "host": f"{platform.system()} {platform.machine()}, {os.cpu_count()} CPUs, "
                 f"Python {platform.python_version()}, numpy {numpy.__version__}",
         "method": "alternating pairs: for each workload and seed the parent and the change ran "
-                  "one after the other, each in its own git worktree with identical bench/ "
-                  "files, the side that ran first alternating from seed to seed",
+                  "one after the other, each in its own git archive copy with identical "
+                  "bench/ files, the side that ran first alternating from seed to seed",
         "claim": args.claim,
         "summary": {},
         "runs": [],
@@ -172,7 +187,7 @@ def main(argv: list[str] | None = None) -> int:
                 measure("traced_runs", workload, args.traced_seed, 0, 1)
     finally:
         for path in checkouts.values():
-            _git("worktree", "remove", "--force", str(path))
+            shutil.rmtree(path, ignore_errors=True)
     return 0
 
 
