@@ -47,7 +47,15 @@ from .mixing import (
     mixing_ansatz,
     recommend_bin_size,
 )
-from .reversal import ReversalSeries, _scored_blocks, reversal_series, windowed_rbar
+from .reversal import (
+    ReversalSeries,
+    _exact_mean,
+    _scored_blocks,
+    _series_blocks,
+    lambda_for_range,
+    reversal_series,
+    windowed_rbar,
+)
 from .series import (
     TimeSeries,
     read_header,
@@ -150,9 +158,16 @@ def read_trace_csv(stream: IO[str]) -> tuple[PETraceSet, dict[str, str]]:
     return PETraceSet(taus[0], table["anchor"], table["pe"].T), header.metadata
 
 
-def write_reversal_csv(stream: IO[str], rev: ReversalSeries, metadata: Mapping[str, object]) -> None:
-    columns = "anchor,reversal"
-    write_table(stream, _REVERSAL_TAG, metadata, columns, [(rev.anchors, rev.r_values)])
+def write_reversal_csv(
+    stream: IO[str], rev: ReversalSeries | Iterable[ReversalSeries], metadata: Mapping[str, object]
+) -> None:
+    """Write one score series, or its blocks in anchor order as they arrive.
+
+    The bytes are those of the joined series; ``metadata`` carries any mean.
+    """
+    blocks = [rev] if isinstance(rev, ReversalSeries) else rev
+    rows = ((block.anchors, block.r_values) for block in blocks)
+    write_table(stream, _REVERSAL_TAG, metadata, "anchor,reversal", rows)
 
 
 def write_sweep_csv(stream: IO[str], result: BinSweepResult, metadata: Mapping[str, object]) -> None:
@@ -390,17 +405,19 @@ def _write_study_series(stem: Path, command: str, data: TimeSeries, config: PECo
     return the mean reversal score.
 
     The traces are streamed block by block into their file and scored as
-    they pass, so only the per-anchor scores of the whole series are held.
+    they pass, so of the whole series only one small integer displacement
+    per anchor is held.  The score rows are written from those in blocks.
     """
     _save(f"{stem}.csv", write_series_csv, data, {"command": command})
     grid = config.anchor_grid(len(data))
-    scores = np.empty(len(grid), dtype=np.float64)
-    blocks = _scored_blocks(trace_blocks(data, config), scores)
+    lam = lambda_for_range(config.tau_min, config.tau_max)
+    displacements = np.empty(len(grid), dtype=np.min_scalar_type(lam))
+    blocks = _scored_blocks(trace_blocks(data, config), displacements)
     _save(f"{stem}_pe.csv", write_trace_csv, blocks, asdict(config))
-    anchors = np.arange(grid.start, grid.stop, grid.step, dtype=np.int64)
-    rev = ReversalSeries(anchors, scores, float(scores.mean()))
-    _save(f"{stem}_reversal.csv", write_reversal_csv, rev, {"r_bar": repr(rev.r_bar)})
-    return rev.r_bar
+    r_bar = _exact_mean(displacements, lam)
+    rows = _series_blocks(grid, displacements, lam)
+    _save(f"{stem}_reversal.csv", write_reversal_csv, rows, {"r_bar": repr(r_bar)})
+    return r_bar
 
 
 def _run_study(
@@ -412,17 +429,21 @@ def _run_study(
     three mean reversal scores (raw, mixed, binned).
 
     The mixed series' traces are computed once: their mean score is the
-    sweep's ``j = 1`` point, so only ``j >= 2`` is swept.
+    sweep's ``j = 1`` point, so only ``j >= 2`` is swept.  ``series`` is
+    written before it is mixed and let go of once mixed, so a caller that
+    passes it without keeping it holds two series only while mixing.
     """
     config = PEConfig()
-    mixed = mixing_ansatz(series, AnsatzConfig(k=k, seed=seed))
     name = system.replace("-", "_")
 
     def write(label: str, data: TimeSeries) -> float:
         command = f"reproduce {system}/{label}"
         return _write_study_series(outdir / f"{name}_{label}", command, data, config)
 
-    r_bars = [write("raw", series), write(f"mixed_k{k}", mixed)]
+    r_bars = [write("raw", series)]
+    mixed = mixing_ansatz(series, AnsatzConfig(k=k, seed=seed))
+    del series
+    r_bars.append(write(f"mixed_k{k}", mixed))
     sizes = np.arange(1, j_max + 1)
     scores = np.concatenate(([r_bars[1]], bin_sweep(mixed, sizes[1:], config).r_bars))
     sweep = BinSweepResult(sizes, scores, np.isfinite(scores), *recommend_bin_size(sizes, scores))
@@ -454,8 +475,10 @@ def _study_series(system: str, scale: str) -> TimeSeries:
 
 def _reproduce_study(outdir: Path, system: str, scale: str, seed: int) -> list[dict[str, object]]:
     _, prefix, k, j_max, (lo, hi), strict = _STUDIES[system]
-    series = _study_series(system, scale)
-    (raw, mixed, binned), sweep = _run_study(outdir, system, series, k, j_max, seed)
+    # Passed without a name, so the raw series is freed once it is written.
+    (raw, mixed, binned), sweep = _run_study(
+        outdir, system, _study_series(system, scale), k, j_max, seed
+    )
     tol = 0.0 if strict and scale == "full" else 0.02
     j = sweep.recommended_j
     checks = [

@@ -34,16 +34,16 @@ __all__ = [
 ]
 
 # Counts (changed anchors x ell!) and codes moved per block of the sliding
-# kernel: 1 MB of int64, so a block's counts and their table gather stay in
-# cache.  On 300k Mackey-Glass points, blocks of 2**15 to 2**17 cells ran
+# kernel: 256 KB of int64, so a block's counts and their table gather stay
+# in cache.  On 300k Mackey-Glass points, blocks of 2**15 to 2**17 cells ran
 # within 10 % of each other at ell 4 and 6; 2**21 took 1.8 times as long.
-_BLOCK_CELLS = 1 << 17
+_BLOCK_CELLS = 1 << 15
 
 # Grid anchors per block of :func:`trace_blocks`.  A block's traces and the
-# kernel's working arrays take a few MB at six strides, whatever the length
-# of the series.  A multiple of ``series._CHUNK_ROWS``, so a streamed table
-# is formatted in the same pieces as a whole one.
-_BLOCK_ANCHORS = 1 << 16
+# kernel's working arrays take well under a MB per stride, whatever the
+# length of the series.  A multiple of ``series._CHUNK_ROWS``, so a streamed
+# table is formatted in the same pieces as a whole one.
+_BLOCK_ANCHORS = 1 << 14
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ stride ordering.
 
 from __future__ import annotations
 
-import collections
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from .entropy import PEConfig, trace_blocks
 from .errors import InsufficientDataError, InvalidInputError
-from .reversal import _scored_blocks
+from .reversal import lambda_for_range, reversal_series
 from .series import TimeSeries, _check_finite
 
 __all__ = [
@@ -40,8 +39,8 @@ ZERO_RBAR_TOL = 1e-12
 RNG_ALGORITHM = "pcg64"
 
 # Windows per block of the mixing surrogate's mean and deviation, so the
-# (rows, 2k + 1) temporaries of one block stay a few MB.
-_ANSATZ_BLOCK_ROWS = 1 << 16
+# (rows, 2k + 1) temporaries of one block stay a few hundred KB.
+_ANSATZ_BLOCK_ROWS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -123,6 +122,10 @@ def bin_average(series: TimeSeries, j: int) -> TimeSeries:
     spacing is ``j`` times the input spacing and the origin moves to the
     center of the first bin.
 
+    ``j = 1`` returns the input values themselves, not a copy: the mean
+    of one value is that value, so a ``-0.0`` stays ``-0.0`` (numpy's
+    ``mean`` of ``[-0.0]`` reads ``0.0``).
+
     Raises:
         InvalidInputError: If ``j < 1`` or the series is shorter than ``j``.
     """
@@ -133,7 +136,9 @@ def bin_average(series: TimeSeries, j: int) -> TimeSeries:
     if n < j:
         raise InvalidInputError(f"series of length {n} is shorter than one bin of {j}")
     n_bins = n // j
-    values = series.values[: n_bins * j].reshape(n_bins, j).mean(axis=1)
+    values = series.values
+    if j > 1:
+        values = values[: n_bins * j].reshape(n_bins, j).mean(axis=1)
     return TimeSeries(
         values=values,
         spacing=series.spacing * j,
@@ -216,11 +221,17 @@ def recommend_bin_size(
 
 
 def _mean_reversal(series: TimeSeries, config: PEConfig) -> float:
-    """Mean reversal score of a series at least one window long, block by block."""
-    scores = np.empty(len(config.anchor_grid(len(series))), dtype=np.float64)
-    # Drained without keeping a block while the next is computed.
-    collections.deque(_scored_blocks(trace_blocks(series, config), scores), maxlen=0)
-    return float(scores.mean())
+    """Mean reversal score of a series at least one window long, block by block.
+
+    One running integer total of the displacements is kept, and the mean is
+    that total over ``anchors * lambda``, rounded once.
+    """
+    total = 0
+    for block in trace_blocks(series, config):
+        total += int(reversal_series(block).displacements.sum(dtype=np.int64))
+        del block  # released before the next block is computed
+    anchors = len(config.anchor_grid(len(series)))
+    return total / (anchors * lambda_for_range(config.tau_min, config.tau_max))
 
 
 def bin_sweep(
@@ -237,10 +248,11 @@ def bin_sweep(
     skipped by the recommendation.
 
     Each size is scored block by block from
-    :func:`~pemix.entropy.trace_blocks` of the binned series, and only the
-    per-anchor scores are kept, so no strides x anchors matrix of the
-    whole series is ever held.  The mean is taken once over all scores, so
-    ``r_bars[i]`` equals
+    :func:`~pemix.entropy.trace_blocks` of the binned series, and only a
+    running integer total of the displacements is kept, so neither a
+    strides x anchors matrix nor a score per anchor of the whole series is
+    ever held.  The mean is that total divided once: the exact mean,
+    correctly rounded, so ``r_bars[i]`` equals
     ``reversal_series(multi_tau_pe(bin_average(series, j), pe_config)).r_bar``
     bit for bit.  The input is checked for non-finite values once, before
     any binning, so an error names the position in ``series``.

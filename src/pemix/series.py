@@ -243,6 +243,8 @@ def write_series_csv(
     The header always carries ``spacing``, ``unit`` and ``origin``; callers
     may add further keys (cleaning counts, generator parameters, digests).
     Floats are written with ``repr`` so a read-back reproduces them exactly.
+    The time column is made one block of rows at a time, so no array of
+    every time is held.
     """
     header: dict[str, object] = {
         "spacing": repr(series.spacing),
@@ -250,7 +252,15 @@ def write_series_csv(
         "origin": repr(series.origin),
     }
     header.update(metadata or {})
-    write_table(stream, _FORMAT_TAG, header, _COLUMNS, [(series.times(), series.values)])
+
+    def rows() -> Iterable[tuple[np.ndarray, np.ndarray]]:
+        # The times of one block at a time, each equal to its cell of times().
+        for start in range(0, len(series), _CHUNK_ROWS):
+            stop = min(start + _CHUNK_ROWS, len(series))
+            times = series.origin + series.spacing * np.arange(start, stop, dtype=np.float64)
+            yield times, series.values[start:stop]
+
+    write_table(stream, _FORMAT_TAG, header, _COLUMNS, rows())
 
 
 def read_series_csv(stream: IO[str]) -> tuple[TimeSeries, dict[str, str]]:

@@ -11,6 +11,7 @@ import csv
 import itertools
 import math
 from datetime import datetime, timezone
+from fractions import Fraction
 
 import numpy as np
 
@@ -82,11 +83,28 @@ def reversal_score(pe_by_tau) -> float:
     return footrule(order, taus) / max_footrule(taus[0], taus[-1])
 
 
-def sliding_means(values, window: int, hop: int = 1):
-    out = []
-    for i in range(0, len(values) - window + 1, hop):
-        out.append(float(np.mean(values[i : i + window])))
-    return np.asarray(out)
+def exact_scores(pe, tau_min: int = 1) -> list[Fraction]:
+    """Each anchor's score of a (strides, anchors) entropy matrix as an
+    exact fraction: footrule to the ascending order over the largest one."""
+    pe = np.asarray(pe)
+    taus = list(range(tau_min, tau_min + pe.shape[0]))
+    lam = max_footrule(taus[0], taus[-1])
+    scores = []
+    for i in range(pe.shape[1]):
+        order = sorted(taus, key=lambda t: (pe[t - tau_min, i], t))
+        scores.append(Fraction(footrule(order, taus), lam))
+    return scores
+
+
+def exact_mean(fractions) -> float:
+    """The mean of exact fractions, rounded once to the nearest double."""
+    return float(sum(fractions, Fraction(0)) / len(fractions))
+
+
+def exact_sliding_means(fractions, window: int, hop: int = 1):
+    """:func:`exact_mean` of each window of ``window`` fractions, stepping by ``hop``."""
+    starts = range(0, len(fractions) - window + 1, hop)
+    return np.asarray([exact_mean(fractions[i : i + window]) for i in starts])
 
 
 def bin_means(values, j: int):

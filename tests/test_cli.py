@@ -7,6 +7,7 @@ codes and file contents can be asserted without spawning subprocesses.
 import io
 import json
 import tempfile
+import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 from unittest import mock
@@ -247,6 +248,23 @@ class TestPeAndReversal:
                 text = Path(f"{stem}_{kind}.csv").read_text(encoding="utf-8")
                 assert text == table.getvalue(), kind
         assert np.float64(r_bar).view(np.int64) == np.float64(rev.r_bar).view(np.int64)
+
+
+    def test_study_series_peak_is_one_block_plus_a_byte_per_anchor(self, tmp_path):
+        # Above the input series, writing a series, its traces and its scores
+        # holds one block's working set and one displacement byte per anchor:
+        # 2.55 and 2.68 MB measured at 200k and 250k Mackey-Glass points,
+        # against 10.3 and 10.7 MB with a float score and an anchor per point
+        # and the time column made whole.
+        config = PEConfig()
+        for n in (200_000, 250_000):
+            series = mackey_glass_series(MackeyGlassParams(steps=n))
+            anchors = len(config.anchor_grid(n))
+            tracemalloc.start()
+            cli._write_study_series(tmp_path / f"s{n}", "test", series, config)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert peak <= 3_000_000 + anchors, f"{peak} bytes for {anchors} anchors"
 
 
 class TestBinCommands:
@@ -497,8 +515,10 @@ class TestReproduce:
             return multi_tau_pe(series, config)
 
         monkeypatch.setattr(cli, "mixing_ansatz", mix)
-        # Every trace computation goes through the block iterator's binding.
+        # Every trace computation goes through the block iterator's binding,
+        # and one block covers a whole series here.
         monkeypatch.setattr(entropy_module, "multi_tau_pe", count)
+        monkeypatch.setattr(entropy_module, "_BLOCK_ANCHORS", 1 << 15)
         series = mackey_glass_series(MackeyGlassParams(steps=22_000))
         r_bars, sweep = cli._run_study(tmp_path, "mackey-glass", series, 4, 5, 3)
         (values,) = (m.values for m in mixed)

@@ -104,9 +104,14 @@ class TestWriterMatchesRowOracle:
         assert _write(write_trace_csv, traces, meta, chunk=chunk) == oracle.getvalue()
 
     @codec
-    @given(values=cell_lists(1, 40), chunk=chunk_rows)
-    def test_reversal(self, values, chunk):
-        rev = ReversalSeries(np.arange(len(values)) + 99, values, 0.5)
+    @given(
+        displacements=st.lists(st.integers(0, 2**53), min_size=1, max_size=40),
+        scale=st.integers(1, 10**9),
+        chunk=chunk_rows,
+    )
+    def test_reversal(self, displacements, scale, chunk):
+        # Scores are displacements over a scale; large ones reach every digit count.
+        rev = ReversalSeries(np.arange(len(displacements)) + 99, np.asarray(displacements), scale)
         oracle = io.StringIO()
         write_reversal_rows(oracle, rev, {"r_bar": "0.5"})
         assert _write(write_reversal_csv, rev, {"r_bar": "0.5"}, chunk=chunk) == oracle.getvalue()
@@ -127,7 +132,7 @@ class TestWriterMatchesRowOracle:
         assert first is None, f"line {first + 1}: {got[first]!r} != {want[first]!r}"
 
     def test_empty_tables_write_only_the_header(self):
-        rev = ReversalSeries(np.zeros(0, dtype=np.int64), np.zeros(0), 0.0)
+        rev = ReversalSeries(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.uint8), 18)
         assert _write(write_reversal_csv, rev, {}) == "# pemix-reversal v1\nanchor,reversal\n"
 
 
@@ -186,6 +191,19 @@ class TestCodecMemory:
                 tracemalloc.stop()
         # Both sizes hold one write block of cell strings at a time; a
         # stacked copy of the values would add 16 bytes per extra row.
+        assert peaks[200_000] - peaks[50_000] < 64 * 1024, peaks
+
+    def test_series_write_peak_does_not_grow_with_rows(self):
+        peaks = {}
+        for n in (50_000, 200_000):
+            series = TimeSeries(np.random.default_rng(0).random(n), spacing=0.1, origin=1.6e9)
+            with open(os.devnull, "w", encoding="utf-8") as sink:
+                tracemalloc.start()
+                write_series_csv(sink, series, {"command": "test"})
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+                tracemalloc.stop()
+        # The time column is made a write block at a time; the whole column
+        # would add 8 bytes per extra row.
         assert peaks[200_000] - peaks[50_000] < 64 * 1024, peaks
 
 

@@ -24,7 +24,7 @@ from pemix import (
 from pemix import entropy as entropy_module
 from pemix import mixing as mixing_module
 
-from oracles import ansatz_moments, bin_means, clipped_window_stats
+from oracles import ansatz_moments, bin_means, clipped_window_stats, exact_mean, exact_scores
 
 
 class TestMixingAnsatz:
@@ -145,6 +145,15 @@ class TestBinAverage:
         out = bin_average(series, 1)
         np.testing.assert_array_equal(out.values, series.values)
         assert out.spacing == series.spacing
+
+    def test_one_point_bins_are_the_input_values_uncopied(self):
+        values = np.array([2.0, -0.0, np.nan, 5e-324, -1e300])
+        series = TimeSeries(values, spacing=0.5, origin=-0.0)
+        out = bin_average(series, 1)
+        assert np.shares_memory(out.values, series.values)
+        # The values as they are, -0.0 included (numpy's mean of [-0.0] is 0.0).
+        np.testing.assert_array_equal(out.values.view(np.int64), values.view(np.int64))
+        assert (out.spacing, out.origin, out.unit) == (0.5, 0.0, "samples")
 
     def test_spacing_scales_with_bin_size(self):
         series = TimeSeries(np.arange(100.0), spacing=0.25, unit="seconds")
@@ -284,6 +293,55 @@ class TestBinSweep:
         with mock.patch.object(entropy_module, "_BLOCK_ANCHORS", block):
             with pytest.raises(InvalidInputError, match=message):
                 bin_sweep(TimeSeries(values), range(2, 4), config)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        values=st.lists(st.integers(0, 3), min_size=12, max_size=90),
+        window=st.integers(9, 14),
+        tau_max=st.integers(2, 4),
+        hop=st.integers(1, 3),
+        block=st.integers(1, 5),
+    )
+    def test_mean_reversal_is_the_exact_mean(self, values, window, tau_max, hop, block):
+        # Each point is the mean of the exact per-anchor fractions, rounded once.
+        series = TimeSeries(np.asarray(values, dtype=np.float64))
+        config = PEConfig(ell=3, window=window, tau_min=1, tau_max=tau_max, hop=hop)
+        sizes = [j for j in range(1, 4) if len(series) // j >= window]
+        if not sizes:
+            return
+        with mock.patch.object(entropy_module, "_BLOCK_ANCHORS", block):
+            result = bin_sweep(series, sizes, config)
+        for j, r_bar in zip(sizes, result.r_bars):
+            traces = multi_tau_pe(bin_average(series, j), config)
+            want = exact_mean(exact_scores(traces.traces))
+            assert np.float64(r_bar).view(np.int64) == np.float64(want).view(np.int64), j
+
+    def test_mean_reversal_is_exact_on_a_mixed_series(self):
+        # Tens of thousands of anchors, where numpy's pairwise float mean of
+        # the rounded scores is one unit in the last place off at j = 2.
+        series = mixing_ansatz(
+            TimeSeries(np.sin(np.arange(24_000) / 40.0)), AnsatzConfig(k=3, seed=11)
+        )
+        config = PEConfig(window=1000)
+        result = bin_sweep(series, range(1, 4), config)
+        for j, r_bar in zip(range(1, 4), result.r_bars):
+            traces = multi_tau_pe(bin_average(series, j), config)
+            want = exact_mean(exact_scores(traces.traces))
+            assert np.float64(r_bar).view(np.int64) == np.float64(want).view(np.int64), j
+
+    def test_peak_memory_above_the_input_is_one_block(self):
+        # No score per anchor and, at j = 1, no second series: the peak above
+        # the input series is one trace block's working set, whatever the
+        # length (2.2 MB measured at 200k and 400k points; the running total
+        # replaced a float score per anchor, 11.9 and 15.1 MB before).
+        config = PEConfig()
+        for n in (200_000, 400_000):
+            series = TimeSeries(np.random.default_rng(9).standard_normal(n))
+            tracemalloc.start()
+            bin_sweep(series, [1], config)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert peak <= 3_000_000, f"{peak} bytes above the input at {n} points"
 
     def test_peak_memory_grows_by_a_few_arrays_per_point(self):
         config = PEConfig(window=1000)

@@ -21,7 +21,14 @@ from pemix import (
 )
 from pemix import reversal as reversal_module
 
-from oracles import footrule, max_footrule, reversal_score, sliding_means
+from oracles import (
+    exact_mean,
+    exact_scores,
+    exact_sliding_means,
+    footrule,
+    max_footrule,
+    reversal_score,
+)
 
 
 def make_traces(pe_matrix, tau_min=1, anchors=None):
@@ -195,6 +202,57 @@ class TestReversalSeries:
         table_bytes = n_strides * n_anchors * 8
         assert peak < 0.75 * table_bytes, f"peak {peak} bytes for a {table_bytes}-byte table"
 
+    def test_displacements_are_small_integers(self):
+        pe = np.random.default_rng(11).random((6, 50))
+        rev = reversal_series(make_traces(pe))
+        assert rev.displacements.dtype == np.uint8
+        assert rev.scale == 18
+        np.testing.assert_array_equal(rev.r_values, rev.displacements / 18.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        levels=st.lists(st.integers(0, 3), min_size=2, max_size=6 * 200),
+        n_strides=st.integers(2, 6),
+        tau_min=st.integers(1, 3),
+        block=st.integers(1, 64),
+    )
+    def test_r_bar_is_the_exact_mean(self, levels, n_strides, tau_min, block):
+        n = len(levels) // n_strides
+        if n == 0:
+            return
+        pe = np.asarray(levels[: n * n_strides], dtype=float).reshape(n_strides, n)
+        with mock.patch.object(reversal_module, "_BLOCK_ANCHORS", block):
+            rev = reversal_series(make_traces(pe, tau_min=tau_min))
+        fractions = exact_scores(pe, tau_min)
+        want = exact_mean(fractions)
+        assert np.float64(rev.r_bar).view(np.int64) == np.float64(want).view(np.int64)
+        np.testing.assert_array_equal(rev.r_values, [float(f) for f in fractions])
+
+    def test_equal_scores_have_that_score_as_their_mean(self):
+        # Every anchor ranks the strides (6, 5, 3, 4, 2, 1): displacement 16
+        # of 18.  A pairwise float sum of 16/18 over these anchors reads
+        # 0.8888888888888891; the mean is 16/18 itself.
+        n = 145_001
+        # Stride t's entropy is its position in that order.
+        pe = np.array([5, 4, 2, 3, 1, 0], dtype=float)[:, None] / 10.0 * np.ones(n)
+        rev = reversal_series(make_traces(pe))
+        assert (rev.displacements == 16).all()
+        assert rev.r_bar == 16 / 18
+        assert float(np.mean(rev.r_values)) != 16 / 18  # the old, pairwise mean
+
+    def test_empty_series_has_no_mean(self):
+        rev = ReversalSeries(np.zeros(0, np.int64), np.zeros(0, np.uint8), 18)
+        assert len(rev) == 0 and np.isnan(rev.r_bar)
+
+    @pytest.mark.parametrize(
+        "displacements, scale, message",
+        [([0.5, 1.0], 2, "must be integers"), ([0, 1], 0, "scale must be an integer >= 1"),
+         ([0, 1], 2.0, "scale must be an integer >= 1"), ([0, 1, 2], 2, "matching 1-D")],
+    )
+    def test_construction_checks(self, displacements, scale, message):
+        with pytest.raises(InvalidInputError, match=message):
+            ReversalSeries(np.arange(2), np.asarray(displacements), scale)
+
     def test_single_stride_raises(self):
         pe = np.array([[0.1, 0.2]])
         with pytest.raises(InvalidInputError):
@@ -217,43 +275,61 @@ class TestWindowedRbar:
         np.testing.assert_array_equal(smoothed.anchors, [1, 2, 3])
 
     def test_equals_naive_recomputation(self):
+        # Scored through reversal_series, so the sliding means are of
+        # displacements; each must be the exact window mean rounded once.
         rng = np.random.default_rng(101)
         for _ in range(20):
-            n = int(rng.integers(5, 1000))
-            scores = rng.random(n)
-            series = ReversalSeries(
-                anchors=np.arange(n), r_values=scores, r_bar=float(scores.mean())
-            )
+            n = int(rng.integers(5, 300))
+            n_strides = int(rng.integers(2, 7))
+            pe = rng.integers(0, 4, size=(n_strides, n)) / 3.0  # ties everywhere
+            rev = reversal_series(make_traces(pe))
             window = int(rng.integers(1, n + 1))
             hop = int(rng.integers(1, 4))
-            smoothed = windowed_rbar(series, window=window, hop=hop)
-            np.testing.assert_array_equal(
-                smoothed.r_values, sliding_means(scores, window, hop)
-            )
+            smoothed = windowed_rbar(rev, window=window, hop=hop)
+            fractions = exact_scores(pe)
+            want = exact_sliding_means(fractions, window, hop)
+            np.testing.assert_array_equal(smoothed.r_values.view(np.int64), want.view(np.int64))
+            starts = range(0, n - window + 1, hop)
+            means = [sum(fractions[i : i + window]) / window for i in starts]
+            assert smoothed.r_bar == exact_mean(means)
 
     @settings(max_examples=200, deadline=None)
     @given(
-        scores=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=300),
-        window=st.integers(1, 300),
+        levels=st.lists(st.integers(0, 3), min_size=2, max_size=6 * 120),
+        n_strides=st.integers(2, 6),
+        window=st.integers(1, 120),
         hop=st.integers(1, 5),
     )
-    def test_property_equals_naive_recomputation(self, scores, window, hop):
-        scores = np.asarray(scores)
-        window = min(window, scores.shape[0])
-        series = ReversalSeries(
-            anchors=np.arange(scores.shape[0]), r_values=scores, r_bar=float(scores.mean())
-        )
-        smoothed = windowed_rbar(series, window=window, hop=hop)
-        np.testing.assert_array_equal(smoothed.r_values, sliding_means(scores, window, hop))
-        anchors = np.arange(window - 1, scores.shape[0], hop)
+    def test_property_equals_naive_recomputation(self, levels, n_strides, window, hop):
+        n = len(levels) // n_strides
+        if n == 0:
+            return
+        pe = np.asarray(levels[: n * n_strides], dtype=float).reshape(n_strides, n)
+        window = min(window, n)
+        rev = reversal_series(make_traces(pe))
+        smoothed = windowed_rbar(rev, window=window, hop=hop)
+        want = exact_sliding_means(exact_scores(pe), window, hop)
+        np.testing.assert_array_equal(smoothed.r_values.view(np.int64), want.view(np.int64))
+        anchors = np.arange(window - 1, n, hop)
         np.testing.assert_array_equal(smoothed.anchors, anchors)
 
+    def test_nested_windows_stay_exact(self):
+        # A windowed series is scored in the same exact terms, so it can be
+        # smoothed again: windows of windows are exact means of exact means.
+        pe = np.random.default_rng(7).integers(0, 3, size=(6, 200)) / 2.0
+        inner = windowed_rbar(reversal_series(make_traces(pe)), window=9, hop=2)
+        outer = windowed_rbar(inner, window=5)
+        fractions = exact_scores(pe)
+        inner_means = [sum(fractions[i : i + 9]) / 9 for i in range(0, 192, 2)]
+        want = exact_sliding_means(inner_means, 5)
+        np.testing.assert_array_equal(outer.r_values.view(np.int64), want.view(np.int64))
+
     def test_window_larger_than_series_raises(self):
-        rev = ReversalSeries(anchors=np.arange(3), r_values=np.zeros(3), r_bar=0.0)
+        rev = ReversalSeries(anchors=np.arange(3), displacements=np.zeros(3, np.uint8), scale=2)
         with pytest.raises(InsufficientDataError):
             windowed_rbar(rev, window=5)
 
     def test_bad_window_raises(self):
-        rev = ReversalSeries(anchors=np.arange(3), r_values=np.zeros(3), r_bar=0.0)
+        rev = ReversalSeries(anchors=np.arange(3), displacements=np.zeros(3, np.uint8), scale=2)
         with pytest.raises(InvalidInputError):
             windowed_rbar(rev, window=0)
