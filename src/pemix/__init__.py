@@ -46,7 +46,7 @@ from .reversal import (
     reversal_series,
     windowed_rbar,
 )
-from .series import Quality, TimeSeries, read_series_csv, write_series_csv
+from .series import TimeSeries, read_series_csv, write_series_csv
 
 __version__ = "0.1.0"
 
@@ -55,7 +55,6 @@ __all__ = [
     "PemixError",
     "InvalidInputError",
     "InsufficientDataError",
-    "Quality",
     "TimeSeries",
     "read_series_csv",
     "write_series_csv",

@@ -45,7 +45,6 @@ from .mixing import (
     bin_average,
     bin_sweep,
     mixing_ansatz,
-    recommend_bin_size,
 )
 from .reversal import (
     ReversalSeries,
@@ -171,7 +170,12 @@ def write_reversal_csv(
 
 
 def write_sweep_csv(stream: IO[str], result: BinSweepResult, metadata: Mapping[str, object]) -> None:
-    write_header(stream, _SWEEP_TAG, metadata)
+    """Write the sweep's rows under ``metadata`` and its recommendation."""
+    recommendation = {
+        "recommended_bin": result.recommended_j,
+        "achieved_zero": "true" if result.achieved_zero else "false",
+    }
+    write_header(stream, _SWEEP_TAG, {**metadata, **recommendation})
     stream.write("bin_size,mean_reversal,data_sufficient\n")
     for i in range(result.bin_sizes.shape[0]):
         r = float(result.r_bars[i])
@@ -206,13 +210,6 @@ def _add_pe_arguments(parser: argparse.ArgumentParser) -> None:
             f"--{f.name.replace('_', '-')}", type=type(f.default), default=f.default,
             help=f"{_PE_HELP[f.name]} (default {f.default})",
         )
-
-
-def _sweep_params(result: BinSweepResult) -> dict[str, object]:
-    return {
-        "recommended_bin": result.recommended_j,
-        "achieved_zero": "true" if result.achieved_zero else "false",
-    }
 
 
 def _save(
@@ -321,7 +318,6 @@ def cmd_binsweep(args: argparse.Namespace) -> int:
     config = _from_args(PEConfig, args)
     result = bin_sweep(series, range(args.j_min, args.j_max + 1), config)
     params = {**asdict(config), "j_min": args.j_min, "j_max": args.j_max}
-    params.update(_sweep_params(result))
     meta = _manifest("binsweep", params, {"input": inp})
     out = _resolve_out(args.out)
     _save(out, write_sweep_csv, result, meta)
@@ -350,10 +346,10 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         value_column=column(args.value_column),
         header_policy=args.header,
     )
-    series = regularize(records, args.target_spacing, unit=args.unit)
+    series, suspect = regularize(records, args.target_spacing, unit=args.unit)
     report_dict: dict[str, object] = {"n_records": len(records)}
     if args.fill == "ffill":
-        series, report = fill_gaps(series)
+        series, report = fill_gaps(series, suspect)
         report_dict.update(report.as_dict())
     series = prefilter(series, method=args.prefilter, width=args.median_width)
     out = _resolve_out(args.out)
@@ -446,10 +442,10 @@ def _run_study(
     r_bars.append(write(f"mixed_k{k}", mixed))
     sizes = np.arange(1, j_max + 1)
     scores = np.concatenate(([r_bars[1]], bin_sweep(mixed, sizes[1:], config).r_bars))
-    sweep = BinSweepResult(sizes, scores, np.isfinite(scores), *recommend_bin_size(sizes, scores))
+    sweep = BinSweepResult(sizes, scores)
     j = sweep.recommended_j
     r_bars.append(write(f"binned_j{j}", bin_average(mixed, j)))
-    _save(outdir / f"{name}_sweep.csv", write_sweep_csv, sweep, _sweep_params(sweep))
+    _save(outdir / f"{name}_sweep.csv", write_sweep_csv, sweep, {})
     return r_bars, sweep
 
 
@@ -498,7 +494,7 @@ def _reproduce_sweeps(outdir: Path, scale: str, seed: int) -> list[dict[str, obj
         mixed = mixing_ansatz(_study_series(system, scale), AnsatzConfig(k=k, seed=seed + offset))
         sweep = bin_sweep(mixed, range(1, j_max + 1), config)
         name = system.replace("-", "_")
-        _save(outdir / f"{name}_k{k}_sweep.csv", write_sweep_csv, sweep, _sweep_params(sweep))
+        _save(outdir / f"{name}_k{k}_sweep.csv", write_sweep_csv, sweep, {})
         j = sweep.recommended_j
         checks.append(
             _check(f"{prefix}_k{k}_recommended_bin", j, f"within [{lo}, {hi}]", lo <= j <= hi)

@@ -191,9 +191,11 @@ def mackey_glass_series(params: MackeyGlassParams = MackeyGlassParams()) -> Time
         append(x)
         xd_now = xd_next
         g_now = g_next
-    values = np.frombuffer(xs, dtype=np.float64)[d + params.skip :].copy()
+    # The history and the skipped head are dropped in place, so no second
+    # copy of the states is made and no unused head is kept alive.
+    del xs[: d + params.skip]
     return TimeSeries(
-        values=values,
+        values=np.frombuffer(xs, dtype=np.float64),
         spacing=h,
         unit="seconds",
         origin=params.skip * h,

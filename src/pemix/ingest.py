@@ -2,8 +2,7 @@
 
 The pipeline is: parse rows into (time, value) records, snap them onto
 an even grid, forward-fill the holes, and optionally prefilter spikes.
-Missing values are carried as NaN until the fill stage; per-point
-quality flags record what was observed and what was synthesized.
+Missing values are carried as NaN until the fill stage.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Sequence
@@ -19,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InsufficientDataError, InvalidInputError
-from .series import Quality, TimeSeries
+from .series import TimeSeries
 
 __all__ = [
     "CleaningReport",
@@ -331,7 +330,7 @@ def regularize(
     records: np.ndarray | Sequence[tuple[float, float]],
     target_spacing: float,
     unit: str = "seconds",
-) -> TimeSeries:
+) -> tuple[TimeSeries, np.ndarray]:
     """Snap records onto an even grid anchored at the first record.
 
     ``records`` is what :func:`load_csv` returns, or any sequence of
@@ -340,8 +339,12 @@ def regularize(
     The grid runs from the first to the last record time with the given
     spacing.  Each record lands in its nearest grid cell; when several
     records compete for one cell the record closest to the grid time
-    wins (earliest on a tie).  Cells without a record hold NaN.  Cells
-    whose winning record carries a NaN value are flagged suspect.
+    wins (earliest on a tie).  Cells without a record hold NaN.
+
+    Returns:
+        The series and its suspect mask: a bool array, True at the cells
+        whose winning record carries a NaN value.  Those cells hold NaN
+        too.
 
     Raises:
         InvalidInputError: On an empty record list, records that are not
@@ -387,55 +390,54 @@ def regularize(
     _, first_of_cell = np.unique(cells[order], return_index=True)
     chosen = order[first_of_cell]
     grid_values = np.full(n_cells, np.nan, dtype=np.float64)
-    quality = np.full(n_cells, int(Quality.GOOD), dtype=np.uint8)
+    suspect = np.zeros(n_cells, dtype=bool)
     target = cells[chosen]
     observed = values[chosen]
     finite = np.isfinite(observed)
     grid_values[target[finite]] = observed[finite]
-    quality[target[~finite]] = int(Quality.SUSPECT)
-    return TimeSeries(
-        values=grid_values,
-        spacing=float(target_spacing),
-        unit=unit,
-        origin=origin,
-        quality=quality,
-    )
+    suspect[target[~finite]] = True
+    series = TimeSeries(grid_values, spacing=float(target_spacing), unit=unit, origin=origin)
+    return series, suspect
 
 
-def fill_gaps(series: TimeSeries) -> tuple[TimeSeries, CleaningReport]:
+def fill_gaps(
+    series: TimeSeries, suspect: np.ndarray | None = None
+) -> tuple[TimeSeries, CleaningReport]:
     """Replace missing and suspect points with the last good value.
 
-    A point is repaired when its value is NaN or its quality flag is
-    suspect; repaired points are flagged filled.  Running the result
-    through this function again changes nothing.
+    A point is repaired when its value is not finite or ``suspect`` is
+    True there; the report counts suspect points apart from missing
+    ones.  ``suspect`` is a bool mask of the series' length, such as
+    :func:`regularize` returns; ``None`` marks no point suspect.  Running
+    the result through this function again changes nothing.
 
     Raises:
-        InvalidInputError: If the first point itself needs repair; trim
-            the series to start at the first good observation instead.
+        InvalidInputError: If ``suspect`` does not match the series'
+            length, or the first point itself needs repair; trim the
+            series to start at the first good observation instead.
     """
     values = series.values.copy()
     n = values.shape[0]
     if n == 0:
         raise InvalidInputError("cannot fill an empty series")
-    if series.quality is not None:
-        quality = series.quality.copy()
-    else:
-        quality = np.full(n, int(Quality.GOOD), dtype=np.uint8)
-    suspect = quality == int(Quality.SUSPECT)
+    suspect = np.zeros(n, dtype=bool) if suspect is None else np.asarray(suspect, dtype=bool)
+    if suspect.shape != values.shape:
+        raise InvalidInputError(
+            f"suspect mask of shape {suspect.shape} does not match the {n} values"
+        )
     needs_fill = ~np.isfinite(values) | suspect
     if needs_fill[0]:
         raise InvalidInputError(
             "the first point is missing or suspect; trim the series to start "
             "at the first good observation before filling"
         )
-    n_suspect = int((suspect & needs_fill).sum())
+    n_suspect = int(suspect.sum())
     n_missing = int(needs_fill.sum()) - n_suspect
     if needs_fill.any():
         good = ~needs_fill
         idx = np.where(good, np.arange(n), 0)
         last_good = np.maximum.accumulate(idx)
         values[needs_fill] = values[last_good[needs_fill]]
-        quality[needs_fill] = int(Quality.FILLED)
     # +1 where a gap starts, -1 one past where it ends.
     edges = np.diff(needs_fill.astype(np.int8), prepend=0, append=0)
     starts = np.flatnonzero(edges == 1).tolist()
@@ -445,7 +447,7 @@ def fill_gaps(series: TimeSeries) -> tuple[TimeSeries, CleaningReport]:
         n_suspect_removed=n_suspect,
         gap_spans=tuple(zip(starts, lasts)),
     )
-    return series.replace_values(values, quality=quality), report
+    return replace(series, values=values), report
 
 
 def prefilter(
@@ -485,4 +487,4 @@ def prefilter(
     for i in range(min(half, n)):
         out[i] = float(np.median(x[: i + half + 1]))
         out[n - 1 - i] = float(np.median(x[max(n - 1 - i - half, 0) :]))
-    return series.replace_values(out, quality=series.quality)
+    return replace(series, values=out)

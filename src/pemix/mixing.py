@@ -12,7 +12,7 @@ stride ordering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -99,7 +99,7 @@ def mixing_ansatz(series: TimeSeries, config: AnsatzConfig) -> TimeSeries:
     if k == 0:
         draws *= 0.0
         draws += x
-        return series.replace_values(draws)
+        return replace(series, values=draws)
     windows = np.lib.stride_tricks.sliding_window_view(x, 2 * k + 1)
     for r0 in range(0, windows.shape[0], _ANSATZ_BLOCK_ROWS):
         rows = windows[r0 : r0 + _ANSATZ_BLOCK_ROWS]
@@ -110,7 +110,7 @@ def mixing_ansatz(series: TimeSeries, config: AnsatzConfig) -> TimeSeries:
     for i in range(k):
         for point, edge in ((i, x[: i + k + 1]), (n - 1 - i, x[n - 1 - i - k :])):
             draws[point] = draws[point] * edge.std(ddof=1) + edge.mean()
-    return series.replace_values(draws)
+    return replace(series, values=draws)
 
 
 def bin_average(series: TimeSeries, j: int) -> TimeSeries:
@@ -149,30 +149,39 @@ def bin_average(series: TimeSeries, j: int) -> TimeSeries:
 
 @dataclass(frozen=True)
 class BinSweepResult:
-    """Mean reversal score per candidate bin size plus the recommendation.
+    """Mean reversal score per candidate bin size, and what follows from it.
 
-    ``r_bars[i]`` is NaN where ``sufficient[i]`` is False, meaning bin
-    size ``bin_sizes[i]`` left fewer points than one entropy window.
+    Built from ``bin_sizes`` and ``r_bars`` alone.  ``r_bars[i]`` is NaN
+    where bin size ``bin_sizes[i]`` left fewer points than one entropy
+    window, and ``sufficient`` is False there.  ``recommended_j`` and
+    ``achieved_zero`` are :func:`recommend_bin_size` of the two:
     ``achieved_zero`` tells whether the recommended size actually drove
     the mean score to zero (within tolerance) rather than merely
     minimizing it.
+
+    Raises:
+        InvalidInputError: If the arrays are not matching 1-D arrays, or
+            the sizes do not strictly increase.
+        InsufficientDataError: If every score is NaN.
     """
 
     bin_sizes: np.ndarray
     r_bars: np.ndarray
-    sufficient: np.ndarray
-    recommended_j: int
-    achieved_zero: bool
+    sufficient: np.ndarray = field(init=False)
+    recommended_j: int = field(init=False)
+    achieved_zero: bool = field(init=False)
 
     def __post_init__(self) -> None:
         sizes = np.asarray(self.bin_sizes, dtype=np.int64)
         r_bars = np.asarray(self.r_bars, dtype=np.float64)
-        sufficient = np.asarray(self.sufficient, dtype=bool)
-        if not (sizes.shape == r_bars.shape == sufficient.shape) or sizes.ndim != 1:
+        if sizes.shape != r_bars.shape or sizes.ndim != 1:
             raise InvalidInputError("sweep arrays must be matching 1-D arrays")
         object.__setattr__(self, "bin_sizes", sizes)
         object.__setattr__(self, "r_bars", r_bars)
-        object.__setattr__(self, "sufficient", sufficient)
+        object.__setattr__(self, "sufficient", np.isfinite(r_bars))
+        recommended_j, achieved_zero = recommend_bin_size(sizes, r_bars)
+        object.__setattr__(self, "recommended_j", recommended_j)
+        object.__setattr__(self, "achieved_zero", achieved_zero)
 
 
 def recommend_bin_size(
@@ -194,8 +203,16 @@ def recommend_bin_size(
         ``(recommended_size, achieved_zero)``.
 
     Raises:
+        InvalidInputError: If the sizes do not strictly increase.
         InsufficientDataError: If every score is NaN.
     """
+    backward = np.flatnonzero(np.diff(bin_sizes) <= 0)
+    if backward.size:
+        i = backward[0]
+        raise InvalidInputError(
+            f"bin sizes must strictly increase, but size {bin_sizes[i + 1]} "
+            f"follows size {bin_sizes[i]}"
+        )
     pairs = [
         (int(j), float(r))
         for j, r in zip(bin_sizes, r_bars)
@@ -270,22 +287,12 @@ def bin_sweep(
     _check_finite(series.values)
     n = len(series)
     r_bars = np.full(len(sizes), np.nan, dtype=np.float64)
-    sufficient = np.zeros(len(sizes), dtype=bool)
     for idx, j in enumerate(sizes):
-        if n // j < pe_config.window:
-            continue
-        r_bars[idx] = _mean_reversal(bin_average(series, j), pe_config)
-        sufficient[idx] = True
-    if not sufficient.any():
+        if n // j >= pe_config.window:
+            r_bars[idx] = _mean_reversal(bin_average(series, j), pe_config)
+    if np.isnan(r_bars).all():
         raise InsufficientDataError(
             f"every bin size in {sizes[0]}..{sizes[-1]} leaves fewer than "
             f"{pe_config.window} points"
         )
-    recommended, achieved_zero = recommend_bin_size(sizes, r_bars)
-    return BinSweepResult(
-        bin_sizes=np.asarray(sizes, dtype=np.int64),
-        r_bars=r_bars,
-        sufficient=sufficient,
-        recommended_j=recommended,
-        achieved_zero=achieved_zero,
-    )
+    return BinSweepResult(sizes, r_bars)

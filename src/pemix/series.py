@@ -12,12 +12,11 @@ comma-separated rows, written and read by the codec below.
 
 from __future__ import annotations
 
-import enum
 import itertools
 import operator
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -25,7 +24,6 @@ import numpy as np
 from .errors import InvalidInputError
 
 __all__ = [
-    "Quality",
     "TableHeader",
     "TimeSeries",
     "read_header",
@@ -37,14 +35,6 @@ __all__ = [
 ]
 
 
-class Quality(enum.IntEnum):
-    """Per-point provenance flag carried through the cleaning pipeline."""
-
-    GOOD = 0
-    FILLED = 1
-    SUSPECT = 2
-
-
 @dataclass(frozen=True)
 class TimeSeries:
     """Evenly spaced scalar observations.
@@ -54,16 +44,12 @@ class TimeSeries:
         spacing: Time between consecutive observations, > 0.
         unit: Unit of ``spacing`` (free-form label, e.g. "seconds").
         origin: Time of the first observation, in the same unit.
-        quality: Optional uint8 array of :class:`Quality` codes, one per
-            observation.  ``None`` means all points are ordinary
-            observations.
     """
 
     values: np.ndarray
     spacing: float = 1.0
     unit: str = "samples"
     origin: float = 0.0
-    quality: np.ndarray | None = field(default=None)
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=np.float64)
@@ -76,14 +62,6 @@ class TimeSeries:
             raise InvalidInputError(f"spacing must be finite and > 0, got {self.spacing}")
         object.__setattr__(self, "spacing", float(self.spacing))
         object.__setattr__(self, "origin", float(self.origin))
-        if self.quality is not None:
-            quality = np.asarray(self.quality, dtype=np.uint8)
-            if quality.shape != values.shape:
-                raise InvalidInputError(
-                    "quality flags must match values length "
-                    f"({quality.shape[0]} != {values.shape[0]})"
-                )
-            object.__setattr__(self, "quality", quality)
 
     def __len__(self) -> int:
         return int(self.values.shape[0])
@@ -91,16 +69,6 @@ class TimeSeries:
     def times(self) -> np.ndarray:
         """Observation times: ``origin + i * spacing``."""
         return self.origin + self.spacing * np.arange(len(self), dtype=np.float64)
-
-    def replace_values(self, values: np.ndarray, quality: np.ndarray | None = None) -> "TimeSeries":
-        """Copy of this series with new values on the same time grid."""
-        return TimeSeries(
-            values=values,
-            spacing=self.spacing,
-            unit=self.unit,
-            origin=self.origin,
-            quality=quality,
-        )
 
 
 _FORMAT_TAG = "pemix-series v1"

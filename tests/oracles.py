@@ -164,17 +164,17 @@ def bisect_root(f, lo: float, hi: float, tol: float = 1e-12) -> float:
     return 0.5 * (lo + hi)
 
 
-def gap_report(values, quality) -> tuple[int, int, tuple[tuple[int, int], ...]]:
+def gap_report(values, suspect) -> tuple[int, int, tuple[tuple[int, int], ...]]:
     """Missing and suspect counts and the inclusive gap spans, point by point.
 
-    A point is suspect when its quality code is 2 and missing when it is
-    otherwise non-finite.
+    A point is suspect where the bool mask ``suspect`` is True and missing
+    where it is otherwise non-finite.
     """
     n_missing = n_suspect = 0
     spans = []
     start = None
-    for i, (value, flag) in enumerate(zip(values, quality)):
-        if int(flag) == 2:
+    for i, (value, flag) in enumerate(zip(values, suspect)):
+        if flag:
             n_suspect += 1
         elif not math.isfinite(value):
             n_missing += 1

@@ -329,7 +329,7 @@ class TestIngestCommand:
 
         # The same keys, in the same order, as the library's own report.
         records = load_csv(raw)
-        _, cleaning = fill_gaps(regularize(records, 10.0))
+        _, cleaning = fill_gaps(*regularize(records, 10.0))
         expected = {"n_records": len(records), **cleaning.as_dict()}
         expected.update(input=str(raw), output=str(out), created=report["created"])
         assert list(report.items()) == list(expected.items())

@@ -164,10 +164,11 @@ class TestMackeyGlass:
             mackey_glass_series(MackeyGlassParams(steps=steps))
             peaks[steps] = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
-        # 8 bytes per state in array('d') and 8 per output value; a list
-        # of floats holds a 32-byte object and an 8-byte pointer per state.
+        # 8 bytes per state in array('d'), which the output wraps without a
+        # copy; a list of floats holds a 32-byte object and an 8-byte
+        # pointer per state.
         grown = (peaks[200_000] - peaks[50_000]) / 150_000
-        assert grown <= 20, f"{grown:.1f} bytes per step"
+        assert grown <= 12, f"{grown:.1f} bytes per step"
 
     def test_delay_must_be_step_multiple(self):
         with pytest.raises(InvalidInputError):

@@ -13,7 +13,6 @@ import pemix.ingest as ingest_module
 from pemix import (
     InsufficientDataError,
     InvalidInputError,
-    Quality,
     TimeSeries,
     fill_gaps,
     load_csv,
@@ -318,7 +317,7 @@ class TestRegularize:
     def test_downsample_keeps_nearest_record(self):
         # 5-minute records onto a 15-minute grid: every third survives.
         records = [(300.0 * i, float(i)) for i in range(12)]
-        series = regularize(records, 900.0)
+        series, _ = regularize(records, 900.0)
         assert series.spacing == 900.0
         np.testing.assert_array_equal(series.values, [0.0, 3.0, 6.0, 9.0])
 
@@ -331,14 +330,15 @@ class TestRegularize:
             records = [(float(t), 1.0) for t in times]
             spacing = float(np.median(diffs[1:]) if n > 1 else 1.0)
             spacing *= float(rng.uniform(1.0, 3.0))
-            series = regularize(records, spacing)
+            series, _ = regularize(records, spacing)
             expected = int(np.floor((times[-1] - times[0]) / spacing)) + 1
             assert len(series) == expected
 
     def test_empty_cells_hold_nan(self):
         # A run of 1 s records, a dropout, then one more record.
         records = [(0.0, 1.0), (1.0, 2.0), (2.0, 3.0), (10.0, 4.0)]
-        series = regularize(records, 1.0)
+        series, suspect = regularize(records, 1.0)
+        assert not suspect.any()
         assert len(series) == 11
         assert np.isnan(series.values[3:10]).all()
         np.testing.assert_array_equal(series.values[:3], [1.0, 2.0, 3.0])
@@ -346,10 +346,10 @@ class TestRegularize:
 
     def test_damaged_record_flagged_suspect(self):
         records = [(0.0, 1.0), (1.0, float("nan")), (2.0, 3.0)]
-        series = regularize(records, 1.0)
+        series, suspect = regularize(records, 1.0)
         assert np.isnan(series.values[1])
-        assert series.quality[1] == int(Quality.SUSPECT)
-        assert series.quality[0] == int(Quality.GOOD)
+        assert suspect.dtype == bool
+        np.testing.assert_array_equal(suspect, [False, True, False])
 
     def test_target_finer_than_native_raises(self):
         records = [(0.0, 1.0), (10.0, 2.0), (20.0, 3.0)]
@@ -364,10 +364,11 @@ class TestRegularize:
         path = tmp_path / "data.csv"
         path.write_text("t,v\n0,1.0\n1,bad\n2,3.0\n4.1,4.0\n")
         records = load_csv(path)
-        from_array = regularize(records, 1.0)
-        from_pairs = regularize(records.tolist(), 1.0)
+        from_array, array_suspect = regularize(records, 1.0)
+        from_pairs, pairs_suspect = regularize(records.tolist(), 1.0)
         np.testing.assert_array_equal(from_array.values, from_pairs.values)
-        np.testing.assert_array_equal(from_array.quality, from_pairs.quality)
+        np.testing.assert_array_equal(array_suspect, [False, True, False, False, False])
+        np.testing.assert_array_equal(array_suspect, pairs_suspect)
         assert from_array.origin == from_pairs.origin == 0.0
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -377,11 +378,11 @@ class TestRegularize:
 
     def test_lists_and_arrays_of_pairs_grid_like_tuples(self):
         pairs = [(0.0, 1.0), (1.0, np.nan), (3.2, 3.0), (4.0, 4.0)]
-        from_tuples = regularize(pairs, 1.0)
+        from_tuples, tuples_suspect = regularize(pairs, 1.0)
         for records in ([list(p) for p in pairs], np.array(pairs)):
-            series = regularize(records, 1.0)
+            series, suspect = regularize(records, 1.0)
             np.testing.assert_array_equal(series.values, from_tuples.values)
-            np.testing.assert_array_equal(series.quality, from_tuples.quality)
+            np.testing.assert_array_equal(suspect, tuples_suspect)
             assert series.origin == from_tuples.origin
 
     @pytest.mark.parametrize(
@@ -400,32 +401,36 @@ class TestRegularize:
 
 class TestFillGaps:
     def test_forward_fill_and_report(self):
-        series = TimeSeries(np.array([1.0, np.nan, np.nan, 4.0, np.nan, 6.0]))
+        series = TimeSeries(
+            np.array([1.0, np.nan, np.nan, 4.0, np.nan, 6.0]), spacing=2.0, unit="hours", origin=5.0
+        )
         filled, report = fill_gaps(series)
         np.testing.assert_array_equal(filled.values, [1.0, 1.0, 1.0, 4.0, 4.0, 6.0])
+        assert (filled.spacing, filled.unit, filled.origin) == (2.0, "hours", 5.0)
         assert report.n_missing_filled == 3
         assert report.n_suspect_removed == 0
         assert report.gap_spans == ((1, 2), (4, 4))
-        np.testing.assert_array_equal(
-            filled.quality, [0, 1, 1, 0, 1, 0]
-        )
 
     def test_suspect_values_replaced_and_counted(self):
-        quality = np.array([0, 2, 0], dtype=np.uint8)
-        series = TimeSeries(np.array([1.0, 99.0, 3.0]), quality=quality)
-        filled, report = fill_gaps(series)
-        np.testing.assert_array_equal(filled.values, [1.0, 1.0, 3.0])
+        series = TimeSeries(np.array([1.0, 99.0, 3.0, np.nan]))
+        filled, report = fill_gaps(series, np.array([False, True, False, False]))
+        np.testing.assert_array_equal(filled.values, [1.0, 1.0, 3.0, 3.0])
         assert report.n_suspect_removed == 1
-        assert report.n_missing_filled == 0
-        assert filled.quality[1] == int(Quality.FILLED)
+        assert report.n_missing_filled == 1
+        assert report.gap_spans == ((1, 1), (3, 3))
+
+    def test_suspect_mask_must_match_length(self):
+        series = TimeSeries(np.array([1.0, 2.0, 3.0]))
+        with pytest.raises(InvalidInputError, match="suspect mask"):
+            fill_gaps(series, np.zeros(2, dtype=bool))
 
     def test_counts_match_quality_flags(self):
         rng = np.random.default_rng(7)
         values = rng.standard_normal(100)
         values[rng.choice(np.arange(1, 100), size=20, replace=False)] = np.nan
         filled, report = fill_gaps(TimeSeries(values))
-        n_flagged = int((filled.quality == int(Quality.FILLED)).sum())
-        assert report.n_missing_filled + report.n_suspect_removed == n_flagged
+        n_spanned = sum(last - first + 1 for first, last in report.gap_spans)
+        assert report.n_missing_filled + report.n_suspect_removed == n_spanned == 20
         assert np.isfinite(filled.values).all()
 
     def test_idempotent(self):
@@ -441,7 +446,7 @@ class TestFillGaps:
         points=st.lists(
             st.tuples(
                 st.sampled_from([1.5, -0.0, np.nan, np.inf, -np.inf]),
-                st.sampled_from([int(Quality.GOOD), int(Quality.FILLED), int(Quality.SUSPECT)]),
+                st.booleans(),
             ),
             min_size=1,
             max_size=60,
@@ -449,14 +454,13 @@ class TestFillGaps:
     )
     def test_random_masks_match_oracle_and_refill_is_a_no_op(self, points):
         values = np.array([1.0] + [v for v, _ in points])
-        quality = np.array([0] + [q for _, q in points], dtype=np.uint8)
-        filled, report = fill_gaps(TimeSeries(values, quality=quality))
+        suspect = np.array([False] + [s for _, s in points])
+        filled, report = fill_gaps(TimeSeries(values), suspect)
         assert (
             report.n_missing_filled, report.n_suspect_removed, report.gap_spans
-        ) == gap_report(values, quality)
+        ) == gap_report(values, suspect)
         again, second = fill_gaps(filled)
         np.testing.assert_array_equal(again.values.view(np.int64), filled.values.view(np.int64))
-        np.testing.assert_array_equal(again.quality, filled.quality)
         assert second.as_dict() == {"n_missing_filled": 0, "n_suspect_removed": 0, "gap_spans": []}
 
     def test_leading_gap_suggests_trimming(self):
@@ -473,8 +477,10 @@ class TestPrefilter:
     def test_median_suppresses_spike(self):
         values = np.ones(21)
         values[10] = 50.0
-        out = prefilter(TimeSeries(values), "moving_median", width=3)
+        series = TimeSeries(values, spacing=2.0, unit="hours", origin=5.0)
+        out = prefilter(series, "moving_median", width=3)
         assert out.values[10] == 1.0
+        assert (out.spacing, out.unit, out.origin) == (2.0, "hours", 5.0)
 
     def test_matches_clipped_naive_median(self):
         rng = np.random.default_rng(11)
@@ -520,8 +526,8 @@ class TestPipeline:
         path.write_text("\n".join(rows) + "\n")
 
         records = load_csv(path)
-        series = regularize(records, 600.0)
-        filled, report = fill_gaps(series)
+        series, suspect = regularize(records, 600.0)
+        filled, report = fill_gaps(series, suspect)
         smooth = prefilter(filled, "moving_median", width=5)
         assert np.isfinite(smooth.values).all()
         assert report.n_missing_filled > 0

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from pemix import (
     AnsatzConfig,
+    BinSweepResult,
     InsufficientDataError,
     InvalidInputError,
     PEConfig,
@@ -215,6 +216,39 @@ class TestRecommendBinSize:
     def test_all_nan_raises(self):
         with pytest.raises(InsufficientDataError):
             recommend_bin_size([1, 2], [np.nan, np.nan])
+
+    @pytest.mark.parametrize(
+        "sizes, pair", [([3, 1, 2], "size 1 follows size 3"), ([1, 2, 2], "size 2 follows size 2")]
+    )
+    def test_sizes_must_strictly_increase(self, sizes, pair):
+        with pytest.raises(InvalidInputError, match=pair):
+            recommend_bin_size(sizes, [0.0, 0.0, 0.5])
+
+
+class TestBinSweepResult:
+    def test_derives_sufficiency_and_recommendation_from_the_scores(self):
+        sizes, r_bars = [1, 2, 3, 4, 5], [0.9, 0.4, 0.5, 0.0, np.nan]
+        result = BinSweepResult(sizes, r_bars)
+        np.testing.assert_array_equal(result.sufficient, np.isfinite(r_bars))
+        assert result.sufficient.dtype == bool
+        assert (result.recommended_j, result.achieved_zero) == recommend_bin_size(sizes, r_bars)
+        assert (result.recommended_j, result.achieved_zero) == (4, True)
+        assert result.bin_sizes.dtype == np.int64
+
+    def test_all_nan_scores_raise(self):
+        with pytest.raises(InsufficientDataError):
+            BinSweepResult([1, 2], [np.nan, np.nan])
+
+    @pytest.mark.parametrize(
+        "sizes, r_bars", [([1, 2, 3], [0.5, 0.0]), ([[1, 2]], [[0.5, 0.0]])]
+    )
+    def test_mismatched_shapes_raise(self, sizes, r_bars):
+        with pytest.raises(InvalidInputError, match="matching 1-D"):
+            BinSweepResult(sizes, r_bars)
+
+    def test_unordered_sizes_raise(self):
+        with pytest.raises(InvalidInputError, match="strictly increase"):
+            BinSweepResult([2, 1], [0.5, 0.0])
 
 
 class TestBinSweep:

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pemix import (
@@ -110,14 +110,11 @@ class TestEncodePatterns:
             assert encode_patterns(values, ell, tau).tolist() == oracle_codes(values, ell, tau)
 
     @settings(max_examples=100, deadline=None)
-    @given(
-        ell=st.integers(2, 6),
-        tau=st.integers(1, 4),
-        values=st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0]), min_size=1, max_size=60),
-    )
-    def test_property_matches_oracle_on_tied_values(self, ell, tau, values):
-        values = np.asarray(values)
-        assume(len(values) > (ell - 1) * tau)
+    @given(data=st.data(), ell=st.integers(2, 6), tau=st.integers(1, 4))
+    def test_property_matches_oracle_on_tied_values(self, data, ell, tau):
+        # Drawn at least one pattern long, so no input is filtered out.
+        ties = st.sampled_from([0.0, 1.0, 2.0, 3.0])
+        values = np.asarray(data.draw(st.lists(ties, min_size=(ell - 1) * tau + 1, max_size=60)))
         assert encode_patterns(values, ell, tau).tolist() == oracle_codes(values, ell, tau)
 
     def test_ell_capped_like_the_configs(self):

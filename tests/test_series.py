@@ -1,11 +1,12 @@
 """TimeSeries container and its CSV round trip."""
 
+import dataclasses
 import io
 
 import numpy as np
 import pytest
 
-from pemix import InvalidInputError, Quality, TimeSeries, read_series_csv, write_series_csv
+from pemix import InvalidInputError, TimeSeries, read_series_csv, write_series_csv
 
 
 class TestTimeSeries:
@@ -20,9 +21,9 @@ class TestTimeSeries:
     def test_length(self):
         assert len(TimeSeries(np.zeros(7))) == 7
 
-    def test_quality_length_must_match(self):
-        with pytest.raises(InvalidInputError):
-            TimeSeries(np.zeros(3), quality=np.zeros(2, dtype=np.uint8))
+    def test_fields_are_what_a_series_file_holds(self):
+        names = [f.name for f in dataclasses.fields(TimeSeries)]
+        assert names == ["values", "spacing", "unit", "origin"]
 
     def test_rejects_2d(self):
         with pytest.raises(InvalidInputError):
@@ -33,12 +34,6 @@ class TestTimeSeries:
             TimeSeries(np.zeros(3), spacing=0.0)
         with pytest.raises(InvalidInputError):
             TimeSeries(np.zeros(3), spacing=-1.0)
-
-    def test_replace_values_keeps_grid(self):
-        series = TimeSeries(np.zeros(3), spacing=2.0, unit="hours", origin=5.0)
-        swapped = series.replace_values(np.ones(3))
-        assert (swapped.spacing, swapped.unit, swapped.origin) == (2.0, "hours", 5.0)
-        np.testing.assert_array_equal(swapped.values, [1.0, 1.0, 1.0])
 
 
 class TestSeriesCsv:
@@ -113,8 +108,3 @@ class TestSeriesCsv:
         buffer = io.StringIO("time,value\n0.0,1.0\nnot-a-row\n")
         with pytest.raises(InvalidInputError, match="line 3"):
             read_series_csv(buffer)
-
-    def test_quality_enum_values(self):
-        assert int(Quality.GOOD) == 0
-        assert int(Quality.FILLED) == 1
-        assert int(Quality.SUSPECT) == 2
