@@ -35,7 +35,6 @@ from .mixing import (
     recommend_bin_size,
 )
 from .ordinal import (
-    PatternConfig,
     PatternDistribution,
     encode_patterns,
     pattern_distribution,
@@ -58,7 +57,6 @@ __all__ = [
     "TimeSeries",
     "read_series_csv",
     "write_series_csv",
-    "PatternConfig",
     "PatternDistribution",
     "encode_patterns",
     "pattern_distribution",

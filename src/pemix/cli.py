@@ -109,15 +109,15 @@ def _manifest(command: str, params: Mapping[str, object], inputs: Mapping[str, P
 
 
 def write_trace_csv(
-    stream: IO[str], traces: PETraceSet | Iterable[PETraceSet], metadata: Mapping[str, object]
+    stream: IO[str], blocks: Iterable[PETraceSet], metadata: Mapping[str, object]
 ) -> None:
-    """Write one trace set, or the blocks of one in anchor order as they arrive.
+    """Write the blocks of one trace set in anchor order as they arrive.
 
     Blocks come from :func:`~pemix.entropy.trace_blocks`, at least one; the
     column line is taken from the first.  The bytes are those of the joined
     set, and only one block is held at a time.
     """
-    blocks = iter([traces] if isinstance(traces, PETraceSet) else traces)
+    blocks = iter(blocks)
     first = next(blocks)
     columns = "anchor," + ",".join(f"pe_tau{tau}" for tau in first.taus)
     rows = _trace_columns(first, blocks)
@@ -158,13 +158,12 @@ def read_trace_csv(stream: IO[str]) -> tuple[PETraceSet, dict[str, str]]:
 
 
 def write_reversal_csv(
-    stream: IO[str], rev: ReversalSeries | Iterable[ReversalSeries], metadata: Mapping[str, object]
+    stream: IO[str], blocks: Iterable[ReversalSeries], metadata: Mapping[str, object]
 ) -> None:
-    """Write one score series, or its blocks in anchor order as they arrive.
+    """Write the blocks of one score series in anchor order as they arrive.
 
     The bytes are those of the joined series; ``metadata`` carries any mean.
     """
-    blocks = [rev] if isinstance(rev, ReversalSeries) else rev
     rows = ((block.anchors, block.r_values) for block in blocks)
     write_table(stream, _REVERSAL_TAG, metadata, "anchor,reversal", rows)
 
@@ -177,11 +176,9 @@ def write_sweep_csv(stream: IO[str], result: BinSweepResult, metadata: Mapping[s
     }
     write_header(stream, _SWEEP_TAG, {**metadata, **recommendation})
     stream.write("bin_size,mean_reversal,data_sufficient\n")
-    for i in range(result.bin_sizes.shape[0]):
-        r = float(result.r_bars[i])
-        cell = repr(r) if np.isfinite(r) else "nan"
-        flag = "true" if bool(result.sufficient[i]) else "false"
-        stream.write(f"{int(result.bin_sizes[i])},{cell},{flag}\n")
+    columns = (result.bin_sizes.tolist(), result.r_bars.tolist(), result.sufficient.tolist())
+    for j, r, sufficient in zip(*columns):
+        stream.write(f"{j},{r!r},{'true' if sufficient else 'false'}\n")
 
 
 def _load(path: Path, reader: Callable[[IO[str]], tuple]) -> tuple:
@@ -293,7 +290,7 @@ def cmd_reversal(args: argparse.Namespace) -> int:
         params["windowed_r_bar"] = repr(output.r_bar)
     meta = _manifest("reversal", params, {"input": inp})
     out = _resolve_out(args.out)
-    _save(out, write_reversal_csv, output, meta)
+    _save(out, write_reversal_csv, [output], meta)
     print(f"mean reversal score: {rev.r_bar!r}")
     print(f"wrote {len(output)} rows to {out}")
     return EXIT_OK

@@ -15,9 +15,8 @@ import numpy as np
 
 from .errors import InsufficientDataError, InvalidInputError
 from .ordinal import (
-    PatternConfig,
     PatternDistribution,
-    _check_ell_fits,
+    _check_ell,
     encode_patterns,
     pattern_distribution,
 )
@@ -51,7 +50,7 @@ class PEConfig:
     """Shape of a windowed, multi-stride entropy computation.
 
     Attributes:
-        ell: Points per ordinal pattern, 2..9 (see :class:`PatternConfig`).
+        ell: Points per ordinal pattern, 2..9 (see :func:`encode_patterns`).
         window: Observations per sliding window; must fit at least one
             pattern at the largest stride: ``window >= (ell-1)*tau_max + 1``.
         tau_min: Smallest stride, >= 1.
@@ -71,9 +70,7 @@ class PEConfig:
             if not isinstance(value, (int, np.integer)):
                 raise InvalidInputError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
-        if self.ell < 2:
-            raise InvalidInputError(f"ell must be >= 2, got {self.ell}")
-        _check_ell_fits(self.ell)
+        _check_ell(self.ell)
         if self.tau_min < 1:
             raise InvalidInputError(f"tau_min must be >= 1, got {self.tau_min}")
         if self.tau_max < self.tau_min:
@@ -199,7 +196,7 @@ def permutation_entropy(dist: PatternDistribution, ell: int) -> float:
 
 def global_pe(series: TimeSeries, ell: int, tau: int) -> float:
     """Entropy of the pattern distribution over the whole series."""
-    dist = pattern_distribution(series, PatternConfig(ell=ell, tau=tau))
+    dist = pattern_distribution(series, ell, tau)
     return permutation_entropy(dist, ell)
 
 
@@ -212,12 +209,11 @@ def windowed_pe(series: TimeSeries, config: PEConfig, tau: int) -> PETraceSet:
     align anchor for anchor.
 
     Raises:
-        InvalidInputError: If ``tau`` does not fit the window, or the
+        InvalidInputError: If ``tau`` is not an integer >= 1 (see
+            :func:`encode_patterns`) or does not fit the window, or the
             series has non-finite values.
         InsufficientDataError: If the series is shorter than one window.
     """
-    if tau < 1:
-        raise InvalidInputError(f"tau must be >= 1, got {tau}")
     span = (config.ell - 1) * tau
     if config.window < span + 1:
         raise InvalidInputError(

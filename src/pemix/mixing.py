@@ -72,7 +72,8 @@ def mixing_ansatz(series: TimeSeries, config: AnsatzConfig) -> TimeSeries:
     clipped window ``x[max(n-k, 0) .. min(n+k, N-1)]``.  A one-point
     window has ``sigma = 0``.  Draws come from ``numpy``'s PCG64
     generator seeded with ``config.seed``, one per point in series
-    order, so equal seeds give equal output.
+    order, so equal seeds give equal output.  At ``k = 0`` no draw is
+    taken and the values come back as a copy, bit for bit.
 
     The draws are taken first and each is then scaled and shifted in
     place, the full windows in blocks of ``_ANSATZ_BLOCK_ROWS``, so besides
@@ -94,12 +95,10 @@ def mixing_ansatz(series: TimeSeries, config: AnsatzConfig) -> TimeSeries:
             f"(needs more than {2 * k} points)"
         )
     _check_finite(x)
+    if k == 0:
+        return replace(series, values=x.copy())
     draws = np.random.default_rng(config.seed).standard_normal(n)
     # mu + sigma * draws, in place.
-    if k == 0:
-        draws *= 0.0
-        draws += x
-        return replace(series, values=draws)
     windows = np.lib.stride_tricks.sliding_window_view(x, 2 * k + 1)
     for r0 in range(0, windows.shape[0], _ANSATZ_BLOCK_ROWS):
         rows = windows[r0 : r0 + _ANSATZ_BLOCK_ROWS]
@@ -187,14 +186,13 @@ class BinSweepResult:
 def recommend_bin_size(
     bin_sizes: Sequence[int] | np.ndarray,
     r_bars: Sequence[float] | np.ndarray,
-    tol: float = ZERO_RBAR_TOL,
 ) -> tuple[int, bool]:
     """Pick a bin size from a sweep's mean reversal scores.
 
     Preference order: the smallest size whose score is zero within
-    ``tol``; otherwise the first local minimum, where a plateau of equal
-    scores counts as one candidate represented by its smallest size.
-    NaN scores (insufficient data) are skipped.
+    ``ZERO_RBAR_TOL``; otherwise the first local minimum, where a
+    plateau of equal scores counts as one candidate represented by its
+    smallest size.  NaN scores (insufficient data) are skipped.
 
     Example: scores ``[0.8, 0.5, 0.5, 0.7]`` for sizes ``1..4``
     recommend size 2, the first point of the plateau.
@@ -203,9 +201,12 @@ def recommend_bin_size(
         ``(recommended_size, achieved_zero)``.
 
     Raises:
-        InvalidInputError: If the sizes do not strictly increase.
+        InvalidInputError: If there are not as many scores as sizes, or
+            the sizes do not strictly increase.
         InsufficientDataError: If every score is NaN.
     """
+    if len(bin_sizes) != len(r_bars):
+        raise InvalidInputError(f"{len(bin_sizes)} bin sizes but {len(r_bars)} scores")
     backward = np.flatnonzero(np.diff(bin_sizes) <= 0)
     if backward.size:
         i = backward[0]
@@ -221,7 +222,7 @@ def recommend_bin_size(
     if not pairs:
         raise InsufficientDataError("no bin size left enough data to score")
     for j, r in pairs:
-        if r <= tol:
+        if r <= ZERO_RBAR_TOL:
             return j, True
     # Collapse plateaus into runs, then take the first run that sits
     # strictly below both neighbors (series ends count as higher).

@@ -19,7 +19,6 @@ from .errors import InsufficientDataError, InvalidInputError
 from .series import TimeSeries, _check_finite
 
 __all__ = [
-    "PatternConfig",
     "PatternDistribution",
     "encode_patterns",
     "pattern_distribution",
@@ -30,40 +29,15 @@ __all__ = [
 _MAX_ELL = 9
 
 
-def _check_ell_fits(ell: int) -> None:
+def _check_ell(ell: int) -> None:
+    """Reject an ``ell`` that is not an integer in 2..9."""
+    if not isinstance(ell, (int, np.integer)) or ell < 2:
+        raise InvalidInputError(f"ell must be >= 2 and an integer, got {ell!r}")
     if ell > _MAX_ELL:
         raise InvalidInputError(
             f"ell must be <= {_MAX_ELL} so that one row of ell! pattern counts "
             f"stays a few MB, got {ell}"
         )
-
-
-@dataclass(frozen=True)
-class PatternConfig:
-    """Window shape for pattern extraction.
-
-    Attributes:
-        ell: Number of points per window, 2..9 (one row of ``ell!``
-            counts in the sliding kernel stays a few MB).
-        tau: Stride between consecutive window points, >= 1.
-    """
-
-    ell: int
-    tau: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.ell, (int, np.integer)) or self.ell < 2:
-            raise InvalidInputError(f"ell must be an integer >= 2, got {self.ell}")
-        if not isinstance(self.tau, (int, np.integer)) or self.tau < 1:
-            raise InvalidInputError(f"tau must be an integer >= 1, got {self.tau}")
-        object.__setattr__(self, "ell", int(self.ell))
-        object.__setattr__(self, "tau", int(self.tau))
-        _check_ell_fits(self.ell)
-
-    @property
-    def span(self) -> int:
-        """Observations covered by one window minus one: ``(ell-1)*tau``."""
-        return (self.ell - 1) * self.tau
 
 
 @dataclass(frozen=True)
@@ -102,8 +76,9 @@ def encode_patterns(values: np.ndarray, ell: int, tau: int) -> np.ndarray:
 
     Args:
         values: 1-D float array, all finite.
-        ell: Points per window, 2..9 (see :class:`PatternConfig`).
-        tau: Stride, >= 1.
+        ell: Points per window, an integer in 2..9 (one row of ``ell!``
+            counts in the sliding kernel stays a few MB).
+        tau: Stride, an integer >= 1.
 
     Returns:
         int64 array of length ``len(values) - (ell-1)*tau``.
@@ -114,11 +89,9 @@ def encode_patterns(values: np.ndarray, ell: int, tau: int) -> np.ndarray:
         InsufficientDataError: If no complete window fits.
     """
     arr = np.ascontiguousarray(values, dtype=np.float64)
-    if ell < 2:
-        raise InvalidInputError(f"ell must be >= 2, got {ell}")
-    _check_ell_fits(ell)
-    if tau < 1:
-        raise InvalidInputError(f"tau must be >= 1, got {tau}")
+    _check_ell(ell)
+    if not isinstance(tau, (int, np.integer)) or tau < 1:
+        raise InvalidInputError(f"tau must be >= 1 and an integer, got {tau!r}")
     _check_finite(arr)
     span = (ell - 1) * tau
     n_pat = arr.shape[0] - span
@@ -140,11 +113,13 @@ def encode_patterns(values: np.ndarray, ell: int, tau: int) -> np.ndarray:
 
 def pattern_distribution(
     series: TimeSeries,
-    config: PatternConfig,
+    ell: int,
+    tau: int,
     start: int | None = None,
     end: int | None = None,
 ) -> PatternDistribution:
-    """Tally ordinal patterns over ``[start, end)`` of a series.
+    """Tally ordinal patterns of ``ell`` points at stride ``tau`` over
+    ``[start, end)`` of a series.
 
     Every window whose first point lies at ``n`` with
     ``start <= n`` and ``n + (ell-1)*tau < end`` contributes one count.
@@ -152,7 +127,8 @@ def pattern_distribution(
     so they always sum to 1.
 
     Raises:
-        InvalidInputError: On a bad range or non-finite values inside it.
+        InvalidInputError: On a bad range, a bad ``ell`` or ``tau`` (see
+            :func:`encode_patterns`), or non-finite values inside the range.
         InsufficientDataError: If the range holds no complete window.
     """
     n = len(series)
@@ -162,16 +138,11 @@ def pattern_distribution(
         raise InvalidInputError(
             f"range [{lo}, {hi}) is not a valid sub-range of a series of length {n}"
         )
-    if hi - lo < config.span + 1:
-        raise InsufficientDataError(
-            f"range of {hi - lo} points holds no window of ell={config.ell}, "
-            f"tau={config.tau} (needs {config.span + 1})"
-        )
     try:
-        codes = encode_patterns(series.values[lo:hi], config.ell, config.tau)
+        codes = encode_patterns(series.values[lo:hi], ell, tau)
     except InvalidInputError as exc:
         raise InvalidInputError(f"within range starting at {lo}: {exc}") from None
-    nfact = math.factorial(config.ell)
+    nfact = math.factorial(ell)
     tally = np.bincount(codes, minlength=nfact).astype(np.int64)
     count = int(codes.shape[0])
     probs = tally / count

@@ -173,9 +173,7 @@ def read_header(stream: IO[str]) -> TableHeader:
     raise InvalidInputError("the file has no column header and no data rows")
 
 
-def read_rows(
-    stream: IO[str], header: TableHeader, dtype: np.dtype, usecols: Sequence[int] | None = None
-) -> np.ndarray:
+def read_rows(stream: IO[str], header: TableHeader, dtype: np.dtype) -> np.ndarray:
     """Parse the rows after ``header`` into a 1-D ``dtype`` array, skipping ``#`` lines.
 
     Raises:
@@ -192,7 +190,7 @@ def read_rows(
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # no rows; raised below
-            table = np.loadtxt(lines, dtype=dtype, delimiter=",", usecols=usecols, ndmin=1)
+            table = np.loadtxt(lines, dtype=dtype, delimiter=",", ndmin=1)
     except ValueError as exc:
         reason = re.sub(r" at row \d+", "", str(exc)).split(";")[0]
         raise InvalidInputError(f"line {next(counter) - 1}: {reason}") from None
@@ -254,7 +252,7 @@ def read_series_csv(stream: IO[str]) -> tuple[TimeSeries, dict[str, str]]:
         )
     if header.tag is not None and header.tag != _FORMAT_TAG:
         raise InvalidInputError(f"expected a {_FORMAT_TAG!r} file, got {header.tag!r}")
-    table = read_rows(stream, header, _SERIES_DTYPE, usecols=(0, 1))
+    table = read_rows(stream, header, _SERIES_DTYPE)
     times = table["time"]
     steps = np.diff(times)
     metadata = header.metadata

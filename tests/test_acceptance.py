@@ -18,7 +18,6 @@ from pemix import (
     AnsatzConfig,
     LorenzParams,
     MackeyGlassParams,
-    PatternConfig,
     PEConfig,
     PETraceSet,
     TimeSeries,
@@ -159,10 +158,9 @@ def test_a6_fast_paths_match_reference_implementations():
         series = TimeSeries(values)
         config = PEConfig(ell=ell, window=window, tau_min=tau, tau_max=tau, hop=hop)
         trace = windowed_pe(series, config, tau)
-        pattern_config = PatternConfig(ell=ell, tau=tau)
         for anchor, fast in zip(trace.anchors, trace.traces[0]):
             dist = pattern_distribution(
-                series, pattern_config, start=int(anchor) - window + 1,
+                series, ell, tau, start=int(anchor) - window + 1,
                 end=int(anchor) + 1,
             )
             slow = permutation_entropy(dist, ell)

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from pemix import (
     AnsatzConfig,
+    BinSweepResult,
     MackeyGlassParams,
     PEConfig,
     bin_average,
@@ -207,7 +208,7 @@ class TestPeAndReversal:
             assert run("pe", "-i", src, "--window", 300, "--hop", 7, "-o", out) == 0
         traces = multi_tau_pe(sine_series(1.0, 50, 1501), PEConfig(window=300, hop=7))
         whole = io.StringIO()
-        cli.write_trace_csv(whole, traces, {})
+        cli.write_trace_csv(whole, [traces], {})
 
         def rows(text):
             return [line for line in text.splitlines() if not line.startswith("#")]
@@ -296,6 +297,17 @@ class TestBinCommands:
         for r in rows:
             assert r[2] in ("true", "false")
 
+    def test_sweep_rows_pin_their_bytes(self):
+        # An insufficient size is written as nan, not dropped or zeroed.
+        result = BinSweepResult([1, 2, 3], [0.5, 1 / 3, np.nan])
+        stream = io.StringIO()
+        cli.write_sweep_csv(stream, result, {"command": "test"})
+        assert stream.getvalue() == (
+            "# pemix-sweep v1\n# command: test\n# recommended_bin: 2\n# achieved_zero: false\n"
+            "bin_size,mean_reversal,data_sufficient\n"
+            "1,0.5,true\n2,0.3333333333333333,true\n3,nan,false\n"
+        )
+
 
 class TestIngestCommand:
     def test_writes_series_and_report(self, tmp_path):
@@ -346,6 +358,18 @@ class TestExitCodes:
         code = run("pe", "-i", src, "--ell", 1, "--window", 100, "-o", tmp_path / "x.csv")
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_series_row_with_a_third_cell_is_2(self, tmp_path, capsys):
+        src = tmp_path / "src.csv"
+        run("generate", "sine", "--period", 40, "--n", 400, "-o", src)
+        lines = src.read_text(encoding="utf-8").splitlines(keepends=True)
+        row = next(i for i, line in enumerate(lines) if line.startswith("150.0,"))
+        lines[row] = lines[row].rstrip("\n") + ",234\n"
+        src.write_text("".join(lines), encoding="utf-8")
+        out = tmp_path / "x.csv"
+        assert run("pe", "-i", src, "--window", 100, "-o", out) == 2
+        assert f"line {row + 1}: " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_too_short_series_is_3(self, tmp_path):
         src = tmp_path / "src.csv"

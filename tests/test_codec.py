@@ -101,7 +101,7 @@ class TestWriterMatchesRowOracle:
         meta = {"ell": 4, "window": 5000}
         oracle = io.StringIO()
         write_trace_rows(oracle, traces, meta)
-        assert _write(write_trace_csv, traces, meta, chunk=chunk) == oracle.getvalue()
+        assert _write(write_trace_csv, [traces], meta, chunk=chunk) == oracle.getvalue()
 
     @codec
     @given(
@@ -114,7 +114,7 @@ class TestWriterMatchesRowOracle:
         rev = ReversalSeries(np.arange(len(displacements)) + 99, np.asarray(displacements), scale)
         oracle = io.StringIO()
         write_reversal_rows(oracle, rev, {"r_bar": "0.5"})
-        assert _write(write_reversal_csv, rev, {"r_bar": "0.5"}, chunk=chunk) == oracle.getvalue()
+        assert _write(write_reversal_csv, [rev], {"r_bar": "0.5"}, chunk=chunk) == oracle.getvalue()
 
     def test_mixed_mackey_glass_traces(self):
         series = mackey_glass_series(MackeyGlassParams(steps=20_000))
@@ -124,7 +124,7 @@ class TestWriterMatchesRowOracle:
         assert max(len(np.unique(row)) for row in block) < block.shape[1]
         oracle = io.StringIO()
         write_trace_rows(oracle, traces, {"ell": 4})
-        got = _write(write_trace_csv, traces, {"ell": 4}).splitlines()
+        got = _write(write_trace_csv, [traces], {"ell": 4}).splitlines()
         want = oracle.getvalue().splitlines()
         # Name the first differing line: a diff of the whole table is slow.
         assert len(got) == len(want)
@@ -133,7 +133,7 @@ class TestWriterMatchesRowOracle:
 
     def test_empty_tables_write_only_the_header(self):
         rev = ReversalSeries(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.uint8), 18)
-        assert _write(write_reversal_csv, rev, {}) == "# pemix-reversal v1\nanchor,reversal\n"
+        assert _write(write_reversal_csv, [rev], {}) == "# pemix-reversal v1\nanchor,reversal\n"
 
 
 class TestRoundTripIsBitExact:
@@ -152,7 +152,7 @@ class TestRoundTripIsBitExact:
     @codec
     @given(traces=trace_sets())
     def test_traces(self, traces):
-        loaded, _ = read_trace_csv(io.StringIO(_write(write_trace_csv, traces, {})))
+        loaded, _ = read_trace_csv(io.StringIO(_write(write_trace_csv, [traces], {})))
         np.testing.assert_array_equal(loaded.anchors, traces.anchors)
         np.testing.assert_array_equal(loaded.taus, traces.taus)
         np.testing.assert_array_equal(_bits(loaded.traces), _bits(traces.traces))
@@ -169,7 +169,7 @@ class TestCodecMemory:
     def test_trace_read_peak_is_a_small_multiple_of_the_table(self, tmp_path):
         path = tmp_path / "traces.csv"
         with open(path, "w", encoding="utf-8") as stream:
-            write_trace_csv(stream, _trace_set(100_000), {"ell": 4})
+            write_trace_csv(stream, [_trace_set(100_000)], {"ell": 4})
         table_bytes = 100_000 * (1 + 6) * 8
         with open(path, "r", encoding="utf-8") as stream:
             tracemalloc.start()
@@ -186,7 +186,7 @@ class TestCodecMemory:
             traces = _trace_set(n, n_taus=2)
             with open(os.devnull, "w", encoding="utf-8") as sink:
                 tracemalloc.start()
-                write_trace_csv(sink, traces, {"ell": 4})
+                write_trace_csv(sink, [traces], {"ell": 4})
                 peaks[n] = tracemalloc.get_traced_memory()[1]
                 tracemalloc.stop()
         # Both sizes hold one write block of cell strings at a time; a
@@ -210,7 +210,10 @@ class TestCodecMemory:
     def test_streamed_trace_write_does_not_grow_with_anchors(self):
         config = PEConfig(window=1000)
         grown = {}
-        for name, traces in (("streamed", trace_blocks), ("matrix", multi_tau_pe)):
+        def matrix(series, config):
+            return [multi_tau_pe(series, config)]
+
+        for name, traces in (("streamed", trace_blocks), ("matrix", matrix)):
             peaks = {}
             for n in (12_000, 36_000):
                 series = TimeSeries(np.random.default_rng(5).standard_normal(n))

@@ -16,7 +16,6 @@ from pemix import (
     InsufficientDataError,
     InvalidInputError,
     MackeyGlassParams,
-    PatternConfig,
     PatternDistribution,
     PEConfig,
     TimeSeries,
@@ -183,7 +182,8 @@ class TestWindowedPE:
                 anchor = int(trace.anchors[i])
                 dist = pattern_distribution(
                     series,
-                    PatternConfig(ell=ell, tau=tau),
+                    ell,
+                    tau,
                     start=anchor - window + 1,
                     end=anchor + 1,
                 )
@@ -249,7 +249,8 @@ class TestSlidingKernel:
         for i, anchor in enumerate(trace.anchors):
             dist = pattern_distribution(
                 series,
-                PatternConfig(ell=ell, tau=tau),
+                ell,
+                tau,
                 start=int(anchor) - window + 1,
                 end=int(anchor) + 1,
             )

@@ -34,6 +34,12 @@ class TestMixingAnsatz:
         series = TimeSeries(rng.standard_normal(50))
         out = mixing_ansatz(series, AnsatzConfig(k=0, seed=123))
         np.testing.assert_array_equal(out.values, series.values)
+        # Bit for bit, signed zeros included: at seed 0 a draw-based k = 0
+        # turned about half of these -0.0 into 0.0.
+        signed = TimeSeries(np.where(np.arange(50) % 2, -0.0, series.values))
+        out = mixing_ansatz(signed, AnsatzConfig(k=0, seed=0))
+        np.testing.assert_array_equal(out.values.view(np.int64), signed.values.view(np.int64))
+        assert not np.shares_memory(out.values, signed.values)
 
     def test_same_seed_reproduces(self):
         rng = np.random.default_rng(11)
@@ -216,6 +222,11 @@ class TestRecommendBinSize:
     def test_all_nan_raises(self):
         with pytest.raises(InsufficientDataError):
             recommend_bin_size([1, 2], [np.nan, np.nan])
+
+    @pytest.mark.parametrize("r_bars", [[0.5, 0.4, 0.0], [0.5]])
+    def test_scores_must_match_sizes(self, r_bars):
+        with pytest.raises(InvalidInputError, match=f"^2 bin sizes but {len(r_bars)} scores$"):
+            recommend_bin_size([1, 2], r_bars)
 
     @pytest.mark.parametrize(
         "sizes, pair", [([3, 1, 2], "size 1 follows size 3"), ([1, 2, 2], "size 2 follows size 2")]

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from pemix import (
     InsufficientDataError,
     InvalidInputError,
-    PatternConfig,
     TimeSeries,
     encode_patterns,
     pattern_distribution,
@@ -118,7 +117,7 @@ class TestEncodePatterns:
         assert encode_patterns(values, ell, tau).tolist() == oracle_codes(values, ell, tau)
 
     def test_ell_capped_like_the_configs(self):
-        # 21! - 1 does not fit an int64 code; the cap of PatternConfig
+        # 21! - 1 does not fit an int64 code; the cap of PEConfig
         # applies here too, so no code silently wraps.
         for ell in (10, 21):
             with pytest.raises(InvalidInputError, match="ell must be <= 9"):
@@ -134,11 +133,19 @@ class TestEncodePatterns:
         with pytest.raises(InvalidInputError, match="position 3"):
             encode_patterns(values, ell=2, tau=1)
 
+    @pytest.mark.parametrize(
+        "ell, tau, name",
+        [(2.5, 1, "ell"), (3.0, 1, "ell"), ("3", 1, "ell"), (2, 1.5, "tau"), (2, "1", "tau")],
+    )
+    def test_non_integer_ell_or_tau_is_invalid(self, ell, tau, name):
+        with pytest.raises(InvalidInputError, match=f"^{name} must be >= [12] and an integer"):
+            encode_patterns(np.arange(10.0), ell, tau)
+
 
 class TestPatternDistribution:
     def test_alternating_example(self):
         series = TimeSeries(np.array([2.0, 1.0, 2.0, 1.0, 2.0, 1.0, 2.0]))
-        dist = pattern_distribution(series, PatternConfig(ell=2, tau=1))
+        dist = pattern_distribution(series, 2, 1)
         assert dist.count == 6
         np.testing.assert_array_equal(dist.probs, [0.5, 0.5])
 
@@ -152,7 +159,7 @@ class TestPatternDistribution:
             tau = int(rng.integers(1, 4))
             if n <= (ell - 1) * tau:
                 continue
-            dist = pattern_distribution(series, PatternConfig(ell=ell, tau=tau))
+            dist = pattern_distribution(series, ell, tau)
             tally, n_windows = pattern_tally(values, ell, tau)
             assert dist.count == n_windows
             expected = np.zeros(math.factorial(ell))
@@ -170,7 +177,7 @@ class TestPatternDistribution:
             start = int(rng.integers(0, 100))
             end = int(rng.integers(start + span + 1, 201))
             dist = pattern_distribution(
-                series, PatternConfig(ell=ell, tau=tau), start=start, end=end
+                series, ell, tau, start=start, end=end
             )
             assert dist.count == (end - start) - span
             assert dist.probs.sum() == pytest.approx(1.0, abs=1e-12)
@@ -180,12 +187,12 @@ class TestPatternDistribution:
         rng = np.random.default_rng(5)
         values = rng.standard_normal(300)
         series = TimeSeries(values)
-        config = PatternConfig(ell=3, tau=2)
-        span = config.span
+        ell, tau = 3, 2
+        span = (ell - 1) * tau
         split = 140
-        full = pattern_distribution(series, config)
-        left = pattern_distribution(series, config, start=0, end=split)
-        right = pattern_distribution(series, config, start=split - span, end=300)
+        full = pattern_distribution(series, ell, tau)
+        left = pattern_distribution(series, ell, tau, start=0, end=split)
+        right = pattern_distribution(series, ell, tau, start=split - span, end=300)
         merged_counts = left.probs * left.count + right.probs * right.count
         np.testing.assert_allclose(
             merged_counts, full.probs * full.count, rtol=0, atol=1e-9
@@ -195,27 +202,27 @@ class TestPatternDistribution:
     def test_bad_range_raises(self):
         series = TimeSeries(np.arange(10.0))
         with pytest.raises(InvalidInputError):
-            pattern_distribution(series, PatternConfig(ell=2, tau=1), start=5, end=3)
+            pattern_distribution(series, 2, 1, start=5, end=3)
 
     def test_short_range_raises(self):
         series = TimeSeries(np.arange(10.0))
         with pytest.raises(InsufficientDataError):
-            pattern_distribution(series, PatternConfig(ell=4, tau=3), start=0, end=9)
+            pattern_distribution(series, 4, 3, start=0, end=9)
 
-
-class TestPatternConfig:
     def test_validation(self):
+        series = TimeSeries(np.arange(10.0))
         with pytest.raises(InvalidInputError):
-            PatternConfig(ell=1, tau=1)
+            pattern_distribution(series, 1, 1)
         with pytest.raises(InvalidInputError):
-            PatternConfig(ell=3, tau=0)
+            pattern_distribution(series, 3, 0)
+        for ell, tau, name in ((2.5, 1, "ell"), (2, 1.0, "tau"), (2, None, "tau")):
+            with pytest.raises(InvalidInputError, match=f"{name} must be >= [12] and an integer"):
+                pattern_distribution(series, ell, tau)
 
     def test_ell_is_capped_at_nine(self):
         # One row of 9! = 362,880 counts is 2.9 MB; 10! would be 29 MB.
-        assert PatternConfig(ell=9, tau=1).ell == 9
+        series = TimeSeries(np.arange(21.0))
+        assert pattern_distribution(series, 9, 1).probs.shape == (math.factorial(9),)
         for ell in (10, 13, 21, 10**6):
             with pytest.raises(InvalidInputError, match="ell must be <= 9"):
-                PatternConfig(ell=ell, tau=1)
-
-    def test_span(self):
-        assert PatternConfig(ell=4, tau=6).span == 18
+                pattern_distribution(series, ell, 1)

@@ -108,3 +108,10 @@ class TestSeriesCsv:
         buffer = io.StringIO("time,value\n0.0,1.0\nnot-a-row\n")
         with pytest.raises(InvalidInputError, match="line 3"):
             read_series_csv(buffer)
+
+    @pytest.mark.parametrize("row", ["1.0,1,234", "1.0,2.0,"])
+    def test_row_with_a_third_cell_raises(self, row):
+        # Read as "1.0,1" the first row would pass as the value 1.
+        buffer = io.StringIO(f"# pemix-series v1\ntime,value\n0.0,1.0\n{row}\n2.0,3.0\n")
+        with pytest.raises(InvalidInputError, match="^line 4: .*2 columns but 3 were found"):
+            read_series_csv(buffer)

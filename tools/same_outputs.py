@@ -1,0 +1,137 @@
+"""Check that two revisions write the same output files, byte for byte.
+
+Run from the repository root::
+
+    python3 tools/same_outputs.py --parent HEAD~1            # against the working tree
+    python3 tools/same_outputs.py --parent HEAD~1 --change HEAD
+
+The parent, and the change when ``--change`` is given, are exported with
+``git archive`` into ``.bench_build/same-outputs``; without ``--change`` the
+working tree's ``src/`` is run.  Each side runs, in its own output
+directory:
+
+* ``reproduce lorenz|mackey-glass|sweeps --scale desk`` at the default seed;
+* on the ``recording`` benchmark's seed-11 export
+  (``bench/recording.py::write_export``), ``ingest --target-spacing 0.25``
+  plain, with ``--fill none`` and with ``--prefilter moving_median
+  --median-width 5``;
+* on the plain ingested series, ``pe``, then ``reversal`` plain and with
+  ``--window 5000``, ``binsweep --j-max 40 --hop 100`` and ``ansatz -k 0``.
+
+Both sides read the same export.  Then every file is compared after
+dropping the lines that hold a timestamp, an input digest, an output path
+or a run time.  The tool lists each command that exited non-zero and each
+file that is missing on one side or differs, and exits 1; it exits 0 when
+every command succeeded and every file is the same.  The copies are
+removed at the end.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import os
+import re
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+from bench_pairs import ROOT, _checkout, _git
+
+# Lines whose content changes from run to run, or with the output directory.
+VOLATILE = re.compile(rb'created|input_sha256|"output"|runtime_seconds')
+
+
+def _runs(export: Path) -> list[list[str]]:
+    """The ``pemix`` argument lists run on each side, in order."""
+    ingest = ["ingest", "-i", str(export), "--target-spacing", "0.25"]
+    runs = [["reproduce", target, "--scale", "desk", "--outdir", target]
+            for target in ("lorenz", "mackey-glass", "sweeps")]
+    return runs + [
+        [*ingest, "-o", "clean.csv"],
+        [*ingest, "--fill", "none", "-o", "clean_nofill.csv"],
+        [*ingest, "--prefilter", "moving_median", "--median-width", "5", "-o", "clean_median.csv"],
+        ["pe", "-i", "clean.csv", "-o", "pe.csv"],
+        ["reversal", "-i", "pe.csv", "-o", "reversal.csv"],
+        ["reversal", "-i", "pe.csv", "--window", "5000", "-o", "reversal_w5000.csv"],
+        ["binsweep", "-i", "clean.csv", "--j-max", "40", "--hop", "100", "-o", "sweep.csv"],
+        ["ansatz", "-i", "clean.csv", "-k", "0", "-o", "ansatz_k0.csv"],
+    ]
+
+
+def _run_side(side: str, src: Path, out: Path, export: Path) -> list[str]:
+    """Run every command with the ``pemix`` under ``src``, writing into ``out``;
+    return one line per command that failed."""
+    out.mkdir(parents=True)
+    env = {k: v for k, v in os.environ.items() if k != "PEMIX_OUT_DIR"}
+    env.update(PYTHONPATH=str(src), PYTHONHASHSEED="0")
+    failed = []
+    for argv in _runs(export):
+        done = subprocess.run([sys.executable, "-m", "pemix.cli", *argv], cwd=out, env=env,
+                              capture_output=True, text=True)
+        line = f"{side}: pemix {' '.join(argv)} exited {done.returncode}"
+        print(line, flush=True)
+        if done.returncode != 0:
+            failed.append(f"{line}: {done.stderr.strip()[-500:]}")
+    return failed
+
+
+def _kept_lines(path: Path) -> list[bytes]:
+    return [line for line in path.read_bytes().splitlines() if not VOLATILE.search(line)]
+
+
+def compare(parent: Path, change: Path) -> list[str]:
+    """One line per file under either directory that is missing or differs."""
+    names = {p.relative_to(root) for root in (parent, change) for p in root.rglob("*")
+             if p.is_file()}
+    problems = []
+    for name in sorted(names):
+        sides = {"parent": parent / name, "change": change / name}
+        missing = [side for side, path in sides.items() if not path.is_file()]
+        if missing:
+            problems.append(f"missing on the {missing[0]} side: {name}")
+        elif _kept_lines(sides["parent"]) != _kept_lines(sides["change"]):
+            problems.append(f"differs: {name}")
+    return problems
+
+
+def _write_export(bench: Path, path: Path) -> None:
+    spec = importlib.util.spec_from_file_location("recording", bench / "recording.py")
+    recording = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(recording)
+    recording.write_export(path, 11)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="revision the change is checked against")
+    parser.add_argument("--change", help="revision under check (default: the working tree)")
+    args = parser.parse_args(argv)
+
+    work = ROOT / ".bench_build" / "same-outputs"
+    shutil.rmtree(work, ignore_errors=True)
+    work.mkdir(parents=True)
+    try:
+        trees = {"parent": _checkout(work, "parent", _git("rev-parse", args.parent))}
+        if args.change is None:
+            trees["change"] = ROOT
+        else:
+            trees["change"] = _checkout(work, "change", _git("rev-parse", args.change))
+        export = work / "export.csv"
+        _write_export(trees["change"] / "bench", export)
+        problems = []
+        for side, tree in trees.items():
+            problems += _run_side(side, tree / "src", work / f"out-{side}", export)
+        problems += compare(work / "out-parent", work / "out-change")
+        files = sum(1 for p in (work / "out-change").rglob("*") if p.is_file())
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+    for problem in problems:
+        print(problem)
+    print(f"{files} files compared, {len(problems)} problems")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
