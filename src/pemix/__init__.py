@@ -35,7 +35,6 @@ from .mixing import (
     recommend_bin_size,
 )
 from .ordinal import (
-    PatternDistribution,
     encode_patterns,
     pattern_distribution,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "TimeSeries",
     "read_series_csv",
     "write_series_csv",
-    "PatternDistribution",
     "encode_patterns",
     "pattern_distribution",
     "PEConfig",

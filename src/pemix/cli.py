@@ -18,6 +18,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import sys
 import time
 from dataclasses import asdict, fields
@@ -140,21 +141,21 @@ def _trace_columns(first: PETraceSet, rest: Iterator[PETraceSet]) -> Iterator[li
 
 def read_trace_csv(stream: IO[str]) -> tuple[PETraceSet, dict[str, str]]:
     header = read_header(stream)
-    columns = header.columns.split(",")
-    if len(columns) < 3 or columns[0] != "anchor":
+    first = re.fullmatch(r"anchor,pe_tau(-?[0-9]+),.+", header.columns)
+    if first is None:
         raise InvalidInputError(
             "trace file must have columns 'anchor,pe_tau<min>,...,pe_tau<max>'"
         )
-    try:
-        taus = [int(c.removeprefix("pe_tau")) for c in columns[1:]]
-    except ValueError:
-        raise InvalidInputError(f"unrecognized trace columns {columns[1:]}") from None
-    if taus != list(range(taus[0], taus[0] + len(taus))):
-        raise InvalidInputError(f"trace columns must cover a contiguous stride range, got {taus}")
+    tau_min, strides = int(first[1]), header.columns.count(",")
+    expected = "anchor," + ",".join(f"pe_tau{tau_min + k}" for k in range(strides))
+    if header.columns != expected:
+        raise InvalidInputError(
+            f"trace columns {header.columns!r} are not the contiguous strides {expected!r}"
+        )
     # An integer field keeps int()'s strictness: "150.0" is not an anchor.
-    dtype = np.dtype([("anchor", "i8"), ("pe", "f8", (len(taus),))])
+    dtype = np.dtype([("anchor", "i8"), ("pe", "f8", (strides,))])
     table = read_rows(stream, header, dtype)
-    return PETraceSet(taus[0], table["anchor"], table["pe"].T), header.metadata
+    return PETraceSet(tau_min, table["anchor"], table["pe"].T), header.metadata
 
 
 def write_reversal_csv(

@@ -14,12 +14,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import InsufficientDataError, InvalidInputError
-from .ordinal import (
-    PatternDistribution,
-    _check_ell,
-    encode_patterns,
-    pattern_distribution,
-)
+from .ordinal import _check_ell, encode_patterns, pattern_distribution
 from .series import TimeSeries, _check_finite
 
 __all__ = [
@@ -177,36 +172,37 @@ def _normalized_entropy(plogp: np.ndarray, ell: int) -> np.ndarray:
     return np.minimum(h + 0.0, 1.0)
 
 
-def permutation_entropy(dist: PatternDistribution, ell: int) -> float:
-    """Normalized permutation entropy of one pattern distribution.
+def permutation_entropy(counts: np.ndarray, ell: int) -> float:
+    """Normalized permutation entropy of one row of ``ell!`` pattern counts,
+    as :func:`~pemix.ordinal.pattern_distribution` returns.
 
     Raises:
-        InvalidInputError: If ``probs`` length is not ``ell!``.
-        InsufficientDataError: If the distribution tallied no windows.
+        InvalidInputError: If ``counts`` length is not ``ell!``.
+        InsufficientDataError: If the counts total zero.
     """
     nfact = math.factorial(ell)
-    if dist.probs.shape[0] != nfact:
+    if counts.shape[0] != nfact:
         raise InvalidInputError(
-            f"distribution has {dist.probs.shape[0]} cells, expected {nfact} for ell={ell}"
+            f"distribution has {counts.shape[0]} cells, expected {nfact} for ell={ell}"
         )
-    if dist.count < 1:
+    total = counts.sum()
+    if total < 1:
         raise InsufficientDataError("cannot compute entropy of an empty distribution")
-    return float(_normalized_entropy(_plogp(dist.probs), ell))
+    return float(_normalized_entropy(_plogp(counts / total), ell))
 
 
 def global_pe(series: TimeSeries, ell: int, tau: int) -> float:
     """Entropy of the pattern distribution over the whole series."""
-    dist = pattern_distribution(series, ell, tau)
-    return permutation_entropy(dist, ell)
+    return permutation_entropy(pattern_distribution(series, ell, tau), ell)
 
 
-def windowed_pe(series: TimeSeries, config: PEConfig, tau: int) -> PETraceSet:
-    """Sliding-window entropy trace at one stride, as a one-stride set.
+def windowed_pe(series: TimeSeries, config: PEConfig, tau: int) -> np.ndarray:
+    """Sliding-window entropy trace at one stride.
 
     Windows hold ``config.window`` consecutive observations and advance
-    by ``config.hop``; each value is anchored at the index of its
-    window's last observation, so traces computed at different strides
-    align anchor for anchor.
+    by ``config.hop``; value ``i`` belongs to the window whose last
+    observation is ``config.anchor_grid(len(series))[i]``, so traces
+    computed at different strides align anchor for anchor.
 
     Raises:
         InvalidInputError: If ``tau`` is not an integer >= 1 (see
@@ -225,15 +221,12 @@ def windowed_pe(series: TimeSeries, config: PEConfig, tau: int) -> PETraceSet:
             f"series of length {n} is shorter than one window of {config.window}"
         )
     codes = encode_patterns(series.values, config.ell, tau)
-    grid = config.anchor_grid(n)
-    anchors = np.arange(grid.start, grid.stop, grid.step, dtype=np.int64)
-    values = _sliding_entropy(codes, anchors, config.window, config.ell, span)
-    return PETraceSet(tau_min=tau, anchors=anchors, traces=values[None, :])
+    return _sliding_entropy(codes, config.anchor_grid(n), config.window, config.ell, span)
 
 
 def _sliding_entropy(
     codes: np.ndarray,
-    anchors: np.ndarray,
+    anchors: range,
     window: int,
     ell: int,
     span: int,
@@ -261,10 +254,10 @@ def _sliding_entropy(
     """
     nfact = math.factorial(ell)
     per_window = window - span
-    n_rows = anchors.shape[0]
-    hop = int(anchors[1] - anchors[0]) if n_rows > 1 else 1
+    n_rows = len(anchors)
+    hop = anchors.step
     table = _plogp(np.arange(per_window + 1) / per_window)
-    head = int(anchors[0]) - span + 1  # one past the first window's last pattern
+    head = anchors[0] - span + 1  # one past the first window's last pattern
     tail = head - per_window  # the first window's first pattern
     moved = (n_rows - 1) * hop
     # Row r >= 1 gains enter[(r-1)*hop : r*hop] and loses leave[(r-1)*hop : r*hop].
@@ -309,12 +302,12 @@ def multi_tau_pe(series: TimeSeries, config: PEConfig) -> PETraceSet:
     ``tau_min + k``; every row shares the same anchors, which is what makes
     the per-anchor stride ordering in the reversal stage well defined.
     """
-    first = windowed_pe(series, config, config.tau_min)
-    traces = np.empty((len(config.taus), len(first)))
-    traces[0] = first.traces[0]
-    for k, tau in enumerate(config.taus[1:], start=1):
-        traces[k] = windowed_pe(series, config, tau).traces[0]
-    return PETraceSet(tau_min=config.tau_min, anchors=first.anchors, traces=traces)
+    grid = config.anchor_grid(len(series))
+    traces = np.empty((len(config.taus), len(grid)))
+    for k, tau in enumerate(config.taus):
+        traces[k] = windowed_pe(series, config, tau)
+    anchors = np.arange(grid.start, grid.stop, grid.step, dtype=np.int64)
+    return PETraceSet(tau_min=config.tau_min, anchors=anchors, traces=traces)
 
 
 def trace_blocks(series: TimeSeries, config: PEConfig) -> Iterator[PETraceSet]:

@@ -1,4 +1,4 @@
-"""Ordinal patterns of strided windows and their empirical distribution.
+"""Ordinal patterns of strided windows and their counts.
 
 A window ``(x[n], x[n+tau], ..., x[n+(ell-1)*tau])`` is reduced to the
 permutation that ranks its values; the permutation's position in the
@@ -11,7 +11,6 @@ one pattern.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +18,6 @@ from .errors import InsufficientDataError, InvalidInputError
 from .series import TimeSeries, _check_finite
 
 __all__ = [
-    "PatternDistribution",
     "encode_patterns",
     "pattern_distribution",
 ]
@@ -38,28 +36,6 @@ def _check_ell(ell: int) -> None:
             f"ell must be <= {_MAX_ELL} so that one row of ell! pattern counts "
             f"stays a few MB, got {ell}"
         )
-
-
-@dataclass(frozen=True)
-class PatternDistribution:
-    """Empirical pattern probabilities over a stretch of series.
-
-    Attributes:
-        probs: Length ``ell!`` array; ``probs[c]`` is the relative
-            frequency of the pattern whose lexicographic code is ``c``.
-            Sums to 1 whenever ``count`` > 0.
-        count: Number of windows tallied.
-    """
-
-    probs: np.ndarray
-    count: int
-
-    def __post_init__(self) -> None:
-        probs = np.asarray(self.probs, dtype=np.float64)
-        object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "count", int(self.count))
-        if self.count < 0:
-            raise InvalidInputError(f"count must be >= 0, got {self.count}")
 
 
 def encode_patterns(values: np.ndarray, ell: int, tau: int) -> np.ndarray:
@@ -117,14 +93,14 @@ def pattern_distribution(
     tau: int,
     start: int | None = None,
     end: int | None = None,
-) -> PatternDistribution:
-    """Tally ordinal patterns of ``ell`` points at stride ``tau`` over
+) -> np.ndarray:
+    """Count ordinal patterns of ``ell`` points at stride ``tau`` over
     ``[start, end)`` of a series.
 
     Every window whose first point lies at ``n`` with
-    ``start <= n`` and ``n + (ell-1)*tau < end`` contributes one count.
-    Probabilities are counts divided by the number of windows tallied,
-    so they always sum to 1.
+    ``start <= n`` and ``n + (ell-1)*tau < end`` contributes one count to
+    entry ``c`` of the returned length-``ell!`` int64 array, ``c`` being
+    its pattern's code.
 
     Raises:
         InvalidInputError: On a bad range, a bad ``ell`` or ``tau`` (see
@@ -142,8 +118,4 @@ def pattern_distribution(
         codes = encode_patterns(series.values[lo:hi], ell, tau)
     except InvalidInputError as exc:
         raise InvalidInputError(f"within range starting at {lo}: {exc}") from None
-    nfact = math.factorial(ell)
-    tally = np.bincount(codes, minlength=nfact).astype(np.int64)
-    count = int(codes.shape[0])
-    probs = tally / count
-    return PatternDistribution(probs=probs, count=count)
+    return np.bincount(codes, minlength=math.factorial(ell)).astype(np.int64, copy=False)

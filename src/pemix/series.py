@@ -62,6 +62,8 @@ class TimeSeries:
             raise InvalidInputError(f"spacing must be finite and > 0, got {self.spacing}")
         object.__setattr__(self, "spacing", float(self.spacing))
         object.__setattr__(self, "origin", float(self.origin))
+        if not np.isfinite(self.origin):
+            raise InvalidInputError(f"origin must be finite, got {self.origin}")
 
     def __len__(self) -> int:
         return int(self.values.shape[0])
@@ -241,8 +243,9 @@ def read_series_csv(stream: IO[str]) -> tuple[TimeSeries, dict[str, str]]:
     Raises:
         InvalidInputError: On a malformed file, including one whose column
             header is not ``time,value`` (such as a trace table), one tagged
-            as another pemix table, and one whose time column skips or
-            repeats a step.
+            as another pemix table, one whose header ``spacing`` or ``origin``
+            is not a number, and one whose time column skips or repeats a
+            step or does not start at the ``origin``.
     """
     header = read_header(stream)
     if header.columns != _COLUMNS:
@@ -256,6 +259,11 @@ def read_series_csv(stream: IO[str]) -> tuple[TimeSeries, dict[str, str]]:
     times = table["time"]
     steps = np.diff(times)
     metadata = header.metadata
+    for key in ("spacing", "origin"):
+        try:
+            float(metadata.get(key, "0"))
+        except ValueError:
+            raise InvalidInputError(f"header {key} {metadata[key]!r} is not a number") from None
     if "spacing" in metadata:
         spacing = float(metadata["spacing"])
     elif len(steps):
@@ -272,7 +280,9 @@ def read_series_csv(stream: IO[str]) -> tuple[TimeSeries, dict[str, str]]:
     if uneven.size:
         i = uneven[0]
         raise InvalidInputError(
-            f"uneven time column: the step from time {times[i]!r} to {times[i + 1]!r} "
+            f"uneven time column: the step from time {times[i]} to {times[i + 1]} "
             f"is not the spacing {series.spacing!r}"
         )
+    if not abs(times[0] - series.origin) <= tolerance:
+        raise InvalidInputError(f"the first time {times[0]} is not the origin {series.origin!r}")
     return series, metadata

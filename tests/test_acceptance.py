@@ -158,7 +158,7 @@ def test_a6_fast_paths_match_reference_implementations():
         series = TimeSeries(values)
         config = PEConfig(ell=ell, window=window, tau_min=tau, tau_max=tau, hop=hop)
         trace = windowed_pe(series, config, tau)
-        for anchor, fast in zip(trace.anchors, trace.traces[0]):
+        for anchor, fast in zip(config.anchor_grid(n), trace):
             dist = pattern_distribution(
                 series, ell, tau, start=int(anchor) - window + 1,
                 end=int(anchor) + 1,

@@ -429,6 +429,44 @@ class TestExitCodes:
         assert not (tmp_path / "rev.csv").exists()
 
     @pytest.mark.parametrize(
+        "columns, message",
+        [
+            ("anchor,1,2", "trace file must have columns"),
+            ("anchor,pe_tau1,pe_tau+2", "are not the contiguous strides 'anchor,pe_tau1,pe_tau2'"),
+            ("anchor,pe_tau1,pe_tau 2", "are not the contiguous strides 'anchor,pe_tau1,pe_tau2'"),
+            ("anchor,pe_tau0_1,pe_tau0_2", "trace file must have columns"),
+        ],
+    )
+    def test_trace_columns_pemix_never_writes_are_2(self, tmp_path, capsys, columns, message):
+        # int() reads each of these stride columns as 1, 2.
+        traces = tmp_path / "traces.csv"
+        traces.write_text(f"{columns}\n10,0.5,0.4\n11,0.5,0.4\n", encoding="utf-8")
+        code = run("reversal", "-i", traces, "-o", tmp_path / "rev.csv")
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "rev.csv").exists()
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ("# spacing: abc", "header spacing 'abc' is not a number"),
+            ("# origin: inf", "origin must be finite, got inf"),
+            ("# origin: 7.0", "the first time 0.0 is not the origin 7.0"),
+        ],
+    )
+    def test_bad_series_header_is_2(self, tmp_path, capsys, header, message):
+        src = tmp_path / "src.csv"
+        run("generate", "sine", "--period", 40, "--n", 400, "-o", src)
+        lines = [line for line in src.read_text(encoding="utf-8").splitlines(keepends=True)
+                 if not line.startswith(header.partition(":")[0])]
+        src.write_text(lines[0] + header + "\n" + "".join(lines[1:]), encoding="utf-8")
+        for argv in (("pe", "--window", 100), ("bin", "-j", 2)):
+            out = tmp_path / "x.csv"
+            assert run(argv[0], "-i", src, *argv[1:], "-o", out) == 2
+            assert f"error: {message}" in capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize(
         "rows, bad_row",
         [("0,1.0\n1,2.0\n2,3.0\ninf,4.0\n", 5), ("0,1.0\nnan,2.0\n2,3.0\n3,4.0\n", 3)],
     )

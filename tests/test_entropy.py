@@ -16,7 +16,6 @@ from pemix import (
     InsufficientDataError,
     InvalidInputError,
     MackeyGlassParams,
-    PatternDistribution,
     PEConfig,
     TimeSeries,
     encode_patterns,
@@ -35,22 +34,22 @@ from oracles import entropy_from_tally, pattern_tally, sliding_entropy_chunked
 
 class TestPermutationEntropy:
     def test_single_pattern_is_zero(self):
-        probs = np.zeros(6)
-        probs[2] = 1.0
-        value = permutation_entropy(PatternDistribution(probs=probs, count=9), 3)
+        counts = np.zeros(6, dtype=np.int64)
+        counts[2] = 9
+        value = permutation_entropy(counts, 3)
         assert value == 0.0
 
     def test_uniform_is_one(self):
-        probs = np.full(24, 1.0 / 24.0)
-        value = permutation_entropy(PatternDistribution(probs=probs, count=24), 4)
+        counts = np.ones(24, dtype=np.int64)
+        value = permutation_entropy(counts, 4)
         assert value == pytest.approx(1.0, abs=1e-12)
         assert value <= 1.0
 
     def test_two_equal_patterns(self):
-        probs = np.zeros(6)
-        probs[0] = 0.5
-        probs[5] = 0.5
-        value = permutation_entropy(PatternDistribution(probs=probs, count=10), 3)
+        counts = np.zeros(6, dtype=np.int64)
+        counts[0] = 5
+        counts[5] = 5
+        value = permutation_entropy(counts, 3)
         assert value == pytest.approx(math.log(2) / math.log(6), abs=1e-12)
 
     def test_matches_tally_oracle(self):
@@ -81,11 +80,11 @@ class TestPermutationEntropy:
 
     def test_wrong_cell_count_raises(self):
         with pytest.raises(InvalidInputError):
-            permutation_entropy(PatternDistribution(probs=np.full(6, 1 / 6), count=6), 4)
+            permutation_entropy(np.ones(6, dtype=np.int64), 4)
 
     def test_empty_distribution_raises(self):
         with pytest.raises(InsufficientDataError):
-            permutation_entropy(PatternDistribution(probs=np.zeros(6), count=0), 3)
+            permutation_entropy(np.zeros(6, dtype=np.int64), 3)
 
 
 class TestGlobalPE:
@@ -120,27 +119,27 @@ class TestWindowedPE:
         config = PEConfig(ell=3, window=300, tau_min=1, tau_max=2, hop=1)
         trace = windowed_pe(series, config, tau=2)
         assert len(trace) == 1
-        assert trace.anchors[0] == 299
-        assert trace.traces[0, 0] == global_pe(series, 3, 2)
+        assert config.anchor_grid(300)[0] == 299
+        assert trace[0] == global_pe(series, 3, 2)
 
     def test_anchor_grid(self):
         series = TimeSeries(np.random.default_rng(0).standard_normal(100))
         config = PEConfig(ell=2, window=20, tau_min=1, tau_max=1, hop=7)
         trace = windowed_pe(series, config, tau=1)
-        np.testing.assert_array_equal(trace.anchors, np.arange(19, 100, 7))
-        assert list(config.anchor_grid(100)) == trace.anchors.tolist()
+        assert trace.shape == (len(config.anchor_grid(100)),)
+        assert list(config.anchor_grid(100)) == list(range(19, 100, 7))
         # The points a run of anchors covers give that run's values alone.
         block = config.anchor_grid(100)[2:5]
         assert config.covered_points(block) == slice(14, 48)
         part = windowed_pe(TimeSeries(series.values[14:48]), config, tau=1)
-        np.testing.assert_array_equal(part.traces, trace.traces[:, 2:5])
+        np.testing.assert_array_equal(part, trace[2:5])
 
     def test_constant_series_gives_zero_everywhere(self):
         series = TimeSeries(np.zeros(200))
         config = PEConfig(ell=3, window=50, tau_min=1, tau_max=4, hop=3)
         for tau in (1, 4):
             trace = windowed_pe(series, config, tau)
-            assert (trace.traces == 0.0).all()
+            assert (trace == 0.0).all()
 
     def test_bit_for_bit_against_per_window_recomputation(self):
         rng = np.random.default_rng(71)
@@ -178,8 +177,7 @@ class TestWindowedPE:
             trace = windowed_pe(series, config, tau)
             peaks[ell, window] = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
-            for i in range(len(trace)):
-                anchor = int(trace.anchors[i])
+            for anchor, value in zip(config.anchor_grid(len(series)), trace, strict=True):
                 dist = pattern_distribution(
                     series,
                     ell,
@@ -187,7 +185,7 @@ class TestWindowedPE:
                     start=anchor - window + 1,
                     end=anchor + 1,
                 )
-                assert trace.traces[0, i] == permutation_entropy(dist, ell), (
+                assert value == permutation_entropy(dist, ell), (
                     f"mismatch at anchor {anchor} (ell={ell}, tau={tau}, "
                     f"window={window}, hop={hop})"
                 )
@@ -246,15 +244,15 @@ class TestSlidingKernel:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(entropy_module, "_BLOCK_CELLS", rows * math.factorial(ell))
             trace = windowed_pe(series, config, tau)
-        for i, anchor in enumerate(trace.anchors):
+        for anchor, value in zip(config.anchor_grid(len(series)), trace, strict=True):
             dist = pattern_distribution(
                 series,
                 ell,
                 tau,
-                start=int(anchor) - window + 1,
-                end=int(anchor) + 1,
+                start=anchor - window + 1,
+                end=anchor + 1,
             )
-            assert trace.traces[0, i] == permutation_entropy(dist, ell), f"anchor {anchor}"
+            assert value == permutation_entropy(dist, ell), f"anchor {anchor}"
 
     @pytest.mark.parametrize("hop", [1, 100])
     @pytest.mark.parametrize("ell", [4, 6])
@@ -265,9 +263,9 @@ class TestSlidingKernel:
             for tau in (1, 3):
                 span = (ell - 1) * tau
                 codes = encode_patterns(series.values, ell, tau)
-                anchors = np.arange(4999, len(series), hop, dtype=np.int64)
+                anchors = range(4999, len(series), hop)
                 got = entropy_module._sliding_entropy(codes, anchors, 5000, ell, span)
-                expected = sliding_entropy_chunked(codes, anchors, 5000, ell, span)
+                expected = sliding_entropy_chunked(codes, np.asarray(anchors), 5000, ell, span)
                 assert got.shape == expected.shape
                 np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
 
@@ -292,10 +290,10 @@ class TestSlidingKernel:
         peaks = {}
         for n in (100_000, 400_000):
             codes = encode_patterns(np.zeros(n), 4, 1)
-            anchors = np.arange(999, n, 3, dtype=np.int64)
+            anchors = range(999, n, 3)
             tracemalloc.start()
             entropy_module._sliding_entropy(codes, anchors, 1000, 4, 3)
-            peaks[n] = tracemalloc.get_traced_memory()[1], anchors.shape[0]
+            peaks[n] = tracemalloc.get_traced_memory()[1], len(anchors)
             tracemalloc.stop()
         # A few int64 arrays of one value per anchor; offsets for all 3
         # codes moved per anchor would add 48 bytes per anchor.
@@ -312,9 +310,9 @@ class TestMultiTauPE:
         np.testing.assert_array_equal(traces.taus, [1, 2, 3, 4, 5])
         for tau, row in zip(config.taus, traces.traces):
             single = windowed_pe(series, config, tau)
-            assert (single.tau_min, single.traces.shape) == (tau, (1, len(traces)))
-            np.testing.assert_array_equal(single.anchors, traces.anchors)
-            np.testing.assert_array_equal(single.traces[0], row)
+            assert single.shape == (len(traces),)
+            np.testing.assert_array_equal(config.anchor_grid(500), traces.anchors)
+            np.testing.assert_array_equal(single, row)
 
     def test_matrix_shape(self):
         rng = np.random.default_rng(89)

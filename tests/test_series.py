@@ -35,6 +35,11 @@ class TestTimeSeries:
         with pytest.raises(InvalidInputError):
             TimeSeries(np.zeros(3), spacing=-1.0)
 
+    @pytest.mark.parametrize("origin", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_origin(self, origin):
+        with pytest.raises(InvalidInputError, match="^origin must be finite"):
+            TimeSeries(np.zeros(3), origin=origin)
+
 
 class TestSeriesCsv:
     def test_round_trip_is_exact(self):
@@ -81,7 +86,8 @@ class TestSeriesCsv:
         with pytest.raises(InvalidInputError, match="uneven time column"):
             read_series_csv(io.StringIO("".join(lines)))
         untagged = "time,value\n0.0,1.0\n0.5,2.0\n1.5,3.0\n2.0,4.0\n"
-        with pytest.raises(InvalidInputError, match="uneven time column"):
+        message = "^uneven time column: the step from time 0.5 to 1.5 is not the spacing 0.5$"
+        with pytest.raises(InvalidInputError, match=message):
             read_series_csv(io.StringIO(untagged))
 
     def test_grid_times_pass_the_step_check(self):
@@ -115,3 +121,17 @@ class TestSeriesCsv:
         buffer = io.StringIO(f"# pemix-series v1\ntime,value\n0.0,1.0\n{row}\n2.0,3.0\n")
         with pytest.raises(InvalidInputError, match="^line 4: .*2 columns but 3 were found"):
             read_series_csv(buffer)
+
+    @pytest.mark.parametrize("key", ["spacing", "origin"])
+    def test_header_number_that_is_not_a_number_raises(self, key):
+        buffer = io.StringIO(f"# pemix-series v1\n# {key}: abc\ntime,value\n0.0,1.0\n1.0,2.0\n")
+        with pytest.raises(InvalidInputError, match=f"^header {key} 'abc' is not a number$"):
+            read_series_csv(buffer)
+
+    def test_first_time_off_the_origin_raises(self):
+        text = "# pemix-series v1\n# spacing: 1.0\n# origin: 7.0\ntime,value\n0.0,1.0\n1.0,2.0\n"
+        with pytest.raises(InvalidInputError, match="^the first time 0.0 is not the origin 7.0$"):
+            read_series_csv(io.StringIO(text))
+        # A first time within the step check's rounding allowance passes.
+        loaded, _ = read_series_csv(io.StringIO(text.replace("7.0", repr(1e-12))))
+        assert loaded.origin == 1e-12

@@ -11,12 +11,15 @@ working tree's ``src/`` is run.  Each side runs, in its own output
 directory:
 
 * ``reproduce lorenz|mackey-glass|sweeps --scale desk`` at the default seed;
+* ``generate sine`` at its defaults, and ``generate lorenz`` and
+  ``generate mackey-glass`` with ``--steps 20000``;
 * on the ``recording`` benchmark's seed-11 export
   (``bench/recording.py::write_export``), ``ingest --target-spacing 0.25``
   plain, with ``--fill none`` and with ``--prefilter moving_median
   --median-width 5``;
 * on the plain ingested series, ``pe``, then ``reversal`` plain and with
-  ``--window 5000``, ``binsweep --j-max 40 --hop 100`` and ``ansatz -k 0``.
+  ``--window 5000``, ``bin -j 3``, ``binsweep --j-max 40 --hop 100`` and
+  ``ansatz -k 0``.
 
 Both sides read the same export.  Then every file is compared after
 dropping the lines that hold a timestamp, an input digest, an output path
@@ -49,12 +52,16 @@ def _runs(export: Path) -> list[list[str]]:
     runs = [["reproduce", target, "--scale", "desk", "--outdir", target]
             for target in ("lorenz", "mackey-glass", "sweeps")]
     return runs + [
+        ["generate", "sine", "-o", "sine.csv"],
+        ["generate", "lorenz", "--steps", "20000", "-o", "lorenz.csv"],
+        ["generate", "mackey-glass", "--steps", "20000", "-o", "mackey_glass.csv"],
         [*ingest, "-o", "clean.csv"],
         [*ingest, "--fill", "none", "-o", "clean_nofill.csv"],
         [*ingest, "--prefilter", "moving_median", "--median-width", "5", "-o", "clean_median.csv"],
         ["pe", "-i", "clean.csv", "-o", "pe.csv"],
         ["reversal", "-i", "pe.csv", "-o", "reversal.csv"],
         ["reversal", "-i", "pe.csv", "--window", "5000", "-o", "reversal_w5000.csv"],
+        ["bin", "-i", "clean.csv", "-j", "3", "-o", "clean_j3.csv"],
         ["binsweep", "-i", "clean.csv", "--j-max", "40", "--hop", "100", "-o", "sweep.csv"],
         ["ansatz", "-i", "clean.csv", "-k", "0", "-o", "ansatz_k0.csv"],
     ]
