@@ -27,7 +27,6 @@ from .generators import (
 )
 from .ingest import CleaningReport, fill_gaps, load_csv, prefilter, regularize
 from .mixing import (
-    AnsatzConfig,
     BinSweepResult,
     bin_average,
     bin_sweep,
@@ -69,7 +68,6 @@ __all__ = [
     "lambda_for_range",
     "reversal_series",
     "windowed_rbar",
-    "AnsatzConfig",
     "BinSweepResult",
     "mixing_ansatz",
     "bin_average",

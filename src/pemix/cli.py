@@ -41,7 +41,6 @@ from .generators import (
 from .ingest import fill_gaps, load_csv, prefilter, regularize
 from .mixing import (
     RNG_ALGORITHM,
-    AnsatzConfig,
     BinSweepResult,
     bin_average,
     bin_sweep,
@@ -244,16 +243,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_ansatz(args: argparse.Namespace) -> int:
     inp = Path(args.input)
     series, _ = _load(inp, read_series_csv)
-    config = AnsatzConfig(k=args.k, seed=args.seed)
-    mixed = mixing_ansatz(series, config)
+    mixed = mixing_ansatz(series, args.k, args.seed)
     out = _resolve_out(args.out)
-    meta = _manifest(
-        "ansatz",
-        {"k": config.k, "seed": config.seed, "rng": RNG_ALGORITHM},
-        {"input": inp},
-    )
-    _save(out, write_series_csv, mixed, meta)
-    print(f"wrote mixed series ({len(mixed)} samples, k={config.k}) to {out}")
+    params = {"k": args.k, "seed": args.seed, "rng": RNG_ALGORITHM}
+    _save(out, write_series_csv, mixed, _manifest("ansatz", params, {"input": inp}))
+    print(f"wrote mixed series ({len(mixed)} samples, k={args.k}) to {out}")
     return EXIT_OK
 
 
@@ -370,15 +364,11 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     report_dict["input"] = str(inp)
     report_dict["output"] = str(out)
     report_dict["created"] = _utc_now()
-    # One key per line, and one line per gap span rather than per number.
-    items = []
-    for key, value in report_dict.items():
-        text = json.dumps(value)
-        if isinstance(value, list) and value:
-            text = "[\n    " + ",\n    ".join(map(json.dumps, value)) + "\n  ]"
-        items.append(f"  {json.dumps(key)}: {text}")
-    with open(report_path, "w", encoding="utf-8") as stream:
-        stream.write("{\n" + ",\n".join(items) + "\n}\n")
+    # One line per gap span rather than per number.  A JSON string holds no
+    # raw newline, so the join never touches a path.
+    text = json.dumps(report_dict, indent=2)
+    text = re.sub(r"\[\n +(\d+),\n +(\d+)\n +\]", r"[\1, \2]", text)
+    report_path.write_text(text + "\n", encoding="utf-8")
     print(f"wrote {len(series)} grid points to {out}")
     print(f"wrote cleaning report to {report_path}")
     return EXIT_OK
@@ -435,7 +425,7 @@ def _run_study(
         return _write_study_series(outdir / f"{name}_{label}", command, data, config)
 
     r_bars = [write("raw", series)]
-    mixed = mixing_ansatz(series, AnsatzConfig(k=k, seed=seed))
+    mixed = mixing_ansatz(series, k, seed)
     del series
     r_bars.append(write(f"mixed_k{k}", mixed))
     sizes = np.arange(1, j_max + 1)
@@ -489,7 +479,7 @@ def _reproduce_sweeps(outdir: Path, scale: str, seed: int) -> list[dict[str, obj
     config = PEConfig()
     checks = []
     for offset, (system, (_, prefix, k, j_max, (lo, hi), _)) in enumerate(_STUDIES.items()):
-        mixed = mixing_ansatz(_study_series(system, scale), AnsatzConfig(k=k, seed=seed + offset))
+        mixed = mixing_ansatz(_study_series(system, scale), k, seed + offset)
         sweep = bin_sweep(mixed, range(1, j_max + 1), config)
         name = system.replace("-", "_")
         _save(outdir / f"{name}_k{k}_sweep.csv", write_sweep_csv, sweep, {})
@@ -501,6 +491,8 @@ def _reproduce_sweeps(outdir: Path, scale: str, seed: int) -> list[dict[str, obj
 
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        raise InvalidInputError(f"seed must be an integer >= 0, got {args.seed}")
     outdir = _resolve_out(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()

@@ -51,6 +51,9 @@ class LorenzParams:
     def __post_init__(self) -> None:
         if not (self.h > 0.0) or not math.isfinite(self.h):
             raise InvalidInputError(f"step size must be finite and > 0, got {self.h}")
+        for name in ("a", "b", "r", "x0", "y0", "z0"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidInputError(f"{name} must be finite, got {getattr(self, name)}")
         if self.steps < 1:
             raise InvalidInputError(f"steps must be >= 1, got {self.steps}")
         if self.skip < 0:
@@ -95,8 +98,20 @@ def lorenz_trajectory(params: LorenzParams) -> np.ndarray:
         xs.append(x)
         ys.append(y)
         zs.append(z)
+    _check_states(xs, ys, zs)
     skip = params.skip
     return np.column_stack([np.frombuffer(col, dtype=np.float64)[skip:] for col in (xs, ys, zs)])
+
+
+def _check_states(*columns: array, history: int = 0) -> None:
+    """Raise on the first step whose state is not finite.
+
+    Entry ``history + i`` of each column is the state after ``i`` steps.
+    """
+    finite = np.logical_and.reduce([np.isfinite(np.frombuffer(c, np.float64)) for c in columns])
+    if not finite.all():
+        step = int(np.argmin(finite)) - history
+        raise InvalidInputError(f"integration diverged at step {step}; try a smaller step h")
 
 
 def lorenz_series(params: LorenzParams = LorenzParams()) -> TimeSeries:
@@ -139,6 +154,11 @@ class MackeyGlassParams:
             raise InvalidInputError(f"step size must be finite and > 0, got {self.h}")
         if not (self.t0 > 0.0) or not math.isfinite(self.t0):
             raise InvalidInputError(f"delay must be finite and > 0, got {self.t0}")
+        if not math.isfinite(self.x0):
+            raise InvalidInputError(f"x0 must be finite, got {self.x0}")
+        # A negative delayed value to a non-integer power is complex.
+        if self.x0 < 0.0 and not float(self.q).is_integer():
+            raise InvalidInputError(f"x0 must be >= 0 unless q is an integer, got {self.x0}")
         if self.steps < 1:
             raise InvalidInputError(f"steps must be >= 1, got {self.steps}")
         if self.skip < 0:
@@ -178,19 +198,25 @@ def mackey_glass_series(params: MackeyGlassParams = MackeyGlassParams()) -> Time
     append = xs.append
     xd_now = x
     g_now = beta * x / (1.0 + x**q)
-    for i in range(1, params.skip + params.steps):
-        xd_next = xs[i]
-        xd_half = 0.5 * (xd_now + xd_next)
-        g_half = beta * xd_half / (1.0 + xd_half**q)
-        g_next = beta * xd_next / (1.0 + xd_next**q)
-        k1 = g_now - gamma * x
-        k2 = g_half - gamma * (x + half * k1)
-        k3 = g_half - gamma * (x + half * k2)
-        k4 = g_next - gamma * (x + h * k3)
-        x += sixth * (k1 + 2.0 * (k2 + k3) + k4)
-        append(x)
-        xd_now = xd_next
-        g_now = g_next
+    try:
+        for i in range(1, params.skip + params.steps):
+            xd_next = xs[i]
+            xd_half = 0.5 * (xd_now + xd_next)
+            g_half = beta * xd_half / (1.0 + xd_half**q)
+            g_next = beta * xd_next / (1.0 + xd_next**q)
+            k1 = g_now - gamma * x
+            k2 = g_half - gamma * (x + half * k1)
+            k3 = g_half - gamma * (x + half * k2)
+            k4 = g_next - gamma * (x + h * k3)
+            x += sixth * (k1 + 2.0 * (k2 + k3) + k4)
+            append(x)
+            xd_now = xd_next
+            g_now = g_next
+    except (OverflowError, TypeError):
+        # A delayed value's q-th power overflowed, or went complex below zero:
+        # the failed step's state is not finite either.
+        append(math.nan)
+    _check_states(xs, history=d)
     # The history and the skipped head are dropped in place, so no second
     # copy of the states is made and no unused head is kept alive.
     del xs[: d + params.skip]

@@ -23,7 +23,6 @@ from .reversal import lambda_for_range, reversal_series
 from .series import TimeSeries, _check_finite
 
 __all__ = [
-    "AnsatzConfig",
     "BinSweepResult",
     "mixing_ansatz",
     "bin_average",
@@ -43,37 +42,17 @@ RNG_ALGORITHM = "pcg64"
 _ANSATZ_BLOCK_ROWS = 1 << 12
 
 
-@dataclass(frozen=True)
-class AnsatzConfig:
-    """Neighborhood half-width and seed for the mixing surrogate.
-
-    ``k`` is the half-width: point ``n`` draws from the statistics of
-    ``x[n-k] .. x[n+k]``, clipped at the series edges.  ``k = 0``
-    reproduces the input unchanged.
-    """
-
-    k: int
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.k, (int, np.integer)) or self.k < 0:
-            raise InvalidInputError(f"k must be an integer >= 0, got {self.k}")
-        if not isinstance(self.seed, (int, np.integer)):
-            raise InvalidInputError(f"seed must be an integer, got {self.seed!r}")
-        object.__setattr__(self, "k", int(self.k))
-        object.__setattr__(self, "seed", int(self.seed))
-
-
-def mixing_ansatz(series: TimeSeries, config: AnsatzConfig) -> TimeSeries:
+def mixing_ansatz(series: TimeSeries, k: int, seed: int = 0) -> TimeSeries:
     """Replace each point with a draw from its neighborhood statistics.
 
-    Point ``n`` becomes ``Normal(mu_n, sigma_n**2)`` where ``mu_n`` and
-    ``sigma_n`` are the sample mean and sample deviation (ddof=1) of the
-    clipped window ``x[max(n-k, 0) .. min(n+k, N-1)]``.  A one-point
-    window has ``sigma = 0``.  Draws come from ``numpy``'s PCG64
-    generator seeded with ``config.seed``, one per point in series
-    order, so equal seeds give equal output.  At ``k = 0`` no draw is
-    taken and the values come back as a copy, bit for bit.
+    ``k`` is the neighborhood half-width.  Point ``n`` becomes
+    ``Normal(mu_n, sigma_n**2)`` where ``mu_n`` and ``sigma_n`` are the
+    sample mean and sample deviation (ddof=1) of the clipped window
+    ``x[max(n-k, 0) .. min(n+k, N-1)]``.  A one-point window has
+    ``sigma = 0``.  Draws come from ``numpy``'s PCG64 generator seeded
+    with ``seed``, one per point in series order, so equal seeds give
+    equal output.  At ``k = 0`` no draw is taken and the values come back
+    as a copy, bit for bit.
 
     The draws are taken first and each is then scaled and shifted in
     place, the full windows in blocks of ``_ANSATZ_BLOCK_ROWS``, so besides
@@ -82,13 +61,17 @@ def mixing_ansatz(series: TimeSeries, config: AnsatzConfig) -> TimeSeries:
     for bit.
 
     Raises:
-        InvalidInputError: On non-finite input values.
+        InvalidInputError: If ``k`` or ``seed`` is not an integer >= 0, or
+            on non-finite input values.
         InsufficientDataError: If the series has fewer than ``2k + 1``
             points, so not even the middle point has a full window.
     """
+    for name, value in (("k", k), ("seed", seed)):
+        if not isinstance(value, (int, np.integer)) or value < 0:
+            raise InvalidInputError(f"{name} must be an integer >= 0, got {value}")
     x = series.values
     n = x.shape[0]
-    k = config.k
+    k = int(k)
     if n <= 2 * k:
         raise InsufficientDataError(
             f"series of length {n} is too short for neighborhood half-width k={k} "
@@ -97,7 +80,7 @@ def mixing_ansatz(series: TimeSeries, config: AnsatzConfig) -> TimeSeries:
     _check_finite(x)
     if k == 0:
         return replace(series, values=x.copy())
-    draws = np.random.default_rng(config.seed).standard_normal(n)
+    draws = np.random.default_rng(int(seed)).standard_normal(n)
     # mu + sigma * draws, in place.
     windows = np.lib.stride_tricks.sliding_window_view(x, 2 * k + 1)
     for r0 in range(0, windows.shape[0], _ANSATZ_BLOCK_ROWS):

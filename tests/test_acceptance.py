@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from pemix import (
-    AnsatzConfig,
     LorenzParams,
     MackeyGlassParams,
     PEConfig,
@@ -85,7 +84,7 @@ def test_a1_lorenz_baseline_keeps_stride_order(config, lorenz_desk):
 
 def test_a2_mixing_surrogate_reverses_order(config, lorenz_full):
     for seed in (11, 23, 37, 53, 71):
-        mixed = mixing_ansatz(lorenz_full, AnsatzConfig(k=3, seed=seed))
+        mixed = mixing_ansatz(lorenz_full, k=3, seed=seed)
         rev = reversal_series(multi_tau_pe(mixed, config))
         frac_full = float(np.mean(rev.r_values == 1.0))
         assert rev.r_bar >= 0.98, f"seed {seed}: mean reversal {rev.r_bar} < 0.98"
@@ -95,7 +94,7 @@ def test_a2_mixing_surrogate_reverses_order(config, lorenz_full):
 
 
 def test_a3_bin_sweep_finds_mixing_scale(config, lorenz_full):
-    mixed = mixing_ansatz(lorenz_full, AnsatzConfig(k=3, seed=11))
+    mixed = mixing_ansatz(lorenz_full, k=3, seed=11)
     sweep = bin_sweep(mixed, range(1, 11), config)
     assert 2 <= sweep.recommended_j <= 4, (
         f"recommended bin {sweep.recommended_j}, want 3 +- 1"
@@ -112,7 +111,7 @@ def test_a3_bin_sweep_finds_mixing_scale(config, lorenz_full):
 def test_a4_mackey_glass_raw_mixed_binned(config, mg_desk):
     raw = rbar_of(mg_desk, config)
     assert raw <= 0.02, f"raw mean reversal {raw}, want <= 0.02"
-    mixed = mixing_ansatz(mg_desk, AnsatzConfig(k=4, seed=11))
+    mixed = mixing_ansatz(mg_desk, k=4, seed=11)
     reversed_rbar = rbar_of(mixed, config)
     assert reversed_rbar >= 0.98, f"mixed mean reversal {reversed_rbar}, want >= 0.98"
     sweep = bin_sweep(mixed, range(1, 13), config)
@@ -128,7 +127,7 @@ def test_a5_recommended_bin_tracks_mixing_window(config, lorenz_desk, mg_desk):
     # the same order of magnitude, for both systems and a range of k.
     for name, series in (("lorenz", lorenz_desk), ("mackey-glass", mg_desk)):
         for k in (2, 3, 4, 5):
-            mixed = mixing_ansatz(series, AnsatzConfig(k=k, seed=17))
+            mixed = mixing_ansatz(series, k=k, seed=17)
             sweep = bin_sweep(mixed, range(1, 2 * k + 3), config)
             window = 2 * k + 1
             assert sweep.recommended_j < window, (
@@ -223,10 +222,7 @@ def test_a8_cli_pipeline_on_raw_export(tmp_path, config, mg_desk):
     # bundled-style export written to disk, then cleaned and analyzed
     # purely through the command line. The fixture is a mixed series
     # dressed up as a raw logger file (dropped rows, damaged cells).
-    mixed = mixing_ansatz(
-        TimeSeries(mg_desk.values[:60_000], spacing=10.0),
-        AnsatzConfig(k=3, seed=13),
-    )
+    mixed = mixing_ansatz(TimeSeries(mg_desk.values[:60_000], spacing=10.0), k=3, seed=13)
     raw = tmp_path / "export.csv"
     with open(raw, "w", encoding="utf-8") as stream:
         stream.write("time,reading\n")

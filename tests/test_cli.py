@@ -18,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pemix import (
-    AnsatzConfig,
     BinSweepResult,
     MackeyGlassParams,
     PEConfig,
@@ -125,7 +124,7 @@ class TestAnsatz:
         out = tmp_path / "mixed.csv"
         run("ansatz", "-i", src, "-k", 2, "--seed", 5, "-o", out)
         series, meta = read_series(out)
-        expected = mixing_ansatz(sine_series(1.0, 40, 400), AnsatzConfig(k=2, seed=5))
+        expected = mixing_ansatz(sine_series(1.0, 40, 400), k=2, seed=5)
         np.testing.assert_array_equal(series.values, expected.values)
         assert meta["rng"] == "pcg64"
         assert meta["k"] == "2"
@@ -350,6 +349,22 @@ class TestIngestCommand:
         n_lines = len(report_path.read_text(encoding="utf-8").splitlines())
         assert n_lines <= len(report["gap_spans"]) + 12
 
+    def test_report_text_is_pinned(self, tmp_path):
+        # Rows 3, 7 and 8 are missing: two gap spans, each on one line.
+        raw = tmp_path / "raw.csv"
+        rows = [f"{t}.0,{t / 2}" for t in range(12) if t not in (3, 7, 8)]
+        raw.write_text("time,value\n" + "\n".join(rows) + "\n")
+        out = tmp_path / "clean.csv"
+        assert run("ingest", "-i", raw, "--target-spacing", 1.0, "-o", out) == 0
+        text = out.with_suffix(".csv.report.json").read_text(encoding="utf-8")
+        created = json.loads(text)["created"]
+        assert text == (
+            '{\n  "n_records": 9,\n  "n_missing_filled": 3,\n  "n_suspect_removed": 0,\n'
+            '  "gap_spans": [\n    [3, 3],\n    [7, 8]\n  ],\n'
+            f'  "input": {json.dumps(str(raw))},\n  "output": {json.dumps(str(out))},\n'
+            f'  "created": "{created}"\n}}\n'
+        )
+
 
 class TestExitCodes:
     def test_invalid_parameter_is_2(self, tmp_path, capsys):
@@ -479,6 +494,43 @@ class TestExitCodes:
         assert f"row {bad_row}: time" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["lorenz", "--x0", "nan"], "x0 must be finite, got nan"),
+            (["lorenz", "--a", "nan"], "a must be finite, got nan"),
+            (["mackey-glass", "--x0", "nan"], "x0 must be finite, got nan"),
+            (["mackey-glass", "--x0", "-1", "--q", "10.5"], "x0 must be >= 0 unless q is an integer"),
+            (["lorenz", "--h", "1.0"], "integration diverged at step 3;"),
+        ],
+    )
+    def test_bad_generator_input_is_2_and_writes_nothing(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out" / "g.csv"
+        assert run("generate", *argv, "--steps", 1000, "-o", out) == 2
+        assert message in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_negative_x0_with_an_integer_q_still_generates(self, tmp_path):
+        out = tmp_path / "g.csv"
+        argv = ("--steps", 1000, "--x0", -1, "--q", 10.0, "-o", out)
+        assert run("generate", "mackey-glass", *argv) == 0
+        assert np.isfinite(read_series(out)[0].values).all()
+
+    @pytest.mark.parametrize("target", ["mackey-glass", "sweeps"])
+    def test_negative_reproduce_seed_is_2_and_writes_nothing(self, tmp_path, capsys, target):
+        outdir = tmp_path / "out" / "rep"
+        assert run("reproduce", target, "--seed", -1, "--outdir", outdir) == 2
+        assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_negative_ansatz_seed_is_2_and_writes_nothing(self, tmp_path, capsys):
+        src = tmp_path / "src.csv"
+        run("generate", "sine", "--period", 40, "--n", 400, "-o", src)
+        out = tmp_path / "out" / "mixed.csv"
+        assert run("ansatz", "-i", src, "-k", 2, "--seed", -5, "-o", out) == 2
+        assert "seed must be an integer >= 0, got -5" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [src]
+
     def test_reversal_hop_without_window_is_2(self, tmp_path, capsys):
         src = tmp_path / "src.csv"
         run("generate", "sine", "--period", 40, "--n", 400, "-o", src)
@@ -568,8 +620,8 @@ class TestReproduce:
         mixed = []
         calls = []
 
-        def mix(series, config):
-            mixed.append(mixing_ansatz(series, config))
+        def mix(series, k, seed):
+            mixed.append(mixing_ansatz(series, k, seed))
             return mixed[-1]
 
         def count(series, config):

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import pemix.series
 import pemix.entropy
 from pemix import (
-    AnsatzConfig, InvalidInputError, MackeyGlassParams, PEConfig, PETraceSet,
+    InvalidInputError, MackeyGlassParams, PEConfig, PETraceSet,
     TimeSeries, mackey_glass_series, mixing_ansatz, multi_tau_pe, trace_blocks,
 )
 from pemix import read_series_csv, write_series_csv
@@ -118,7 +118,7 @@ class TestWriterMatchesRowOracle:
 
     def test_mixed_mackey_glass_traces(self):
         series = mackey_glass_series(MackeyGlassParams(steps=20_000))
-        traces = multi_tau_pe(mixing_ansatz(series, AnsatzConfig(k=4, seed=3)), PEConfig())
+        traces = multi_tau_pe(mixing_ansatz(series, k=4, seed=3), PEConfig())
         block = traces.traces[:, : pemix.series._CHUNK_ROWS]
         # The traces repeat values within a block, so the reuse path runs.
         assert max(len(np.unique(row)) for row in block) < block.shape[1]

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 import pemix.entropy as entropy_module
 import pemix.series
 from pemix import (
-    AnsatzConfig,
     InsufficientDataError,
     InvalidInputError,
     MackeyGlassParams,
@@ -258,7 +257,7 @@ class TestSlidingKernel:
     @pytest.mark.parametrize("ell", [4, 6])
     def test_bit_identical_to_the_full_count_kernel(self, ell, hop):
         raw = mackey_glass_series(MackeyGlassParams(steps=20_000))
-        mixed = mixing_ansatz(raw, AnsatzConfig(k=4, seed=0))
+        mixed = mixing_ansatz(raw, k=4, seed=0)
         for series in (raw, mixed):
             for tau in (1, 3):
                 span = (ell - 1) * tau

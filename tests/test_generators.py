@@ -1,7 +1,9 @@
 """Reference generators: integration accuracy and pinned analytics."""
 
 import math
+import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -80,6 +82,22 @@ class TestLorenz:
             LorenzParams(h=0.0)
         with pytest.raises(InvalidInputError):
             LorenzParams(steps=0)
+
+    @pytest.mark.parametrize("name", ["a", "b", "r", "x0", "y0", "z0"])
+    def test_non_finite_parameter_is_named(self, name):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(InvalidInputError, match=f"^{name} must be finite"):
+                LorenzParams(**{name: bad})
+
+    def test_diverging_step_is_named(self):
+        # At h = 1 the state overflows within a few steps.  The error names
+        # the first integration step whose state is not finite, counting
+        # skipped steps, so a divergence inside the skipped head is caught.
+        params = LorenzParams(h=1.0, steps=1000)
+        first = np.flatnonzero(~np.isfinite(lorenz_values(params)).all(axis=1))[0]
+        for skip in (0, 500):
+            with pytest.raises(InvalidInputError, match=f"diverged at step {first};"):
+                lorenz_trajectory(replace(params, skip=skip))
 
     @pytest.mark.parametrize(
         "params",
@@ -178,6 +196,47 @@ class TestMackeyGlass:
         # 1e-10 / 0.1 is within the multiple tolerance of zero steps.
         with pytest.raises(InvalidInputError, match="at least one step"):
             MackeyGlassParams(t0=1e-10, h=0.1)
+
+    def test_non_finite_x0_is_named(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(InvalidInputError, match="^x0 must be finite"):
+                MackeyGlassParams(x0=bad)
+
+    def test_negative_x0_needs_an_integer_q(self):
+        # A negative delayed value to the power 10.5 is complex.
+        with pytest.raises(InvalidInputError, match="^x0 must be >= 0 unless q is an integer"):
+            MackeyGlassParams(x0=-1.0, q=10.5)
+        params = MackeyGlassParams(x0=-1.0, q=10.0, steps=1000)
+        values = mackey_glass_series(params).values
+        assert np.isfinite(values).all()
+        np.testing.assert_array_equal(values.view(np.int64), mackey_glass_values(params).view(np.int64))
+
+    def test_diverging_step_is_named(self):
+        # gamma * h = 4 is outside the scheme's stability range.  With q = 1
+        # the state grows to inf and then nan without an exception on the way.
+        params = MackeyGlassParams(gamma=40.0, q=1.0, steps=2000)
+        with np.errstate(all="ignore"):
+            first = np.flatnonzero(~np.isfinite(mackey_glass_values(params)))[0]
+        for skip in (0, 1000):
+            with pytest.raises(InvalidInputError, match=f"diverged at step {first};"):
+                mackey_glass_series(replace(params, skip=skip))
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            MackeyGlassParams(h=50.0, t0=50.0, steps=1000),
+            MackeyGlassParams(gamma=30.0, q=10.5, steps=1000),
+        ],
+        ids=["power-overflows", "power-goes-complex"],
+    )
+    def test_failing_power_is_a_diverged_step(self, params):
+        # The delayed value's q-th power overflows, or, for a state that
+        # overshoots below zero, is complex; either raises inside the loop.
+        with pytest.raises(InvalidInputError, match=r"^integration diverged at step \d+;") as caught:
+            mackey_glass_series(params)
+        step = int(re.search(r"step (\d+)", str(caught.value))[1])
+        assert 1 <= step < params.steps
+        assert np.isfinite(mackey_glass_series(replace(params, steps=step)).values).all()
 
     def test_validation(self):
         with pytest.raises(InvalidInputError):

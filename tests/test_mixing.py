@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pemix import (
-    AnsatzConfig,
     BinSweepResult,
     InsufficientDataError,
     InvalidInputError,
@@ -32,27 +31,27 @@ class TestMixingAnsatz:
     def test_k_zero_is_identity(self):
         rng = np.random.default_rng(7)
         series = TimeSeries(rng.standard_normal(50))
-        out = mixing_ansatz(series, AnsatzConfig(k=0, seed=123))
+        out = mixing_ansatz(series, k=0, seed=123)
         np.testing.assert_array_equal(out.values, series.values)
         # Bit for bit, signed zeros included: at seed 0 a draw-based k = 0
         # turned about half of these -0.0 into 0.0.
         signed = TimeSeries(np.where(np.arange(50) % 2, -0.0, series.values))
-        out = mixing_ansatz(signed, AnsatzConfig(k=0, seed=0))
+        out = mixing_ansatz(signed, k=0, seed=0)
         np.testing.assert_array_equal(out.values.view(np.int64), signed.values.view(np.int64))
         assert not np.shares_memory(out.values, signed.values)
 
     def test_same_seed_reproduces(self):
         rng = np.random.default_rng(11)
         series = TimeSeries(rng.standard_normal(200))
-        a = mixing_ansatz(series, AnsatzConfig(k=3, seed=42))
-        b = mixing_ansatz(series, AnsatzConfig(k=3, seed=42))
+        a = mixing_ansatz(series, k=3, seed=42)
+        b = mixing_ansatz(series, k=3, seed=42)
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_different_seeds_differ(self):
         rng = np.random.default_rng(13)
         series = TimeSeries(rng.standard_normal(200))
-        a = mixing_ansatz(series, AnsatzConfig(k=3, seed=1))
-        b = mixing_ansatz(series, AnsatzConfig(k=3, seed=2))
+        a = mixing_ansatz(series, k=3, seed=1)
+        b = mixing_ansatz(series, k=3, seed=2)
         assert not np.array_equal(a.values, b.values)
 
     def test_draws_follow_clipped_window_statistics(self):
@@ -62,7 +61,7 @@ class TestMixingAnsatz:
         values = rng.standard_normal(60)
         series = TimeSeries(values)
         for k in (1, 2, 5):
-            out = mixing_ansatz(series, AnsatzConfig(k=k, seed=99))
+            out = mixing_ansatz(series, k=k, seed=99)
             z = np.random.default_rng(99).standard_normal(60)
             expected = np.array(
                 [
@@ -78,7 +77,7 @@ class TestMixingAnsatz:
         # A 1-point interior never happens for k >= 1; the first point's
         # window is x[0..k] and must use ddof=1.
         series = TimeSeries(np.array([1.0, 3.0, 5.0, 7.0, 9.0]))
-        out = mixing_ansatz(series, AnsatzConfig(k=1, seed=5))
+        out = mixing_ansatz(series, k=1, seed=5)
         z = np.random.default_rng(5).standard_normal(5)
         assert out.values[0] == pytest.approx(2.0 + np.std([1.0, 3.0], ddof=1) * z[0])
 
@@ -89,7 +88,7 @@ class TestMixingAnsatz:
         k = 2
         n_seeds = 200
         draws = np.stack(
-            [mixing_ansatz(series, AnsatzConfig(k=k, seed=s)).values for s in range(n_seeds)]
+            [mixing_ansatz(series, k=k, seed=s).values for s in range(n_seeds)]
         )
         mu = np.array([clipped_window_stats(values, i, k)[0] for i in range(40)])
         sigma = np.array([clipped_window_stats(values, i, k)[1] for i in range(40)])
@@ -103,7 +102,7 @@ class TestMixingAnsatz:
         mu, sigma = ansatz_moments(values, k)
         expected = mu + sigma * np.random.default_rng(5).standard_normal(n)
         with mock.patch.object(mixing_module, "_ANSATZ_BLOCK_ROWS", block_rows):
-            out = mixing_ansatz(TimeSeries(values), AnsatzConfig(k=k, seed=5))
+            out = mixing_ansatz(TimeSeries(values), k=k, seed=5)
         np.testing.assert_array_equal(out.values.view(np.int64), expected.view(np.int64))
 
     def test_peak_memory_grows_by_a_few_arrays_per_point(self):
@@ -111,7 +110,7 @@ class TestMixingAnsatz:
         for n in (100_000, 400_000):
             series = TimeSeries(np.random.default_rng(3).standard_normal(n))
             tracemalloc.start()
-            mixing_ansatz(series, AnsatzConfig(k=4, seed=1))
+            mixing_ansatz(series, k=4, seed=1)
             peaks[n] = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
         # The draws, scaled and shifted in place: 8 bytes per point.  Arrays
@@ -122,23 +121,41 @@ class TestMixingAnsatz:
 
     def test_metadata_preserved(self):
         series = TimeSeries(np.arange(30.0), spacing=0.5, unit="seconds", origin=2.0)
-        out = mixing_ansatz(series, AnsatzConfig(k=2, seed=0))
+        out = mixing_ansatz(series, k=2, seed=0)
         assert (out.spacing, out.unit, out.origin) == (0.5, "seconds", 2.0)
         assert len(out) == 30
 
     def test_too_short_raises(self):
         series = TimeSeries(np.arange(6.0))
         with pytest.raises(InsufficientDataError):
-            mixing_ansatz(series, AnsatzConfig(k=3, seed=0))
+            mixing_ansatz(series, k=3, seed=0)
 
     def test_non_finite_raises(self):
         series = TimeSeries(np.array([1.0, np.nan, 3.0, 4.0, 5.0]))
         with pytest.raises(InvalidInputError):
-            mixing_ansatz(series, AnsatzConfig(k=1, seed=0))
+            mixing_ansatz(series, k=1, seed=0)
 
     def test_bad_k_raises(self):
         with pytest.raises(InvalidInputError):
-            AnsatzConfig(k=-1, seed=0)
+            mixing_ansatz(TimeSeries(np.arange(6.0)), k=-1)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+    def test_bad_seed_raises(self, seed):
+        with pytest.raises(InvalidInputError, match="^seed must be an integer >= 0"):
+            mixing_ansatz(TimeSeries(np.arange(20.0)), k=2, seed=seed)
+
+    def test_arguments_are_checked_before_the_length(self):
+        short = TimeSeries(np.arange(6.0))
+        with pytest.raises(InvalidInputError, match="^k must be an integer >= 0, got -1$"):
+            mixing_ansatz(short, k=-1)
+        with pytest.raises(InvalidInputError, match="^seed must be an integer >= 0, got -1$"):
+            mixing_ansatz(short, k=3, seed=-1)
+
+    def test_numpy_integer_arguments_match_python_ones(self):
+        series = TimeSeries(np.random.default_rng(23).standard_normal(50))
+        a = mixing_ansatz(series, k=np.int64(2), seed=np.uint32(9))
+        b = mixing_ansatz(series, k=2, seed=9)
+        np.testing.assert_array_equal(a.values.view(np.int64), b.values.view(np.int64))
 
 
 class TestBinAverage:
@@ -365,7 +382,7 @@ class TestBinSweep:
         # Tens of thousands of anchors, where numpy's pairwise float mean of
         # the rounded scores is one unit in the last place off at j = 2.
         series = mixing_ansatz(
-            TimeSeries(np.sin(np.arange(24_000) / 40.0)), AnsatzConfig(k=3, seed=11)
+            TimeSeries(np.sin(np.arange(24_000) / 40.0)), k=3, seed=11
         )
         config = PEConfig(window=1000)
         result = bin_sweep(series, range(1, 4), config)

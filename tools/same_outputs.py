@@ -18,8 +18,9 @@ directory:
   plain, with ``--fill none`` and with ``--prefilter moving_median
   --median-width 5``;
 * on the plain ingested series, ``pe``, then ``reversal`` plain and with
-  ``--window 5000``, ``bin -j 3``, ``binsweep --j-max 40 --hop 100`` and
-  ``ansatz -k 0``.
+  ``--window 5000``, ``bin -j 3``, ``binsweep --j-max 40 --hop 100``,
+  ``ansatz -k 0``, which draws nothing, and ``ansatz -k 3 --seed 7``,
+  which draws one value per point.
 
 Both sides read the same export.  Then every file is compared after
 dropping the lines that hold a timestamp, an input digest, an output path
@@ -64,6 +65,7 @@ def _runs(export: Path) -> list[list[str]]:
         ["bin", "-i", "clean.csv", "-j", "3", "-o", "clean_j3.csv"],
         ["binsweep", "-i", "clean.csv", "--j-max", "40", "--hop", "100", "-o", "sweep.csv"],
         ["ansatz", "-i", "clean.csv", "-k", "0", "-o", "ansatz_k0.csv"],
+        ["ansatz", "-i", "clean.csv", "-k", "3", "--seed", "7", "-o", "ansatz_k3.csv"],
     ]
 
 
