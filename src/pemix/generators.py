@@ -213,8 +213,8 @@ def mackey_glass_series(params: MackeyGlassParams = MackeyGlassParams()) -> Time
             xd_now = xd_next
             g_now = g_next
     except (OverflowError, TypeError):
-        # A delayed value's q-th power overflowed, or went complex below zero:
-        # the failed step's state is not finite either.
+        # A delayed value's q-th power overflowed, or went complex below zero;
+        # the step that failed is recorded as not finite.
         append(math.nan)
     _check_states(xs, history=d)
     # The history and the skipped head are dropped in place, so no second

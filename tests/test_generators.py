@@ -225,7 +225,7 @@ class TestMackeyGlass:
         "params",
         [
             MackeyGlassParams(h=50.0, t0=50.0, steps=1000),
-            MackeyGlassParams(gamma=30.0, q=10.5, steps=1000),
+            MackeyGlassParams(beta=200.0, gamma=20.0, q=10.5, t0=0.1, steps=1000),
         ],
         ids=["power-overflows", "power-goes-complex"],
     )
