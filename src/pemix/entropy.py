@@ -35,8 +35,9 @@ _BLOCK_CELLS = 1 << 15
 
 # Grid anchors per block of :func:`trace_blocks`.  A block's traces and the
 # kernel's working arrays take well under a MB per stride, whatever the
-# length of the series.  A multiple of ``series._CHUNK_ROWS``, so a streamed
-# table is formatted in the same pieces as a whole one.
+# length of the series.  A multiple of the rows of a table writer's piece
+# (``series._piece_rows``, a power of two up to 2**13), so a streamed table
+# is cut into whole pieces.
 _BLOCK_ANCHORS = 1 << 14
 
 

@@ -159,6 +159,17 @@ class MackeyGlassParams:
         # A negative delayed value to a non-integer power is complex.
         if self.x0 < 0.0 and not float(self.q).is_integer():
             raise InvalidInputError(f"x0 must be >= 0 unless q is an integer, got {self.x0}")
+        # The history's feedback term beta * x0 / (1 + x0**q) is the first
+        # one the integration takes.
+        try:
+            denominator = 1.0 + float(self.x0) ** float(self.q)
+        except OverflowError:
+            denominator = math.inf
+        if denominator == 0.0 or not math.isfinite(denominator):
+            raise InvalidInputError(
+                "x0 and q must keep 1 + x0**q finite and nonzero, "
+                f"got x0={self.x0}, q={self.q}"
+            )
         if self.steps < 1:
             raise InvalidInputError(f"steps must be >= 1, got {self.steps}")
         if self.skip < 0:
@@ -212,9 +223,10 @@ def mackey_glass_series(params: MackeyGlassParams = MackeyGlassParams()) -> Time
             append(x)
             xd_now = xd_next
             g_now = g_next
-    except (OverflowError, TypeError):
-        # A delayed value's q-th power overflowed, or went complex below zero;
-        # the step that failed is recorded as not finite.
+    except (OverflowError, TypeError, ZeroDivisionError):
+        # A delayed value's q-th power overflowed, went complex below zero,
+        # or was -1 (a delayed value of -1 at an odd integer q); the step
+        # that failed is recorded as not finite.
         append(math.nan)
     _check_states(xs, history=d)
     # The history and the skipped head are dropped in place, so no second

@@ -76,12 +76,14 @@ class TimeSeries:
 _FORMAT_TAG = "pemix-series v1"
 _COLUMNS = "time,value"
 _SERIES_DTYPE = np.dtype([("time", "f8"), ("value", "f8")])
-# Rows per ``stream.write``: the writer's memory is one block of cell
-# strings, whatever the row count, and each distinct bit pattern of a
-# column is formatted once per block.  Larger blocks are no faster, and the
-# interpreter keeps part of their memory after the write: with 8192-row
-# blocks ``reproduce mackey-glass`` peaked higher than with row-by-row writes.
-_CHUNK_ROWS = 512
+# Cells per formatted piece of rows: 2048 rows of a 7-column trace table,
+# 8192 of a 2-column one (see ``_piece_rows``).  Each step of the cell
+# kernel is one numpy call over a whole piece, so smaller pieces pay numpy's
+# per-call cost more often: 2**13-cell pieces wrote mixed Mackey-Glass
+# traces 1.2-1.5 times as slowly.  The kernel's working arrays take about
+# 180 bytes per cell, so larger pieces hold more memory: 2**14 cells hold
+# about 2.6 MB while traces are written.
+_PIECE_CELLS = 1 << 14
 
 
 def _check_finite(values: np.ndarray) -> None:
@@ -121,35 +123,315 @@ def write_table(
 ) -> None:
     """Write the header, the ``columns`` line, then the rows of each block in turn.
 
-    A block holds one equal-length 1-D array of 8-byte items per column,
+    A block holds one equal-length 1-D int64 or float64 array per column,
     and its rows follow those of the block before, so a table can be
     written while later blocks are still being computed.  Each cell is the
     ``repr`` of the array's ``tolist()`` item, so integers print as
-    integers and floats read back bit for bit.  Within a piece of
-    ``_CHUNK_ROWS`` rows each distinct bit pattern of a column is formatted
-    once, which pays off on traces that repeat a value anchor after anchor.
-    The bytes do not depend on how the rows are split into blocks.
+    integers and floats read back bit for bit.  The cells are not made one
+    ``repr`` call at a time: a block is cut into pieces of
+    ``_piece_rows`` rows, and each piece's text is computed column-wise by
+    ``_piece_text``.  The bytes do not depend on how the rows are split
+    into blocks or pieces.
     """
     write_header(stream, tag, metadata)
     stream.write(f"{columns}\n")
     for data in blocks:
-        for start in range(0, len(data[0]), _CHUNK_ROWS):
-            cells = [_cells(column[start : start + _CHUNK_ROWS]) for column in data]
-            stream.write("\n".join(map(",".join, zip(*cells))) + "\n")
-        del data  # released before the next block is computed
+        rows = _piece_rows(len(data))
+        canvas = np.empty(min(rows, len(data[0])) * len(data) * _WIDTH, np.uint8)
+        for start in range(0, len(data[0]), rows):
+            stream.write(_piece_text([column[start : start + rows] for column in data], canvas))
+        del data, canvas  # released before the next block is computed
 
 
-def _cells(block: np.ndarray) -> list[str]:
-    """The ``repr`` of each item, one call per distinct bit pattern."""
-    # Keyed on the bits, not on ==, so 0.0 and -0.0 (and NaN) keep their own repr.
-    keys = block.view(np.int64)
-    bits = np.sort(keys)
-    repeats = bits[1:] == bits[:-1]
-    if not repeats.any():  # all distinct, as in series columns: nothing to gather
-        return list(map(repr, block.tolist()))
-    bits = bits[np.append(True, ~repeats)]
-    strings = np.array(list(map(repr, bits.view(block.dtype).tolist())), dtype=object)
-    return strings[np.searchsorted(bits, keys)].tolist()
+def _piece_rows(columns: int) -> int:
+    """Rows per piece of a table of ``columns`` columns, about ``_PIECE_CELLS``
+    cells: a power of two when ``_PIECE_CELLS`` is one."""
+    return max(1, _PIECE_CELLS >> (columns - 1).bit_length())
+
+
+# The cell kernel.  Each cell is first laid out in a fixed-width byte row
+# of the canvas, its digits right-aligned in fixed fields and a minus sign
+# written just before its leading digit:
+#
+#   [integer digits, 16][.][fraction digits, 20][,]   a fixed-notation float
+#                          [        digits, 20][,]   an integer
+#                   [repr, right-aligned, 24][,]   any other float
+#
+# A mask row, which depends only on the sign, the number of digits shown
+# and the repr's length (the row's key), picks the bytes that the cell
+# prints; the last byte is the separator, "," or "\n".  The canvas rows of
+# a piece's cells, masked, are the piece's text in row order.
+_WIDTH = 38
+_DOT = 16
+_SEP = _WIDTH - 1
+_ROW = np.dtype((np.void, _WIDTH))  # one canvas row as a single item
+
+
+def _mask_table() -> np.ndarray:
+    """One mask row per key: ``(sign * 17 + integer digits) * 21 + fraction
+    digits`` for a float; ``_INT_KEY + sign * 21 + digits`` for an integer;
+    ``_REPR_KEY + length`` for a repr."""
+    pos = np.arange(_WIDTH)
+    sign = np.arange(2)[:, None, None, None]
+    ints = np.arange(17)[None, :, None, None]
+    fracs = np.arange(21)[None, None, :, None]
+    floats = (pos >= _DOT - ints - sign) & (pos <= _DOT) | (pos >= _SEP - fracs)
+    integers = pos >= _SEP - np.arange(21)[None, :, None] - sign[..., 0]
+    reprs = pos >= _SEP - np.arange(25)[:, None]
+    table = [floats, integers, reprs]
+    return np.concatenate([rows.reshape(-1, _WIDTH) for rows in table]) | (pos == _SEP)
+
+
+_MASKS = _mask_table()
+_FIRST = np.argmax(_MASKS, axis=1)  # the first byte each key prints
+_INT_KEY = 2 * 17 * 21
+_REPR_KEY = _INT_KEY + 2 * 21
+# ASCII of 0000..9999, one 4-byte word per number.
+_DIGITS4 = (
+    (np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0"))
+    .astype(np.uint8)
+    .view(np.uint32)
+    .ravel()
+)
+_POW10 = 10 ** np.arange(20, dtype=np.uint64)
+_POW5 = 5 ** np.arange(23, dtype=np.uint64)
+# For each biased exponent E of a double in [1e-4, 2**48), the power k with
+# 2**(E - 1023) * 10**k in [1e17, 1e18), so x * 10**k lies in [1e17, 2e18),
+# and the shift s = 1077 - E - k of _shortest.
+_K = np.ceil(17 - (np.arange(2048) - 1023) * np.log10(2)).clip(0, 22).astype(np.intp)
+_SHIFT = (1077 - np.arange(2048) - _K).clip(0, 63).astype(np.uint64)
+_TENS = 10.0 ** np.arange(23)
+_SIGN = np.uint64(1 << 63)
+_MANTISSA = np.uint64((1 << 52) - 1)
+
+
+def _piece_text(columns: Sequence[np.ndarray], buffer: np.ndarray) -> str:
+    """The rows of ``columns`` as table text: each cell ``repr(item)``, cells
+    joined by ``,`` and each row ended by ``\\n``.
+
+    Each run of equal bit patterns down a column is formatted once, in a
+    canvas row in ``buffer``, at least ``_WIDTH`` bytes per cell, which the
+    writer keeps from piece to piece (a fresh one is paged in again for
+    every piece).  Each array is let go of once used: the working set of
+    the kernel sets the writer's memory.
+    """
+    n_cols, rows = len(columns), len(columns[0])
+    bits = np.empty((n_cols, rows), np.uint64)
+    for bits_row, column in zip(bits, columns):
+        if column.dtype not in _LAYOUTS:
+            raise TypeError(f"table columns must be int64 or float64, got {column.dtype}")
+        bits_row[...] = column.view(np.uint64)
+    starts = np.ones((n_cols, rows), dtype=bool)
+    np.not_equal(bits[:, 1:], bits[:, :-1], out=starts[:, 1:])
+    runs = bits[starts]
+    bounds = np.concatenate(([0], np.cumsum(starts.sum(axis=1))))
+    del bits
+
+    canvas = buffer[: len(runs) * _WIDTH].reshape(-1, _WIDTH)
+    canvas[:, _DOT] = ord(".")
+    canvas[:, _SEP] = ord(",")
+    canvas[bounds[-2] :, _SEP] = ord("\n")
+    keys = np.empty(len(runs), np.int16)
+    # Adjacent columns of one dtype are formatted together.
+    first = 0
+    for c in range(1, n_cols + 1):
+        if c == n_cols or columns[c].dtype != columns[first].dtype:
+            part = slice(bounds[first], bounds[c])
+            _LAYOUTS[columns[first].dtype](runs[part], canvas[part], keys[part])
+            first = c
+    del runs
+
+    # Only the bytes from the first that any cell prints are moved.
+    skip = _FIRST[keys].min()
+    width = np.dtype((np.void, _WIDTH - skip))
+    order = np.cumsum(starts.ravel()).reshape(n_cols, rows).T  # in row order,
+    order -= 1  # each cell's run
+    del starts
+    cells = canvas[:, skip:].view(width)[:, 0].take(order)
+    masks = _MASKS[:, skip:].view(width)[:, 0].take(keys[order])
+    del order, keys
+    text = cells.view(np.uint8)[masks.view(bool)]
+    del cells, masks
+    return str(text, "ascii")
+
+
+def _digits(values: np.ndarray, out: np.ndarray, shown: int = 1) -> None:
+    """Write the ASCII digits of each uint64 right-aligned and zero-padded
+    into the rows of ``out``, whose width is a multiple of 4 bytes.
+
+    Only the last ``shown`` digits and each value's significant digits are
+    sure to be written: no mask picks any other.
+    """
+    words = out.view(np.uint32)
+    for g in range(words.shape[1] - 1, -1, -1):
+        high = values // 10_000
+        words[:, g] = _DIGITS4[values - high * 10_000]
+        shown -= 4
+        if shown <= 0 and not high.any():
+            break
+        values = high
+
+
+def _digit_count(values: np.ndarray) -> np.ndarray:
+    """Digits of each uint64, 1 for zero."""
+    return np.maximum(np.searchsorted(_POW10, values, side="right"), 1)
+
+
+def _int_cells(bits: np.ndarray, canvas: np.ndarray, keys: np.ndarray) -> None:
+    """Lay out int64 cells, given as bit patterns, in ``canvas`` and write
+    their mask keys into ``keys``."""
+    negative = bits >= _SIGN
+    magnitude = bits.copy()
+    np.negative(magnitude, out=magnitude, where=negative)  # exact for -2**63 too
+    _digits(magnitude, canvas[:, _DOT + 1 : _SEP])
+    count = _digit_count(magnitude)
+    at = np.flatnonzero(negative)
+    canvas[at, _SEP - 1 - count[at]] = ord("-")
+    keys[:] = _INT_KEY + negative * 21 + count
+
+
+def _float_cells(bits: np.ndarray, canvas: np.ndarray, keys: np.ndarray) -> None:
+    """Lay out float64 cells, given as bit patterns, in ``canvas`` and write
+    their mask keys into ``keys``.
+
+    A finite ``x`` with ``1e-4 <= |x| < 2**48``, or a zero, prints in fixed
+    notation (``_fixed_cells``).  Every other cell, and an exact decimal of
+    more than 15 digits, is its ``repr``, copied in.
+    """
+    x = (bits & ~_SIGN).view(np.float64)
+    fixed = (x < 2.0**48) & ((x >= 1e-4) | (x == 0))
+    del x
+    if fixed.all():
+        fixed = _fixed_cells(bits, canvas, keys)
+    elif fixed.any():
+        at = np.flatnonzero(fixed)
+        rows, row_keys = canvas[at], keys[at]
+        fixed[at] = _fixed_cells(bits[at], rows, row_keys)
+        canvas[at], keys[at] = rows, row_keys
+    if not fixed.all():
+        at = np.flatnonzero(~fixed)
+        # Each repr right-aligned in 24 bytes, the length of the longest,
+        # repr(-2.2250738585072014e-308): one formatting call for them all.
+        text = ("%24r" * len(at)) % tuple(bits[at].view(np.float64).tolist())
+        padded = np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, 24)
+        canvas[at, _SEP - 24 : _SEP] = padded
+        keys[at] = _REPR_KEY + 24 - np.argmax(padded != ord(" "), axis=1)
+
+
+def _fixed_cells(bits: np.ndarray, canvas: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Lay out floats with ``1e-4 <= |x| < 2**48``, or zeros, in ``canvas``,
+    write their mask keys into ``keys`` and return whether each is laid out.
+
+    An integer prints as its digits and ``.0``, any other ``x`` from its
+    shortest round-trip digits (``_shortest``).  Only an exact decimal of
+    more than 15 digits is not laid out.
+    """
+    magnitude = bits & ~_SIGN
+    whole = magnitude.view(np.float64).astype(np.uint64)
+    inexact = whole != magnitude.view(np.float64)
+    places = np.ones(len(bits), np.int8)  # the 0 of an integer's ".0"
+    ok = np.ones(len(bits), bool)
+    if inexact.all():
+        digits, exponent, ok = _shortest(magnitude)
+    elif inexact.any():
+        at = np.flatnonzero(inexact)
+        digits, exponent, ok[at] = _shortest(magnitude[at])
+    del magnitude
+    fraction = np.zeros(len(bits), np.uint64)
+    if inexact.any():
+        # digits * 10**exponent, exponent < 0, has the integer part of x: no
+        # integer lies between them, as an integer this small is a double.
+        at = slice(None) if inexact.all() else np.flatnonzero(inexact)
+        places[at] = -exponent
+        digits -= whole[at] * _POW10[np.minimum(-exponent, 19)]
+        fraction[at] = digits
+        del digits, exponent
+    _digits(whole, canvas[:, :_DOT])
+    _digits(fraction, canvas[:, _DOT + 1 : _SEP], shown=int(places.max()))
+    del fraction
+    count = _digit_count(whole)
+    del whole
+    negative = bits >= _SIGN
+    at = np.flatnonzero(negative)
+    canvas[at, _DOT - 1 - count[at]] = ord("-")
+    keys[:] = (negative * 17 + count) * 21 + places
+    return ok
+
+
+# The layout of each column dtype, from bit patterns.
+_LAYOUTS = {np.dtype(np.int64): _int_cells, np.dtype(np.float64): _float_cells}
+
+
+def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Shortest round-trip digits of positive doubles in ``[1e-4, 2**48)``.
+
+    Returns ``digits``, ``exponent`` and ``ok``: for each double with
+    ``ok``, ``digits * 10**exponent`` is the decimal that ``repr`` prints,
+    the shortest that reads back to the double and, of those, the nearest
+    (Ryū, Adams 2018).  ``ok`` is false only for a double whose exact
+    decimal value has more than 15 digits.
+
+    With ``x = m * 2**(E - 1075)``, ``x * 10**k = 4m * 5**k / 2**s`` for
+    ``s = 1077 - E - k >= 4``, and every decimal that reads back to ``x``,
+    times ``10**k``, lies strictly between ``(4m - 2) * 5**k / 2**s`` (or
+    ``(4m - 1) * 5**k / 2**s`` when ``m`` is a power of two) and
+    ``(4m + 2) * 5**k / 2**s``.  Neither bound is an integer, so whether
+    it reads back does not matter, and the interval is at least 16 wide.
+    """
+    exponent = (bits >> np.uint64(52)).astype(np.intp)
+    k = _K[exponent]
+    shift = _SHIFT[exponent]
+    del exponent
+    # x * 10**k in floating point is within 129 of vr = floor(4m * 5**k / 2**s);
+    # the low 64 bits of 4m * 5**k, which wrap exactly, correct it.
+    vr = (bits.view(np.float64) * _TENS[k]).astype(np.uint64)
+    p5 = _POW5[k]
+    rest = bits & _MANTISSA
+    power2 = rest == 0
+    rest |= np.uint64(1 << 52)
+    rest <<= np.uint64(2)
+    rest *= p5
+    rest -= vr << shift
+    vr += (rest.view(np.int64) >> shift.view(np.int64)).view(np.uint64)
+    rest &= (np.uint64(1) << shift) - np.uint64(1)
+    inexact = rest != 0
+    # The floors of the bounds; the lower gap is halved at a power of two.
+    # An exact decimal gets bounds vr and vr - 1: it only drops its zeros.
+    p5 <<= np.uint64(1)
+    p5 *= inexact
+    vp = vr + ((rest + p5) >> shift)
+    p5 >>= power2
+    p5 |= ~inexact
+    p5 -= rest
+    p5 += (np.uint64(1) << shift) - np.uint64(1)
+    vm = vr - (p5 >> shift)
+    del p5, rest, shift, power2
+
+    # Drop the most digits that leave a multiple of 10**dropped between the
+    # bounds: whether one is left is monotone in the count, so the count is
+    # found bit by bit, each step a division by a scalar over the piece.
+    exponent = (-k).astype(np.int8)  # of the last digit kept
+    del k
+    up = np.zeros(len(bits), bool)  # whether the last digit dropped is 5 or more
+    for d in (16, 8, 4, 2, 1):
+        vp_d, vm_d = vp // _POW10[d], vm // _POW10[d]
+        drop = vp_d > vm_d
+        if not drop.any():
+            continue
+        vp, vm = np.where(drop, vp_d, vp), np.where(drop, vm_d, vm)
+        del vp_d, vm_d
+        t = vr // _POW10[d - 1]
+        kept = t // np.uint64(10)
+        t -= kept * np.uint64(10)
+        up = np.where(drop, t >= np.uint64(5), up)
+        vr = np.where(drop, kept, vr)
+        del t, kept
+        exponent += drop * np.int8(d)
+    # Round to nearest, and step inside the interval when the truncation fell
+    # on its lower end.  There are no ties: an exact decimal drops only
+    # zeros, and any other x * 10**k is not an integer.
+    vr += (vr == vm) | up
+    return vr, exponent, inexact | (vr < _POW10[15])
 
 
 def read_header(stream: IO[str]) -> TableHeader:
@@ -223,8 +505,9 @@ def write_series_csv(
 
     def rows() -> Iterable[tuple[np.ndarray, np.ndarray]]:
         # The times of one block at a time, each equal to its cell of times().
-        for start in range(0, len(series), _CHUNK_ROWS):
-            stop = min(start + _CHUNK_ROWS, len(series))
+        piece = _piece_rows(2)
+        for start in range(0, len(series), piece):
+            stop = min(start + piece, len(series))
             times = series.origin + series.spacing * np.arange(start, stop, dtype=np.float64)
             yield times, series.values[start:stop]
 

@@ -502,6 +502,10 @@ class TestExitCodes:
             (["mackey-glass", "--x0", "nan"], "x0 must be finite, got nan"),
             (["mackey-glass", "--x0", "-1", "--q", "10.5"], "x0 must be >= 0 unless q is an integer"),
             (["lorenz", "--h", "1.0"], "integration diverged at step 3;"),
+            (["mackey-glass", "--x0", "-1", "--q", "1"], "must keep 1 + x0**q finite and nonzero, "
+             "got x0=-1.0, q=1.0"),
+            (["mackey-glass", "--x0", "1e40"], "must keep 1 + x0**q finite and nonzero, "
+             "got x0=1e+40, q=10.0"),
         ],
     )
     def test_bad_generator_input_is_2_and_writes_nothing(self, tmp_path, capsys, argv, message):

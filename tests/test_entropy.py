@@ -371,7 +371,9 @@ class TestTraceBlocks:
             trace_blocks(TimeSeries(np.arange(19.0)), config)
 
     def test_blocks_are_whole_write_pieces(self):
-        assert entropy_module._BLOCK_ANCHORS % pemix.series._CHUNK_ROWS == 0
+        # A trace table has an anchor column and at least one stride.
+        for columns in range(2, 65):
+            assert entropy_module._BLOCK_ANCHORS % pemix.series._piece_rows(columns) == 0
 
 
 class TestPEConfig:

@@ -211,6 +211,12 @@ class TestMackeyGlass:
         assert np.isfinite(values).all()
         np.testing.assert_array_equal(values.view(np.int64), mackey_glass_values(params).view(np.int64))
 
+    @pytest.mark.parametrize("x0, q", [(-1.0, 1.0), (-1.0, 3.0), (1e40, 10.0), (2.0, 2000.0)])
+    def test_feedback_at_x0_must_be_defined(self, x0, q):
+        # 1 + x0**q is zero, or overflows, before the first step.
+        with pytest.raises(InvalidInputError, match="^x0 and q must keep 1 \\+ x0\\*\\*q finite"):
+            MackeyGlassParams(x0=x0, q=q)
+
     def test_diverging_step_is_named(self):
         # gamma * h = 4 is outside the scheme's stability range.  With q = 1
         # the state grows to inf and then nan without an exception on the way.
@@ -226,12 +232,14 @@ class TestMackeyGlass:
         [
             MackeyGlassParams(h=50.0, t0=50.0, steps=1000),
             MackeyGlassParams(beta=200.0, gamma=20.0, q=10.5, t0=0.1, steps=1000),
+            MackeyGlassParams(beta=1.0, gamma=2.0, q=1.0, t0=1.0, x0=-2.0, h=1.0, steps=30),
         ],
-        ids=["power-overflows", "power-goes-complex"],
+        ids=["power-overflows", "power-goes-complex", "feedback-divides-by-zero"],
     )
     def test_failing_power_is_a_diverged_step(self, params):
         # The delayed value's q-th power overflows, or, for a state that
-        # overshoots below zero, is complex; either raises inside the loop.
+        # overshoots below zero, is complex, or is -1 (a delayed value of
+        # exactly -1 at q = 1); each raises inside the loop.
         with pytest.raises(InvalidInputError, match=r"^integration diverged at step \d+;") as caught:
             mackey_glass_series(params)
         step = int(re.search(r"step (\d+)", str(caught.value))[1])

@@ -11,8 +11,11 @@ working tree's ``src/`` is run.  Each side runs, in its own output
 directory:
 
 * ``reproduce lorenz|mackey-glass|sweeps --scale desk`` at the default seed;
-* ``generate sine`` at its defaults, and ``generate lorenz`` and
-  ``generate mackey-glass`` with ``--steps 20000``;
+* ``generate sine`` at its defaults, with ``--amplitude 1e-6``, whose
+  cells lie below ``1e-4``, and with ``--amplitude 1e20``, whose cells
+  reach ``2**48`` and above and print in exponent form: both ends of the
+  cells that the table writer formats with ``repr`` one at a time;
+* ``generate lorenz`` and ``generate mackey-glass`` with ``--steps 20000``;
 * on the ``recording`` benchmark's seed-11 export
   (``bench/recording.py::write_export``), ``ingest --target-spacing 0.25``
   plain, with ``--fill none`` and with ``--prefilter moving_median
@@ -54,6 +57,8 @@ def _runs(export: Path) -> list[list[str]]:
             for target in ("lorenz", "mackey-glass", "sweeps")]
     return runs + [
         ["generate", "sine", "-o", "sine.csv"],
+        ["generate", "sine", "--amplitude", "1e-6", "-o", "sine_small.csv"],
+        ["generate", "sine", "--amplitude", "1e20", "-o", "sine_large.csv"],
         ["generate", "lorenz", "--steps", "20000", "-o", "lorenz.csv"],
         ["generate", "mackey-glass", "--steps", "20000", "-o", "mackey_glass.csv"],
         [*ingest, "-o", "clean.csv"],
