@@ -373,10 +373,11 @@ def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     With ``x = m * 2**(E - 1075)``, ``x * 10**k = 4m * 5**k / 2**s`` for
     ``s = 1077 - E - k >= 4``, and every decimal that reads back to ``x``,
-    times ``10**k``, lies strictly between ``(4m - 2) * 5**k / 2**s`` (or
-    ``(4m - 1) * 5**k / 2**s`` when ``m`` is a power of two) and
+    times ``10**k``, lies strictly between ``(4m - 2) * 5**k / 2**s`` and
     ``(4m + 2) * 5**k / 2**s``.  Neither bound is an integer, so whether
-    it reads back does not matter, and the interval is at least 16 wide.
+    it reads back does not matter, and the interval is at least 22 wide.
+    (The lower gap of a power of two is half as wide, but every power of
+    two in this range is an exact decimal, which only drops zeros.)
     """
     exponent = (bits >> np.uint64(52)).astype(np.intp)
     k = _K[exponent]
@@ -386,26 +387,23 @@ def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # the low 64 bits of 4m * 5**k, which wrap exactly, correct it.
     vr = (bits.view(np.float64) * _TENS[k]).astype(np.uint64)
     p5 = _POW5[k]
-    rest = bits & _MANTISSA
-    power2 = rest == 0
-    rest |= np.uint64(1 << 52)
+    rest = (bits & _MANTISSA) | np.uint64(1 << 52)
     rest <<= np.uint64(2)
     rest *= p5
     rest -= vr << shift
     vr += (rest.view(np.int64) >> shift.view(np.int64)).view(np.uint64)
     rest &= (np.uint64(1) << shift) - np.uint64(1)
     inexact = rest != 0
-    # The floors of the bounds; the lower gap is halved at a power of two.
-    # An exact decimal gets bounds vr and vr - 1: it only drops its zeros.
+    # The floors of the bounds.  An exact decimal gets bounds vr and vr - 1:
+    # it only drops its zeros.
     p5 <<= np.uint64(1)
     p5 *= inexact
     vp = vr + ((rest + p5) >> shift)
-    p5 >>= power2
     p5 |= ~inexact
     p5 -= rest
     p5 += (np.uint64(1) << shift) - np.uint64(1)
     vm = vr - (p5 >> shift)
-    del p5, rest, shift, power2
+    del p5, rest, shift
 
     # Drop the most digits that leave a multiple of 10**dropped between the
     # bounds: whether one is left is monotone in the count, so the count is
@@ -427,10 +425,12 @@ def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         vr = np.where(drop, kept, vr)
         del t, kept
         exponent += drop * np.int8(d)
-    # Round to nearest, and step inside the interval when the truncation fell
-    # on its lower end.  There are no ties: an exact decimal drops only
-    # zeros, and any other x * 10**k is not an integer.
-    vr += (vr == vm) | up
+    # Round to nearest.  There are no ties: an exact decimal drops only
+    # zeros, and any other x * 10**k is not an integer.  The result lies
+    # between the bounds, which are x -+ h: a truncation below the lower
+    # one is more than h below x, while the next multiple is at most h
+    # above it, so the digits dropped exceed half and round it up.
+    vr += up
     return vr, exponent, inexact | (vr < _POW10[15])
 
 
@@ -505,9 +505,10 @@ def write_series_csv(
 
     def rows() -> Iterable[tuple[np.ndarray, np.ndarray]]:
         # The times of one block at a time, each equal to its cell of times().
-        piece = _piece_rows(2)
-        for start in range(0, len(series), piece):
-            stop = min(start + piece, len(series))
+        # Four pieces to a block: the writer reuses its canvas within one.
+        block = 4 * _piece_rows(2)
+        for start in range(0, len(series), block):
+            stop = min(start + block, len(series))
             times = series.origin + series.spacing * np.arange(start, stop, dtype=np.float64)
             yield times, series.values[start:stop]
 
