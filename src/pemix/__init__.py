@@ -31,7 +31,6 @@ from .mixing import (
     bin_average,
     bin_sweep,
     mixing_ansatz,
-    recommend_bin_size,
 )
 from .ordinal import (
     encode_patterns,
@@ -72,7 +71,6 @@ __all__ = [
     "mixing_ansatz",
     "bin_average",
     "bin_sweep",
-    "recommend_bin_size",
     "LorenzParams",
     "MackeyGlassParams",
     "lorenz_series",

@@ -140,7 +140,7 @@ def _trace_columns(first: PETraceSet, rest: Iterator[PETraceSet]) -> Iterator[li
 
 def read_trace_csv(stream: IO[str]) -> tuple[PETraceSet, dict[str, str]]:
     header = read_header(stream)
-    first = re.fullmatch(r"anchor,pe_tau(-?[0-9]+),.+", header.columns)
+    first = re.fullmatch(r"anchor,pe_tau(-?[0-9]+)(,.+)?", header.columns)
     if first is None:
         raise InvalidInputError(
             "trace file must have columns 'anchor,pe_tau<min>,...,pe_tau<max>'"
@@ -340,9 +340,10 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     )
     series, suspect = regularize(records, args.target_spacing, unit=args.unit)
     report_dict: dict[str, object] = {"n_records": len(records)}
+    report = None
     if args.fill == "ffill":
         series, report = fill_gaps(series, suspect)
-        report_dict.update(report.as_dict())
+        report_dict.update(asdict(report))
     series = prefilter(series, method=args.prefilter, width=args.median_width)
     out = _resolve_out(args.out)
     params: dict[str, object] = {
@@ -355,9 +356,9 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     }
     if args.prefilter == "moving_median":
         params["median_width"] = args.median_width
-    if "n_missing_filled" in report_dict:
-        params["n_missing_filled"] = report_dict["n_missing_filled"]
-        params["n_suspect_removed"] = report_dict["n_suspect_removed"]
+    if report is not None:
+        params["n_missing_filled"] = report.n_missing_filled
+        params["n_suspect_removed"] = report.n_suspect_removed
     meta = _manifest("ingest", params, {"input": inp})
     _save(out, write_series_csv, series, meta)
     report_path = out.with_suffix(out.suffix + ".report.json")

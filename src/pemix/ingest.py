@@ -41,13 +41,6 @@ class CleaningReport:
     n_suspect_removed: int = 0
     gap_spans: tuple[tuple[int, int], ...] = field(default_factory=tuple)
 
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "n_missing_filled": self.n_missing_filled,
-            "n_suspect_removed": self.n_suspect_removed,
-            "gap_spans": [list(span) for span in self.gap_spans],
-        }
-
 
 # Lines parsed per block of ``load_csv``: bounds the strings and arrays
 # that one block holds, whatever the length of the file.

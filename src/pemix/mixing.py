@@ -13,7 +13,7 @@ stride ordering.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -27,7 +27,6 @@ __all__ = [
     "mixing_ansatz",
     "bin_average",
     "bin_sweep",
-    "recommend_bin_size",
     "ZERO_RBAR_TOL",
 ]
 
@@ -131,15 +130,17 @@ def bin_average(series: TimeSeries, j: int) -> TimeSeries:
 
 @dataclass(frozen=True)
 class BinSweepResult:
-    """Mean reversal score per candidate bin size, and what follows from it.
+    """Mean reversal score per candidate bin size, and the size it recommends.
 
     Built from ``bin_sizes`` and ``r_bars`` alone.  ``r_bars[i]`` is NaN
     where bin size ``bin_sizes[i]`` left fewer points than one entropy
-    window, and ``sufficient`` is False there.  ``recommended_j`` and
-    ``achieved_zero`` are :func:`recommend_bin_size` of the two:
-    ``achieved_zero`` tells whether the recommended size actually drove
-    the mean score to zero (within tolerance) rather than merely
-    minimizing it.
+    window; ``sufficient`` is False there and the recommendation skips it.
+    ``recommended_j`` is the smallest size whose score is zero within
+    ``ZERO_RBAR_TOL``, and ``achieved_zero`` is then True; otherwise it is
+    the first local minimum, where a plateau of equal scores (NaN rows
+    skipped) counts as one candidate represented by its smallest size and
+    the ends count as higher.  Example: scores ``[0.8, 0.5, 0.5, 0.7]``
+    for sizes ``1..4`` recommend size 2, the first point of the plateau.
 
     Raises:
         InvalidInputError: If the arrays are not matching 1-D arrays, or
@@ -158,67 +159,33 @@ class BinSweepResult:
         r_bars = np.asarray(self.r_bars, dtype=np.float64)
         if sizes.shape != r_bars.shape or sizes.ndim != 1:
             raise InvalidInputError("sweep arrays must be matching 1-D arrays")
+        backward = np.flatnonzero(np.diff(sizes) <= 0)
+        if backward.size:
+            i = backward[0]
+            raise InvalidInputError(
+                f"bin sizes must strictly increase, but size {sizes[i + 1]} "
+                f"follows size {sizes[i]}"
+            )
+        sufficient = np.isfinite(r_bars)
+        if not sufficient.any():
+            raise InsufficientDataError("no bin size left enough data to score")
+        scored, scores = sizes[sufficient], r_bars[sufficient]
+        zeros = np.flatnonzero(scores <= ZERO_RBAR_TOL)
+        if zeros.size:
+            pick = zeros[0]
+        else:
+            # Collapse plateaus into runs, then take the first run that sits
+            # strictly below both neighbors.  The first run holding the
+            # minimum always does, so there is one.
+            starts = np.flatnonzero(np.concatenate(([True], scores[1:] != scores[:-1])))
+            runs = np.concatenate(([np.inf], scores[starts], [np.inf]))
+            below = (runs[:-2] > runs[1:-1]) & (runs[2:] > runs[1:-1])
+            pick = starts[np.flatnonzero(below)[0]]
         object.__setattr__(self, "bin_sizes", sizes)
         object.__setattr__(self, "r_bars", r_bars)
-        object.__setattr__(self, "sufficient", np.isfinite(r_bars))
-        recommended_j, achieved_zero = recommend_bin_size(sizes, r_bars)
-        object.__setattr__(self, "recommended_j", recommended_j)
-        object.__setattr__(self, "achieved_zero", achieved_zero)
-
-
-def recommend_bin_size(
-    bin_sizes: Sequence[int] | np.ndarray,
-    r_bars: Sequence[float] | np.ndarray,
-) -> tuple[int, bool]:
-    """Pick a bin size from a sweep's mean reversal scores.
-
-    Preference order: the smallest size whose score is zero within
-    ``ZERO_RBAR_TOL``; otherwise the first local minimum, where a
-    plateau of equal scores counts as one candidate represented by its
-    smallest size.  NaN scores (insufficient data) are skipped.
-
-    Example: scores ``[0.8, 0.5, 0.5, 0.7]`` for sizes ``1..4``
-    recommend size 2, the first point of the plateau.
-
-    Returns:
-        ``(recommended_size, achieved_zero)``.
-
-    Raises:
-        InvalidInputError: If there are not as many scores as sizes, or
-            the sizes do not strictly increase.
-        InsufficientDataError: If every score is NaN.
-    """
-    if len(bin_sizes) != len(r_bars):
-        raise InvalidInputError(f"{len(bin_sizes)} bin sizes but {len(r_bars)} scores")
-    backward = np.flatnonzero(np.diff(bin_sizes) <= 0)
-    if backward.size:
-        i = backward[0]
-        raise InvalidInputError(
-            f"bin sizes must strictly increase, but size {bin_sizes[i + 1]} "
-            f"follows size {bin_sizes[i]}"
-        )
-    pairs = [
-        (int(j), float(r))
-        for j, r in zip(bin_sizes, r_bars)
-        if np.isfinite(r)
-    ]
-    if not pairs:
-        raise InsufficientDataError("no bin size left enough data to score")
-    for j, r in pairs:
-        if r <= ZERO_RBAR_TOL:
-            return j, True
-    # Collapse plateaus into runs, then take the first run that sits
-    # strictly below both neighbors (series ends count as higher).
-    runs: list[tuple[int, float]] = []
-    for j, r in pairs:
-        if not runs or runs[-1][1] != r:
-            runs.append((j, r))
-    for idx, (j, r) in enumerate(runs):
-        below_prev = idx == 0 or runs[idx - 1][1] > r
-        below_next = idx == len(runs) - 1 or runs[idx + 1][1] > r
-        if below_prev and below_next:
-            return j, False
-    raise AssertionError("a finite sequence always has a first local minimum")
+        object.__setattr__(self, "sufficient", sufficient)
+        object.__setattr__(self, "recommended_j", int(scored[pick]))
+        object.__setattr__(self, "achieved_zero", bool(zeros.size))
 
 
 def _mean_reversal(series: TimeSeries, config: PEConfig) -> float:

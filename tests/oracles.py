@@ -16,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from pemix.errors import InsufficientDataError, InvalidInputError
+from pemix.mixing import ZERO_RBAR_TOL
 
 
 def ranks_by_time(window) -> tuple[int, ...]:
@@ -105,6 +106,31 @@ def exact_sliding_means(fractions, window: int, hop: int = 1):
     """:func:`exact_mean` of each window of ``window`` fractions, stepping by ``hop``."""
     starts = range(0, len(fractions) - window + 1, hop)
     return np.asarray([exact_mean(fractions[i : i + window]) for i in starts])
+
+
+def recommend_bin_size(bin_sizes, r_bars) -> tuple[int, bool]:
+    """``(recommended size, achieved zero)`` of a sweep, pair by pair.
+
+    The smallest size whose score is at most ``ZERO_RBAR_TOL``; otherwise
+    the first local minimum over the finite scores, a run of equal scores
+    counting once by its smallest size and the ends counting as higher.
+    """
+    pairs = [(int(j), float(r)) for j, r in zip(bin_sizes, r_bars) if math.isfinite(r)]
+    if not pairs:
+        raise InsufficientDataError("no bin size left enough data to score")
+    for j, r in pairs:
+        if r <= ZERO_RBAR_TOL:
+            return j, True
+    runs: list[tuple[int, float]] = []
+    for j, r in pairs:
+        if not runs or runs[-1][1] != r:
+            runs.append((j, r))
+    for idx, (j, r) in enumerate(runs):
+        below_prev = idx == 0 or runs[idx - 1][1] > r
+        below_next = idx == len(runs) - 1 or runs[idx + 1][1] > r
+        if below_prev and below_next:
+            return j, False
+    raise AssertionError("a finite sequence always has a first local minimum")
 
 
 def bin_means(values, j: int):

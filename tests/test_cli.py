@@ -159,6 +159,18 @@ class TestPeAndReversal:
         np.testing.assert_array_equal(traces.taus, expected.taus)
         assert meta["window"] == "300"
 
+    def test_one_stride_file_reads_back_exactly(self):
+        config = PEConfig(window=300, tau_min=2, tau_max=2, hop=7)
+        traces = multi_tau_pe(sine_series(1.0, 50, 1500), config)
+        stream = io.StringIO()
+        cli.write_trace_csv(stream, [traces], {})
+        stream.seek(0)
+        back, _ = read_trace_csv(stream)
+        assert back.traces.shape == (1, len(traces))
+        np.testing.assert_array_equal(back.traces.view(np.int64), traces.traces.view(np.int64))
+        np.testing.assert_array_equal(back.anchors, traces.anchors)
+        np.testing.assert_array_equal(back.taus, [2])
+
     def test_reversal_scores_match_library(self, tmp_path):
         src = tmp_path / "src.csv"
         run("generate", "sine", "--period", 50, "--n", 1500, "-o", src)
@@ -341,8 +353,9 @@ class TestIngestCommand:
         # The same keys, in the same order, as the library's own report.
         records = load_csv(raw)
         _, cleaning = fill_gaps(*regularize(records, 10.0))
-        expected = {"n_records": len(records), **cleaning.as_dict()}
+        expected = {"n_records": len(records), **asdict(cleaning)}
         expected.update(input=str(raw), output=str(out), created=report["created"])
+        expected = json.loads(json.dumps(expected))  # spans as JSON lists
         assert list(report.items()) == list(expected.items())
         assert len(report["gap_spans"]) >= 2
         # One line per key and per gap span, not one per number.
@@ -441,6 +454,17 @@ class TestExitCodes:
         code = run("reversal", "-i", traces, "-o", tmp_path / "rev.csv")
         assert code == 2
         assert "strides must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "rev.csv").exists()
+
+    def test_one_stride_traces_is_2(self, tmp_path, capsys):
+        src = tmp_path / "src.csv"
+        run("generate", "sine", "--period", 50, "--n", 1500, "-o", src)
+        traces = tmp_path / "traces.csv"
+        assert run("pe", "-i", src, "--window", 300, "--tau-max", 1, "-o", traces) == 0
+        assert "\nanchor,pe_tau1\n" in traces.read_text(encoding="utf-8")
+        code = run("reversal", "-i", traces, "-o", tmp_path / "rev.csv")
+        assert code == 2
+        assert "reversal needs traces for at least two strides" in capsys.readouterr().err
         assert not (tmp_path / "rev.csv").exists()
 
     @pytest.mark.parametrize(

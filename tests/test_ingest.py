@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import pemix.ingest as ingest_module
 from pemix import (
+    CleaningReport,
     InsufficientDataError,
     InvalidInputError,
     TimeSeries,
@@ -461,7 +462,7 @@ class TestFillGaps:
         ) == gap_report(values, suspect)
         again, second = fill_gaps(filled)
         np.testing.assert_array_equal(again.values.view(np.int64), filled.values.view(np.int64))
-        assert second.as_dict() == {"n_missing_filled": 0, "n_suspect_removed": 0, "gap_spans": []}
+        assert second == CleaningReport()
 
     def test_leading_gap_suggests_trimming(self):
         series = TimeSeries(np.array([np.nan, 1.0]))

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pemix import (
@@ -18,13 +18,19 @@ from pemix import (
     bin_sweep,
     mixing_ansatz,
     multi_tau_pe,
-    recommend_bin_size,
     reversal_series,
 )
 from pemix import entropy as entropy_module
 from pemix import mixing as mixing_module
 
-from oracles import ansatz_moments, bin_means, clipped_window_stats, exact_mean, exact_scores
+from oracles import (
+    ansatz_moments,
+    bin_means,
+    clipped_window_stats,
+    exact_mean,
+    exact_scores,
+    recommend_bin_size,
+)
 
 
 class TestMixingAnsatz:
@@ -215,42 +221,64 @@ class TestBinAverage:
             bin_average(TimeSeries(np.arange(3.0)), 4)
 
 
+def recommend(sizes, r_bars):
+    result = BinSweepResult(sizes, r_bars)
+    return result.recommended_j, result.achieved_zero
+
+
+# Scores that reach the rule's edges: NaN rows, signed zeros, values just
+# below, at and above ZERO_RBAR_TOL, and repeats that form plateaus.
+_SWEEP_SCORES = st.sampled_from([np.nan, 0.0, -0.0, 1e-13, 1e-12, 2e-12, 0.25, 0.5, 0.75])
+
+
 class TestRecommendBinSize:
     def test_first_zero_wins(self):
-        j, zero = recommend_bin_size([1, 2, 3, 4], [0.9, 0.0, 0.0, 0.1])
-        assert (j, zero) == (2, True)
+        assert recommend([1, 2, 3, 4], [0.9, 0.0, 0.0, 0.1]) == (2, True)
 
     def test_plateau_counts_once_and_first_size_wins(self):
-        j, zero = recommend_bin_size([1, 2, 3, 4], [0.8, 0.5, 0.5, 0.7])
-        assert (j, zero) == (2, False)
+        assert recommend([1, 2, 3, 4], [0.8, 0.5, 0.5, 0.7]) == (2, False)
 
     def test_monotone_decreasing_recommends_last(self):
-        j, zero = recommend_bin_size([1, 2, 3], [0.9, 0.5, 0.3])
-        assert (j, zero) == (3, False)
+        assert recommend([1, 2, 3], [0.9, 0.5, 0.3]) == (3, False)
 
     def test_tolerance_treats_tiny_as_zero(self):
-        j, zero = recommend_bin_size([1, 2], [0.5, 1e-13])
-        assert (j, zero) == (2, True)
+        assert recommend([1, 2], [0.5, 1e-13]) == (2, True)
+        assert recommend([1, 2], [0.5, 1e-12]) == (2, True)
+        assert recommend([1, 2], [0.5, 2e-12]) == (2, False)
 
     def test_nan_entries_are_skipped(self):
-        j, zero = recommend_bin_size([1, 2, 3, 4], [0.9, np.nan, 0.2, 0.5])
-        assert (j, zero) == (3, False)
+        assert recommend([1, 2, 3, 4], [0.9, np.nan, 0.2, 0.5]) == (3, False)
+        # Equal scores on either side of a NaN form one plateau.
+        assert recommend([1, 2, 3, 4, 5], [0.9, 0.5, np.nan, 0.5, 0.7]) == (2, False)
+        assert recommend([1, 2, 3, 4], [0.5, np.nan, 0.5, 0.25]) == (4, False)
 
     def test_all_nan_raises(self):
-        with pytest.raises(InsufficientDataError):
-            recommend_bin_size([1, 2], [np.nan, np.nan])
-
-    @pytest.mark.parametrize("r_bars", [[0.5, 0.4, 0.0], [0.5]])
-    def test_scores_must_match_sizes(self, r_bars):
-        with pytest.raises(InvalidInputError, match=f"^2 bin sizes but {len(r_bars)} scores$"):
-            recommend_bin_size([1, 2], r_bars)
+        with pytest.raises(InsufficientDataError, match="no bin size left enough data"):
+            recommend([1, 2], [np.nan, np.nan])
 
     @pytest.mark.parametrize(
         "sizes, pair", [([3, 1, 2], "size 1 follows size 3"), ([1, 2, 2], "size 2 follows size 2")]
     )
     def test_sizes_must_strictly_increase(self, sizes, pair):
         with pytest.raises(InvalidInputError, match=pair):
-            recommend_bin_size(sizes, [0.0, 0.0, 0.5])
+            recommend(sizes, [0.0, 0.0, 0.5])
+
+    @settings(max_examples=300, deadline=None)
+    @example(scores=[np.nan, np.nan], first=1, steps=[1] * 11)
+    @given(
+        scores=st.lists(_SWEEP_SCORES, min_size=1, max_size=12),
+        first=st.integers(1, 5),
+        steps=st.lists(st.integers(1, 4), min_size=11, max_size=11),
+    )
+    def test_matches_the_pairwise_oracle(self, scores, first, steps):
+        sizes = np.cumsum([first, *steps])[: len(scores)]
+        if np.isnan(scores).all():
+            with pytest.raises(InsufficientDataError):
+                recommend_bin_size(sizes, scores)
+            with pytest.raises(InsufficientDataError):
+                recommend(sizes, scores)
+        else:
+            assert recommend(sizes, scores) == recommend_bin_size(sizes, scores)
 
 
 class TestBinSweepResult:
@@ -261,6 +289,8 @@ class TestBinSweepResult:
         assert result.sufficient.dtype == bool
         assert (result.recommended_j, result.achieved_zero) == recommend_bin_size(sizes, r_bars)
         assert (result.recommended_j, result.achieved_zero) == (4, True)
+        # Python scalars, as the sweep header and summary.json print them.
+        assert type(result.recommended_j) is int and type(result.achieved_zero) is bool
         assert result.bin_sizes.dtype == np.int64
 
     def test_all_nan_scores_raise(self):

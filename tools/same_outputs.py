@@ -23,14 +23,19 @@ directory:
 * on the plain ingested series, ``pe``, then ``reversal`` plain and with
   ``--window 5000``, ``bin -j 3``, ``binsweep --j-max 40 --hop 100``,
   ``ansatz -k 0``, which draws nothing, and ``ansatz -k 3 --seed 7``,
-  which draws one value per point.
+  which draws one value per point;
+* ``ansatz -k 3 --seed 7`` on the generated Lorenz series, then
+  ``binsweep --window 3000 --hop 10`` on the mixed series with
+  ``--j-max 2``, which recommends a size whose score is not zero, and with
+  ``--j-max 8``, whose largest sizes leave too few points and write NaN
+  rows: both branches of the bin-size rule, and its NaN rows.
 
-Both sides read the same export.  Then every file is compared after
-dropping the lines that hold a timestamp, an input digest, an output path
-or a run time.  The tool lists each command that exited non-zero and each
-file that is missing on one side or differs, and exits 1; it exits 0 when
-every command succeeded and every file is the same.  The copies are
-removed at the end.
+That is 46 files on each side.  Both sides read the same export.  Then
+every file is compared after dropping the lines that hold a timestamp, an
+input digest, an output path or a run time.  The tool lists each command
+that exited non-zero and each file that is missing on one side or
+differs, and exits 1; it exits 0 when every command succeeded and every
+file is the same.  The copies are removed at the end.
 """
 
 from __future__ import annotations
@@ -71,6 +76,11 @@ def _runs(export: Path) -> list[list[str]]:
         ["binsweep", "-i", "clean.csv", "--j-max", "40", "--hop", "100", "-o", "sweep.csv"],
         ["ansatz", "-i", "clean.csv", "-k", "0", "-o", "ansatz_k0.csv"],
         ["ansatz", "-i", "clean.csv", "-k", "3", "--seed", "7", "-o", "ansatz_k3.csv"],
+        ["ansatz", "-i", "lorenz.csv", "-k", "3", "--seed", "7", "-o", "lorenz_k3.csv"],
+        ["binsweep", "-i", "lorenz_k3.csv", "--j-max", "2", "--window", "3000", "--hop", "10",
+         "-o", "sweep_lorenz_k3_j2.csv"],
+        ["binsweep", "-i", "lorenz_k3.csv", "--j-max", "8", "--window", "3000", "--hop", "10",
+         "-o", "sweep_lorenz_k3_j8.csv"],
     ]
 
 
