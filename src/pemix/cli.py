@@ -97,6 +97,10 @@ def _resolve_out(raw: str) -> Path:
 
 
 def _manifest(command: str, params: Mapping[str, object], inputs: Mapping[str, Path]) -> dict[str, object]:
+    for name, value in params.items():
+        # A header line holds one value; a break would start a line of its own.
+        if any(c in str(value) for c in "\r\n"):
+            raise InvalidInputError(f"{name} must not contain a line break, got {value!r}")
     meta: dict[str, object] = {
         "version": __version__,
         "command": command,
@@ -182,8 +186,11 @@ def write_sweep_csv(stream: IO[str], result: BinSweepResult, metadata: Mapping[s
 
 
 def _load(path: Path, reader: Callable[[IO[str]], tuple]) -> tuple:
-    with open(path, "r", encoding="utf-8") as stream:
-        return reader(stream)
+    with open(path, "r", encoding="utf-8-sig") as stream:
+        try:
+            return reader(stream)
+        except UnicodeDecodeError as exc:
+            raise InvalidInputError(f"{path} is not UTF-8 text ({exc.reason})") from None
 
 
 def _from_args(cls: type, args: argparse.Namespace):
@@ -307,6 +314,10 @@ def cmd_binsweep(args: argparse.Namespace) -> int:
     series, _ = _load(inp, read_series_csv)
     if args.j_max < args.j_min:
         raise InvalidInputError(f"--j-max must be >= --j-min, got {args.j_max} < {args.j_min}")
+    if args.j_max > len(series):
+        raise InvalidInputError(
+            f"--j-max must be <= the series length {len(series)}, got {args.j_max}"
+        )
     config = _from_args(PEConfig, args)
     result = bin_sweep(series, range(args.j_min, args.j_max + 1), config)
     params = {**asdict(config), "j_min": args.j_min, "j_max": args.j_max}

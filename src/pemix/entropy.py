@@ -27,10 +27,12 @@ __all__ = [
     "trace_blocks",
 ]
 
-# Counts (changed anchors x ell!) and codes moved per block of the sliding
-# kernel: 256 KB of int64, so a block's counts and their table gather stay
-# in cache.  On 300k Mackey-Glass points, blocks of 2**15 to 2**17 cells ran
-# within 10 % of each other at ell 4 and 6; 2**21 took 1.8 times as long.
+# Counts (changed windows x ell!) and codes gathered (changed windows x hop)
+# per chunk of the sliding kernel: 256 KB of int64, so a chunk's counts and
+# their table gather stay in cache.  On 300k Mackey-Glass points, blocks of
+# 2**15 to 2**17 cells ran within 10 % of each other at ell 4 and 6; 2**21
+# took 1.8 times as long.  At ell 8 and 9, ell! exceeds it and a chunk
+# holds one window.
 _BLOCK_CELLS = 1 << 15
 
 # Grid anchors per block of :func:`trace_blocks`.  A block's traces and the
@@ -237,63 +239,49 @@ def _sliding_entropy(
     Consecutive windows differ by the ``hop`` pattern codes that enter at
     the right and the ``hop`` that leave at the left.  A window whose
     entering codes all equal their paired leaving codes keeps the previous
-    window's counts, since its +1 and -1 events cancel pair by pair; only
-    the first window and the "changed" ones get a count row, and every
-    other window copies its value.  On oversampled series most windows
-    are unchanged.
+    window's counts (its +1 and -1 events cancel pair by pair), and so its
+    value; on oversampled series most windows are such.  Only the first
+    window and the "changed" ones get a count row.
 
-    Changed rows go in blocks of at most ``_BLOCK_CELLS`` counts and
-    ``_BLOCK_CELLS`` codes moved, so a block stays in cache.  Per block one
-    ``bincount`` tallies the entering codes per changed row and one the
-    leaving codes, over contiguous slices of the codes (an unchanged row's
-    codes land on the changed row before it and cancel there).  The last
-    count row of the previous block is added to the first row, and a
-    ``cumsum`` down the rows turns differences into counts.  Each count
-    then indexes a table of ``p * log(p)`` over ``0..per_window``, so no
-    ``log`` is taken per cell.  Working memory is a few blocks, a few
-    arrays of one value per anchor and the table, whatever the window.
+    Changed windows go in chunks of at most ``_BLOCK_CELLS`` counts and as
+    many codes, so a chunk stays in cache.  Per chunk one ``bincount``
+    tallies the entering codes per changed window and one the leaving
+    codes, the previous chunk's last count row is added to the first row,
+    and a ``cumsum`` down the rows turns differences into counts.  Each
+    count indexes a table of ``p * log(p)`` over ``0..per_window``, so no
+    ``log`` is taken per cell.  Working memory is a chunk, a few arrays of
+    one value per anchor and the table, whatever the window.
     """
     nfact = math.factorial(ell)
     per_window = window - span
-    n_rows = len(anchors)
     hop = anchors.step
     table = _plogp(np.arange(per_window + 1) / per_window)
     head = anchors[0] - span + 1  # one past the first window's last pattern
     tail = head - per_window  # the first window's first pattern
-    moved = (n_rows - 1) * hop
-    # Row r >= 1 gains enter[(r-1)*hop : r*hop] and loses leave[(r-1)*hop : r*hop].
-    enter = codes[head : head + moved]
-    leave = codes[tail : tail + moved]
-    changed = np.empty(n_rows, dtype=bool)
-    changed[0] = True
-    np.any((enter != leave).reshape(n_rows - 1, hop), axis=1, out=changed[1:])
-    # crow[r] numbers the last changed row at or before row r: row r has its counts.
-    crow = np.cumsum(changed)
-    crow -= 1
-    vals = np.empty(int(crow[-1]) + 1, dtype=np.float64)
-    max_rows = max(_BLOCK_CELLS // nfact, 1)
-    max_moves = max(_BLOCK_CELLS // hop, 1)
+    # Window r >= 1 gains the codes enter[r - 1] and loses leave[r - 1].
+    enter = codes[head : head + (len(anchors) - 1) * hop].reshape(-1, hop)
+    leave = codes[tail : tail + enter.size].reshape(-1, hop)
+    changed = np.flatnonzero((enter != leave).any(axis=1))
+    # last[r] numbers the count row that window r shares: 0 is the first window.
+    last = np.zeros(len(anchors), dtype=np.int64)
+    last[changed + 1] = 1
+    np.cumsum(last, out=last)
     carry = np.bincount(codes[tail:head], minlength=nfact)
-    a0 = 0
-    while a0 < n_rows:
-        # Rows a0..a1-1 hold changed rows c0..c1-1; a0 may fall inside an
-        # unchanged run, whose counts are then the carried row itself.
-        c0 = int(crow[a0])
-        a1 = min(a0 + max_moves, int(np.searchsorted(crow, c0 + max_rows)))
-        c1 = int(crow[a1 - 1]) + 1
-        lo = max(a0, 1)  # row 0 moves no code
-        moves = slice((lo - 1) * hop, (a1 - 1) * hop)
-        offsets = np.repeat((crow[lo:a1] - c0) * nfact, hop)
-        cells = (c1 - c0) * nfact
-        counts = np.bincount(offsets + enter[moves], minlength=cells)
-        counts -= np.bincount(offsets + leave[moves], minlength=cells)
-        counts = counts.reshape(c1 - c0, nfact)
+    vals = np.empty(changed.shape[0] + 1, dtype=np.float64)
+    vals[0] = _normalized_entropy(table[carry], ell)
+    step = max(_BLOCK_CELLS // max(nfact, hop), 1)
+    for c0 in range(0, changed.shape[0], step):
+        rows = changed[c0 : c0 + step]
+        cells = rows.shape[0] * nfact
+        offsets = np.arange(0, cells, nfact)[:, None]
+        counts = np.bincount((offsets + enter[rows]).ravel(), minlength=cells)
+        counts -= np.bincount((offsets + leave[rows]).ravel(), minlength=cells)
+        counts = counts.reshape(-1, nfact)
         counts[0] += carry
         np.cumsum(counts, axis=0, out=counts)
-        vals[c0:c1] = _normalized_entropy(table[counts], ell)
+        vals[c0 + 1 : c0 + 1 + rows.shape[0]] = _normalized_entropy(table[counts], ell)
         carry = counts[-1].copy()
-        a0 = a1
-    return vals[crow]
+    return vals[last]
 
 
 def multi_tau_pe(series: TimeSeries, config: PEConfig) -> PETraceSet:

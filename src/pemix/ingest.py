@@ -218,9 +218,10 @@ def load_csv(
     Columns may be given by zero-based index or, when the file has a
     header row, by name.  A row is split at commas (with ``csv``
     quoting) when it holds one, at whitespace otherwise.  Blank lines
-    and ``#`` comments are skipped.  Unparseable or non-finite values
-    become NaN records (missing markers); unparseable or non-finite
-    times are an error.  The file is parsed in blocks of
+    and ``#`` comments are skipped, and so is a leading UTF-8 byte-order
+    mark.  Unparseable or non-finite values become NaN records (missing
+    markers); unparseable or non-finite times are an error.  The file is
+    parsed in blocks of
     ``_BLOCK_LINES`` lines; stamps in the strict UTC form
     ``YYYY-MM-DDTHH:MM:SS[.fff|.ffffff]Z`` are converted together and
     any other time cell one at a time.
@@ -254,7 +255,7 @@ def load_csv(
     first_row = True
     prev_time = -math.inf
     prev_row = -1
-    with open(path, "r", encoding="utf-8", errors="replace") as stream:
+    with open(path, "r", encoding="utf-8-sig", errors="replace") as stream:
         next_lineno = 1
         while lines := list(itertools.islice(stream, _BLOCK_LINES)):
             data, linenos = _data_lines(lines, next_lineno)

@@ -226,17 +226,17 @@ def bin_sweep(
     any binning, so an error names the position in ``series``.
 
     Raises:
-        InvalidInputError: On an empty or non-positive candidate list, or
-            a non-finite value.
+        InvalidInputError: On an empty candidate list, a size below 1 or
+            above the series length, or a non-finite value.
         InsufficientDataError: If no candidate leaves enough data.
     """
     sizes = sorted({int(j) for j in j_range})
     if not sizes:
         raise InvalidInputError("bin size range is empty")
-    if sizes[0] < 1:
-        raise InvalidInputError(f"bin sizes must be >= 1, got {sizes[0]}")
-    _check_finite(series.values)
     n = len(series)
+    if sizes[0] < 1 or sizes[-1] > n:
+        raise InvalidInputError(f"bin sizes must be in 1..{n}, got {sizes[0]}..{sizes[-1]}")
+    _check_finite(series.values)
     r_bars = np.full(len(sizes), np.nan, dtype=np.float64)
     for idx, j in enumerate(sizes):
         if n // j >= pe_config.window:

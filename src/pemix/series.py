@@ -42,7 +42,7 @@ class TimeSeries:
     Attributes:
         values: 1-D float64 array of observations.
         spacing: Time between consecutive observations, > 0.
-        unit: Unit of ``spacing`` (free-form label, e.g. "seconds").
+        unit: Unit of ``spacing`` (free-form label on one line, e.g. "seconds").
         origin: Time of the first observation, in the same unit.
     """
 
@@ -64,6 +64,9 @@ class TimeSeries:
         object.__setattr__(self, "origin", float(self.origin))
         if not np.isfinite(self.origin):
             raise InvalidInputError(f"origin must be finite, got {self.origin}")
+        # A table header holds the unit on one line.
+        if any(c in str(self.unit) for c in "\r\n"):
+            raise InvalidInputError(f"unit must not contain a line break, got {self.unit!r}")
 
     def __len__(self) -> int:
         return int(self.values.shape[0])
@@ -475,6 +478,8 @@ def read_rows(stream: IO[str], header: TableHeader, dtype: np.dtype) -> np.ndarr
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # no rows; raised below
             table = np.loadtxt(lines, dtype=dtype, delimiter=",", ndmin=1)
+    except UnicodeDecodeError:
+        raise  # a byte, not a line, is at fault: the caller names the file
     except ValueError as exc:
         reason = re.sub(r" at row \d+", "", str(exc)).split(";")[0]
         raise InvalidInputError(f"line {next(counter) - 1}: {reason}") from None

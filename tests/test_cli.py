@@ -611,6 +611,75 @@ class TestExitCodes:
         assert "non-finite value at position 731: nan" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--unit", "sec\nfoo"], "unit must not contain a line break, got 'sec\\nfoo'"),
+            (["--time-column", "\n0"], "time_column must not contain a line break, got '\\n0'"),
+            (["--value-column", "1\r"], "value_column must not contain a line break, got '1\\r'"),
+        ],
+        ids=["unit", "time-column", "value-column"],
+    )
+    def test_line_break_in_a_header_value_is_2_and_writes_nothing(
+        self, tmp_path, capsys, flags, message
+    ):
+        # int() strips the break from a column index, so the export loads,
+        # but a header line cannot hold the value.
+        raw = tmp_path / "raw.csv"
+        raw.write_text("time,value\n0,1.0\n1,2.0\n2,3.0\n", encoding="utf-8")
+        out = tmp_path / "out" / "clean.csv"
+        assert run("ingest", "-i", raw, "--target-spacing", 1.0, *flags, "-o", out) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == [raw]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("pe", "--window", 100), ("bin", "-j", 2), ("binsweep", "--window", 100, "--j-max", 2),
+         ("ansatz", "-k", 1), ("reversal",)],
+    )
+    def test_table_that_is_not_utf8_is_2(self, tmp_path, capsys, argv):
+        src = tmp_path / "src.csv"
+        run("generate", "sine", "--period", 40, "--n", 400, "-o", src)
+        if argv[0] == "reversal":
+            traces = tmp_path / "traces.csv"
+            run("pe", "-i", src, "--window", 100, "--tau-max", 2, "-o", traces)
+            src = traces
+        text = src.read_bytes()
+        # One Latin-1 byte in the header, and one in a row far past the
+        # first block the reader decodes.
+        for bad in (text.replace(b"# command: ", b"# command: s\xe9c "),
+                    text[:-20] + b"\xff" + text[-19:]):
+            src.write_bytes(bad)
+            out = tmp_path / "out.csv"
+            assert run(argv[0], "-i", src, *argv[1:], "-o", out) == 2
+            assert f"error: {src} is not UTF-8 text" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_pemix_table_with_a_byte_order_mark_reads_as_without(self, tmp_path):
+        src = tmp_path / "src.csv"
+        run("generate", "sine", "--period", 40, "--n", 400, "-o", src)
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + src.read_bytes())
+        for inp in (src, marked):
+            assert run("bin", "-i", inp, "-j", 2, "-o", tmp_path / f"{inp.stem}_j2.csv") == 0
+        assert read_rows(tmp_path / "src_j2.csv")[1:] == read_rows(tmp_path / "marked_j2.csv")[1:]
+
+    def test_binsweep_j_max_past_the_series_length_is_2(self, tmp_path, capsys):
+        src = tmp_path / "src.csv"
+        run("generate", "sine", "--period", 40, "--n", 400, "-o", src)
+        out = tmp_path / "sweep.csv"
+        flags = ["--window", 100, "--tau-max", 3, "-o", out]
+        assert run("binsweep", "-i", src, "--j-max", 1_000_000, *flags) == 2
+        assert "error: --j-max must be <= the series length 400, got 1000000" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+        # Up to the length, the sizes that leave too few points keep their rows.
+        assert run("binsweep", "-i", src, "--j-max", 400, *flags) == 0
+        _, _, rows = read_rows(out)
+        assert len(rows) == 400
+        assert rows[-1] == ["400", "nan", "false"]
+
     def test_missing_input_is_4(self, tmp_path):
         code = run("pe", "-i", tmp_path / "absent.csv", "-o", tmp_path / "x.csv")
         assert code == 4

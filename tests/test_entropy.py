@@ -235,8 +235,8 @@ class TestSlidingKernel:
         window = data.draw(st.integers(span + 1, values.shape[0]), label="window")
         # Up to past window - span, where consecutive windows share no pattern.
         hop = data.draw(st.integers(1, window - span + 3), label="hop")
-        # A block of a few changed rows, so that block edges fall inside
-        # unchanged runs (the moved-codes bound) and on changed rows.
+        # Chunks of a few changed windows, so that chunk edges fall between
+        # changed windows that unchanged runs separate.
         rows = data.draw(st.integers(1, 4), label="rows per block")
         series = TimeSeries(values)
         config = PEConfig(ell=ell, window=window, tau_min=tau, tau_max=tau, hop=hop)
@@ -252,6 +252,29 @@ class TestSlidingKernel:
                 end=anchor + 1,
             )
             assert value == permutation_entropy(dist, ell), f"anchor {anchor}"
+
+    @pytest.mark.parametrize(
+        "ell, window, hop, n",
+        [(7, 40, 1, 100), (8, 40, 1, 100), (9, 40, 1, 100), (2, 3001, 3000, 40_000)],
+    )
+    @pytest.mark.parametrize("kind", ["plateau", "random"])
+    def test_shipped_chunks_match_the_tally_at_large_ell_and_hop(self, kind, ell, window, hop, n):
+        # At the shipped _BLOCK_CELLS: ell! = 5040 gives chunks of 6 windows,
+        # 8! and 9! exceed it and give chunks of one window, and a hop of 3000
+        # (above 2! = 2) gives chunks of 10 windows, bounded by their codes.
+        rng = np.random.default_rng(ell)
+        if kind == "plateau":
+            values = np.repeat(rng.integers(0, 3, size=n // 5), 5).astype(np.float64)
+        else:
+            values = rng.standard_normal(n)
+        series = TimeSeries(values)
+        config = PEConfig(ell=ell, window=window, tau_min=1, tau_max=1, hop=hop)
+        trace = windowed_pe(series, config, 1)
+        grid = config.anchor_grid(n)
+        for i in sorted({0, 1, 7, len(grid) // 2, len(grid) - 1}):
+            start = grid[i] - window + 1
+            dist = pattern_distribution(series, ell, 1, start=start, end=grid[i] + 1)
+            assert trace[i] == permutation_entropy(dist, ell), f"anchor {grid[i]}"
 
     @pytest.mark.parametrize("hop", [1, 100])
     @pytest.mark.parametrize("ell", [4, 6])
@@ -284,8 +307,8 @@ class TestSlidingKernel:
         assert peak <= 20e6, f"peak {peak / 1e6:.1f} MB"
 
     def test_codes_moved_per_block_are_bounded_on_unchanged_runs(self):
-        # A constant series changes no window after the first, so one block
-        # of changed rows would span every anchor if only rows bounded it.
+        # A constant series changes no window after the first, so no chunk
+        # of changed windows is tallied and no code is gathered.
         peaks = {}
         for n in (100_000, 400_000):
             codes = encode_patterns(np.zeros(n), 4, 1)
@@ -295,7 +318,7 @@ class TestSlidingKernel:
             peaks[n] = tracemalloc.get_traced_memory()[1], len(anchors)
             tracemalloc.stop()
         # A few int64 arrays of one value per anchor; offsets for all 3
-        # codes moved per anchor would add 48 bytes per anchor.
+        # codes that enter per anchor would add 48 bytes per anchor.
         grown = (peaks[400_000][0] - peaks[100_000][0]) / (peaks[400_000][1] - peaks[100_000][1])
         assert grown <= 32, f"{grown:.1f} bytes per anchor"
 

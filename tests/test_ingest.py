@@ -83,6 +83,18 @@ class TestLoadCsv:
         with pytest.raises(InvalidInputError):
             load_csv(path, value_column=5)
 
+    @pytest.mark.parametrize(
+        "text, time_column",
+        [("timestamp,value\n0,1.5\n10,2.5\n", "timestamp"), ("0,1.5\n10,2.5\n", 0)],
+        ids=["header", "headerless"],
+    )
+    def test_utf8_byte_order_mark_is_skipped(self, tmp_path, text, time_column):
+        # Spreadsheet exports often start with one; it is not part of the first cell.
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        records = load_csv(path, time_column=time_column)
+        assert records.tolist() == [(0.0, 1.5), (10.0, 2.5)]
+
     def test_unreadable_file_is_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_csv(tmp_path / "absent.csv")

@@ -335,6 +335,18 @@ class TestBinSweep:
         with pytest.raises(InvalidInputError):
             bin_sweep(series, [], PEConfig(ell=2, window=10, tau_min=1, tau_max=2))
 
+    def test_sizes_above_the_series_length_raise(self):
+        # As bin_average does: a size past the length is no bin at all.
+        series = TimeSeries(np.sin(np.arange(100.0)))
+        config = PEConfig(ell=2, window=10, tau_min=1, tau_max=2)
+        with pytest.raises(InvalidInputError, match=r"^bin sizes must be in 1\.\.100, got 1\.\.101$"):
+            bin_sweep(series, range(1, 102), config)
+        # Sizes up to the length keep their insufficient rows.
+        result = bin_sweep(series, range(1, 101), config)
+        assert result.bin_sizes[-1] == 100
+        assert np.isnan(result.r_bars[10:]).all()
+        assert not result.sufficient[10:].any()
+
     def test_recovers_unmixed_signal_at_j_one(self):
         # A slow smooth signal keeps the monotone stride ordering, so the
         # sweep should recommend no binning at all.

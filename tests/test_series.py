@@ -40,6 +40,12 @@ class TestTimeSeries:
         with pytest.raises(InvalidInputError, match="^origin must be finite"):
             TimeSeries(np.zeros(3), origin=origin)
 
+    @pytest.mark.parametrize("unit", ["sec\nfoo", "sec\r", "\r\n"], ids=["lf", "cr", "crlf"])
+    def test_rejects_a_unit_with_a_line_break(self, unit):
+        # The unit is one header line of a series file.
+        with pytest.raises(InvalidInputError, match="^unit must not contain a line break"):
+            TimeSeries(np.zeros(3), unit=unit)
+
 
 class TestSeriesCsv:
     def test_round_trip_is_exact(self):

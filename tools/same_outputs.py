@@ -16,6 +16,9 @@ directory:
   reach ``2**48`` and above and print in exponent form: both ends of the
   cells that the table writer formats with ``repr`` one at a time;
 * ``generate lorenz`` and ``generate mackey-glass`` with ``--steps 20000``;
+* on the generated Lorenz series, ``pe --ell 6 --window 3000``, whose
+  sliding-kernel chunks hold rows of 720 counts, and ``pe --ell 2
+  --window 3000 --hop 5``, whose hop exceeds the 2 counts per row;
 * on the ``recording`` benchmark's seed-11 export
   (``bench/recording.py::write_export``), ``ingest --target-spacing 0.25``
   plain, with ``--fill none`` and with ``--prefilter moving_median
@@ -30,7 +33,7 @@ directory:
   ``--j-max 8``, whose largest sizes leave too few points and write NaN
   rows: both branches of the bin-size rule, and its NaN rows.
 
-That is 46 files on each side.  Both sides read the same export.  Then
+That is 48 files on each side.  Both sides read the same export.  Then
 every file is compared after dropping the lines that hold a timestamp, an
 input digest, an output path or a run time.  The tool lists each command
 that exited non-zero and each file that is missing on one side or
@@ -66,6 +69,9 @@ def _runs(export: Path) -> list[list[str]]:
         ["generate", "sine", "--amplitude", "1e20", "-o", "sine_large.csv"],
         ["generate", "lorenz", "--steps", "20000", "-o", "lorenz.csv"],
         ["generate", "mackey-glass", "--steps", "20000", "-o", "mackey_glass.csv"],
+        ["pe", "-i", "lorenz.csv", "--ell", "6", "--window", "3000", "-o", "pe_lorenz_ell6.csv"],
+        ["pe", "-i", "lorenz.csv", "--ell", "2", "--window", "3000", "--hop", "5",
+         "-o", "pe_lorenz_ell2_hop5.csv"],
         [*ingest, "-o", "clean.csv"],
         [*ingest, "--fill", "none", "-o", "clean_nofill.csv"],
         [*ingest, "--prefilter", "moving_median", "--median-width", "5", "-o", "clean_median.csv"],
