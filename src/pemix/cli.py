@@ -57,6 +57,8 @@ from .reversal import (
 )
 from .series import (
     TimeSeries,
+    _check_number,
+    _check_tag,
     read_header,
     read_rows,
     read_series_csv,
@@ -155,6 +157,7 @@ def read_trace_csv(stream: IO[str]) -> tuple[PETraceSet, dict[str, str]]:
         raise InvalidInputError(
             f"trace columns {header.columns!r} are not the contiguous strides {expected!r}"
         )
+    _check_tag(header, _TRACE_TAG)
     # An integer field keeps int()'s strictness: "150.0" is not an anchor.
     dtype = np.dtype([("anchor", "i8"), ("pe", "f8", (strides,))])
     table = read_rows(stream, header, dtype)
@@ -503,8 +506,7 @@ def _reproduce_sweeps(outdir: Path, scale: str, seed: int) -> list[dict[str, obj
 
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
-    if args.seed < 0:
-        raise InvalidInputError(f"seed must be an integer >= 0, got {args.seed}")
+    _check_number("seed", args.seed, 0, integer=True)
     outdir = _resolve_out(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()

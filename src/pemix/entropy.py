@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InsufficientDataError, InvalidInputError
 from .ordinal import _check_ell, encode_patterns, pattern_distribution
-from .series import TimeSeries, _check_finite
+from .series import TimeSeries, _check_finite, _check_number
 
 __all__ = [
     "PEConfig",
@@ -69,14 +69,12 @@ class PEConfig:
                 raise InvalidInputError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
         _check_ell(self.ell)
-        if self.tau_min < 1:
-            raise InvalidInputError(f"tau_min must be >= 1, got {self.tau_min}")
+        _check_number("tau_min", self.tau_min, 1)
         if self.tau_max < self.tau_min:
             raise InvalidInputError(
                 f"tau_max must be >= tau_min, got {self.tau_max} < {self.tau_min}"
             )
-        if self.hop < 1:
-            raise InvalidInputError(f"hop must be >= 1, got {self.hop}")
+        _check_number("hop", self.hop, 1)
         needed = (self.ell - 1) * self.tau_max + 1
         if self.window < needed:
             raise InvalidInputError(

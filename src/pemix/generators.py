@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .series import TimeSeries
+from .series import TimeSeries, _check_number
 
 __all__ = [
     "LorenzParams",
@@ -49,15 +49,11 @@ class LorenzParams:
     skip: int = 0
 
     def __post_init__(self) -> None:
-        if not (self.h > 0.0) or not math.isfinite(self.h):
-            raise InvalidInputError(f"step size must be finite and > 0, got {self.h}")
+        _check_number("h", self.h, above=0)
         for name in ("a", "b", "r", "x0", "y0", "z0"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidInputError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.steps < 1:
-            raise InvalidInputError(f"steps must be >= 1, got {self.steps}")
-        if self.skip < 0:
-            raise InvalidInputError(f"skip must be >= 0, got {self.skip}")
+            _check_number(name, getattr(self, name))
+        _check_number("steps", self.steps, 1)
+        _check_number("skip", self.skip, 0)
 
 
 def lorenz_trajectory(params: LorenzParams) -> np.ndarray:
@@ -144,18 +140,10 @@ class MackeyGlassParams:
     skip: int = 0
 
     def __post_init__(self) -> None:
-        if self.beta < 0.0 or not math.isfinite(self.beta):
-            raise InvalidInputError(f"beta must be finite and >= 0, got {self.beta}")
-        if not (self.gamma > 0.0) or not math.isfinite(self.gamma):
-            raise InvalidInputError(f"gamma must be finite and > 0, got {self.gamma}")
-        if not (self.q > 0.0) or not math.isfinite(self.q):
-            raise InvalidInputError(f"q must be finite and > 0, got {self.q}")
-        if not (self.h > 0.0) or not math.isfinite(self.h):
-            raise InvalidInputError(f"step size must be finite and > 0, got {self.h}")
-        if not (self.t0 > 0.0) or not math.isfinite(self.t0):
-            raise InvalidInputError(f"delay must be finite and > 0, got {self.t0}")
-        if not math.isfinite(self.x0):
-            raise InvalidInputError(f"x0 must be finite, got {self.x0}")
+        _check_number("beta", self.beta, 0)
+        for name in ("gamma", "q", "h", "t0"):
+            _check_number(name, getattr(self, name), above=0)
+        _check_number("x0", self.x0)
         # A negative delayed value to a non-integer power is complex.
         if self.x0 < 0.0 and not float(self.q).is_integer():
             raise InvalidInputError(f"x0 must be >= 0 unless q is an integer, got {self.x0}")
@@ -170,10 +158,8 @@ class MackeyGlassParams:
                 "x0 and q must keep 1 + x0**q finite and nonzero, "
                 f"got x0={self.x0}, q={self.q}"
             )
-        if self.steps < 1:
-            raise InvalidInputError(f"steps must be >= 1, got {self.steps}")
-        if self.skip < 0:
-            raise InvalidInputError(f"skip must be >= 0, got {self.skip}")
+        _check_number("steps", self.steps, 1)
+        _check_number("skip", self.skip, 0)
         ratio = self.t0 / self.h
         if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
             raise InvalidInputError(
@@ -244,19 +230,12 @@ def sine_series(amplitude: float, period_samples: int, n: int) -> TimeSeries:
     """Pure sinusoid sampled ``period_samples`` times per cycle.
 
     Raises:
-        InvalidInputError: If the period is under 4 samples, the length
-            is shorter than one period, or the amplitude is not finite.
+        InvalidInputError: If the period is not an integer >= 4, the length
+            is not a number >= one period, or the amplitude is not finite.
     """
-    if not isinstance(period_samples, (int, np.integer)) or period_samples < 4:
-        raise InvalidInputError(
-            f"period must be an integer >= 4 samples, got {period_samples}"
-        )
-    if n < period_samples:
-        raise InvalidInputError(
-            f"need at least one full period ({period_samples} samples), got n={n}"
-        )
-    if not math.isfinite(amplitude):
-        raise InvalidInputError(f"amplitude must be finite, got {amplitude}")
+    _check_number("period", period_samples, 4, integer=True)
+    _check_number("n", n, period_samples)
+    _check_number("amplitude", amplitude)
     t = np.arange(int(n), dtype=np.float64)
     values = amplitude * np.sin(2.0 * math.pi * t / float(period_samples))
     return TimeSeries(values=values, spacing=1.0, unit="samples", origin=0.0)

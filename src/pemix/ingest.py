@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InsufficientDataError, InvalidInputError
-from .series import TimeSeries
+from .series import TimeSeries, _check_number
 
 __all__ = [
     "CleaningReport",
@@ -328,7 +328,7 @@ def regularize(
     """Snap records onto an even grid anchored at the first record.
 
     ``records`` is what :func:`load_csv` returns, or any sequence of
-    ``(time, value)`` pairs in time order.
+    ``(time, value)`` pairs in time order; equal times may repeat.
 
     The grid runs from the first to the last record time with the given
     spacing.  Each record lands in its nearest grid cell; when several
@@ -342,8 +342,8 @@ def regularize(
 
     Raises:
         InvalidInputError: On an empty record list, records that are not
-            pairs, non-finite times, non-positive spacing, or a target
-            spacing finer than the data's native spacing.
+            pairs, non-finite or decreasing times, non-positive spacing, or
+            a target spacing finer than the data's native spacing.
     """
     if isinstance(records, np.ndarray) and records.dtype.names is not None:
         times = np.asarray(records["time"], dtype=np.float64)
@@ -360,20 +360,21 @@ def regularize(
         times, values = pairs[:, 0], pairs[:, 1]
     if times.shape[0] == 0:
         raise InvalidInputError("no records to regularize")
-    if not (target_spacing > 0.0) or not math.isfinite(target_spacing):
-        raise InvalidInputError(f"target spacing must be finite and > 0, got {target_spacing}")
+    _check_number("target_spacing", target_spacing, above=0)
     if not np.isfinite(times).all():
         raise InvalidInputError("record times must be finite")
-    if times.shape[0] > 1:
-        diffs = np.diff(times)
-        positive = diffs[diffs > 0.0]
-        if positive.shape[0] > 0:
-            native = float(np.median(positive))
-            if target_spacing < native * (1.0 - 1e-9):
-                raise InvalidInputError(
-                    f"target spacing {target_spacing} is finer than the data's "
-                    f"native spacing of about {native}"
-                )
+    diffs = np.diff(times)
+    if (diffs < 0.0).any():
+        i = np.argmax(diffs < 0.0)
+        raise InvalidInputError(f"record times must not decrease: {times[i]} then {times[i + 1]}")
+    positive = diffs[diffs > 0.0]
+    if positive.shape[0] > 0:
+        native = float(np.median(positive))
+        if target_spacing < native * (1.0 - 1e-9):
+            raise InvalidInputError(
+                f"target spacing {target_spacing} is finer than the data's "
+                f"native spacing of about {native}"
+            )
     origin = float(times[0])
     n_cells = int(math.floor((float(times[-1]) - origin) / target_spacing)) + 1
     cells = np.rint((times - origin) / target_spacing).astype(np.int64)

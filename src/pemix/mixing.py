@@ -20,7 +20,7 @@ import numpy as np
 from .entropy import PEConfig, trace_blocks
 from .errors import InsufficientDataError, InvalidInputError
 from .reversal import lambda_for_range, reversal_series
-from .series import TimeSeries, _check_finite
+from .series import TimeSeries, _check_finite, _check_number
 
 __all__ = [
     "BinSweepResult",
@@ -65,9 +65,8 @@ def mixing_ansatz(series: TimeSeries, k: int, seed: int = 0) -> TimeSeries:
         InsufficientDataError: If the series has fewer than ``2k + 1``
             points, so not even the middle point has a full window.
     """
-    for name, value in (("k", k), ("seed", seed)):
-        if not isinstance(value, (int, np.integer)) or value < 0:
-            raise InvalidInputError(f"{name} must be an integer >= 0, got {value}")
+    _check_number("k", k, 0, integer=True)
+    _check_number("seed", seed, 0, integer=True)
     x = series.values
     n = x.shape[0]
     k = int(k)
@@ -108,10 +107,9 @@ def bin_average(series: TimeSeries, j: int) -> TimeSeries:
     ``mean`` of ``[-0.0]`` reads ``0.0``).
 
     Raises:
-        InvalidInputError: If ``j < 1`` or the series is shorter than ``j``.
+        InvalidInputError: If ``j`` is not an integer >= 1 or exceeds the length.
     """
-    if not isinstance(j, (int, np.integer)) or j < 1:
-        raise InvalidInputError(f"bin size must be an integer >= 1, got {j}")
+    _check_number("j", j, 1, integer=True)
     j = int(j)
     n = len(series)
     if n < j:

@@ -18,6 +18,7 @@ import numpy as np
 
 from .entropy import PETraceSet
 from .errors import InsufficientDataError, InvalidInputError
+from .series import _check_number
 
 __all__ = [
     "ReversalSeries",
@@ -84,8 +85,7 @@ class ReversalSeries:
             raise InvalidInputError(
                 f"displacements must be integers, got dtype {displacements.dtype}"
             )
-        if not isinstance(self.scale, (int, np.integer)) or self.scale < 1:
-            raise InvalidInputError(f"scale must be an integer >= 1, got {self.scale!r}")
+        _check_number("scale", self.scale, 1, integer=True)
         object.__setattr__(self, "anchors", anchors)
         object.__setattr__(self, "displacements", displacements)
         object.__setattr__(self, "scale", int(self.scale))
@@ -173,13 +173,11 @@ def windowed_rbar(rev: ReversalSeries, window: int, hop: int = 1) -> ReversalSer
     mean is that total over ``window * scale``, rounded once.
 
     Raises:
-        InvalidInputError: On a non-positive window or hop.
+        InvalidInputError: On a window or hop that is not an integer >= 1.
         InsufficientDataError: If fewer anchors than one window.
     """
-    if window < 1:
-        raise InvalidInputError(f"window must be >= 1, got {window}")
-    if hop < 1:
-        raise InvalidInputError(f"hop must be >= 1, got {hop}")
+    _check_number("window", window, 1, integer=True)
+    _check_number("hop", hop, 1, integer=True)
     n = len(rev)
     if n < window:
         raise InsufficientDataError(

@@ -42,7 +42,8 @@ class TimeSeries:
     Attributes:
         values: 1-D float64 array of observations.
         spacing: Time between consecutive observations, > 0.
-        unit: Unit of ``spacing`` (free-form label on one line, e.g. "seconds").
+        unit: Unit of ``spacing`` (free-form label on one line without
+            surrounding whitespace, e.g. "seconds").
         origin: Time of the first observation, in the same unit.
     """
 
@@ -58,15 +59,15 @@ class TimeSeries:
                 f"series values must be 1-D, got shape {values.shape}"
             )
         object.__setattr__(self, "values", values)
-        if not (float(self.spacing) > 0.0) or not np.isfinite(self.spacing):
-            raise InvalidInputError(f"spacing must be finite and > 0, got {self.spacing}")
+        _check_number("spacing", self.spacing, above=0)
+        _check_number("origin", self.origin)
         object.__setattr__(self, "spacing", float(self.spacing))
         object.__setattr__(self, "origin", float(self.origin))
-        if not np.isfinite(self.origin):
-            raise InvalidInputError(f"origin must be finite, got {self.origin}")
-        # A table header holds the unit on one line.
+        # A table header holds the unit on one line and strips it on read.
         if any(c in str(self.unit) for c in "\r\n"):
             raise InvalidInputError(f"unit must not contain a line break, got {self.unit!r}")
+        if str(self.unit) != str(self.unit).strip():
+            raise InvalidInputError(f"unit must not have surrounding whitespace, got {self.unit!r}")
 
     def __len__(self) -> int:
         return int(self.values.shape[0])
@@ -99,6 +100,22 @@ def _check_finite(values: np.ndarray) -> None:
     if bad.any():
         pos = int(np.argmax(bad))
         raise InvalidInputError(f"non-finite value at position {pos}: {values[pos]}")
+
+
+def _check_number(name: str, value: float, minimum: float | None = None, *,
+                  above: float | None = None, integer: bool = False) -> None:
+    """Reject ``value`` unless it is finite, > ``above`` and >= ``minimum``
+    (each where given), or with ``integer`` an ``int`` or ``np.integer``
+    >= ``minimum``, raising ``<name> must be <rule>, got <value>``."""
+    if integer:
+        if not isinstance(value, (int, np.integer)) or value < minimum:
+            raise InvalidInputError(f"{name} must be an integer >= {minimum}, got {value}")
+    elif not np.isfinite(value):
+        raise InvalidInputError(f"{name} must be finite, got {value}")
+    elif above is not None and not value > above:
+        raise InvalidInputError(f"{name} must be > {above}, got {value}")
+    elif minimum is not None and not value >= minimum:
+        raise InvalidInputError(f"{name} must be >= {minimum}, got {value}")
 
 
 class TableHeader(NamedTuple):
@@ -460,6 +477,12 @@ def read_header(stream: IO[str]) -> TableHeader:
     raise InvalidInputError("the file has no column header and no data rows")
 
 
+def _check_tag(header: TableHeader, tag: str) -> None:
+    """Reject a table tagged as another pemix table; an untagged one passes."""
+    if header.tag is not None and header.tag != tag:
+        raise InvalidInputError(f"expected a {tag!r} file, got {header.tag!r}")
+
+
 def read_rows(stream: IO[str], header: TableHeader, dtype: np.dtype) -> np.ndarray:
     """Parse the rows after ``header`` into a 1-D ``dtype`` array, skipping ``#`` lines.
 
@@ -542,8 +565,7 @@ def read_series_csv(stream: IO[str]) -> tuple[TimeSeries, dict[str, str]]:
             f"line {header.lineno}: expected the column header {_COLUMNS!r}, "
             f"got {header.columns!r}"
         )
-    if header.tag is not None and header.tag != _FORMAT_TAG:
-        raise InvalidInputError(f"expected a {_FORMAT_TAG!r} file, got {header.tag!r}")
+    _check_tag(header, _FORMAT_TAG)
     table = read_rows(stream, header, _SERIES_DTYPE)
     times = table["time"]
     steps = np.diff(times)

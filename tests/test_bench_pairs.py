@@ -60,3 +60,24 @@ def test_gain_shown_needs_nine_wins_in_ten_and_a_gap_wider_than_the_parent_iqr()
     assert ten_pairs(parent, faster)["ok_frac"]["gain_shown"] is False
     assert ten_pairs(parent, faster, ok=(0.5, 0.9))["ok_frac"]["gain_shown"] is True
     assert ten_pairs(parent, faster, ok=(0.9, 0.5))["ok_frac"]["gain_shown"] is False
+
+
+def test_beyond_bound_flags_a_median_worse_than_the_bound_times_the_parent_median():
+    bounded = [{**METRICS[0], "bound": 0.25}, {**METRICS[1], "bound": 0.01}]
+
+    def entry(parent, change, ok, metrics=bounded):
+        runs = []
+        for seed, (p, c) in enumerate(zip(parent, change)):
+            runs += [run(seed, "parent", p, ok=ok[0]), run(seed, "change", c, ok=ok[1])]
+        return bench_pairs.summarize(runs, metrics)["w"]
+
+    parent = [1.8, 2.0, 2.2, 2.0]  # median 2.0: the bound allows up to 2.5
+    at_bound = entry(parent, [2.3, 2.5, 2.7, 2.5], ok=(1.0, 0.995))
+    assert at_bound["wall_s"]["beyond_bound"] is False
+    assert at_bound["ok_frac"]["beyond_bound"] is False
+    beyond = entry(parent, [2.3, 2.6, 2.7, 2.6], ok=(1.0, 0.98))
+    assert beyond["wall_s"]["beyond_bound"] is True
+    assert beyond["ok_frac"]["beyond_bound"] is True
+    # A better median is never beyond, and a metric without a bound is never flagged.
+    assert entry(parent, [1.0] * 4, ok=(0.5, 1.0))["wall_s"]["beyond_bound"] is False
+    assert entry(parent, [9.0] * 4, ok=(1.0, 0.5), metrics=METRICS)["wall_s"]["beyond_bound"] is False

@@ -8,7 +8,7 @@ import io
 import json
 import tempfile
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 from unittest import mock
 
@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from pemix import (
     BinSweepResult,
+    LorenzParams,
     MackeyGlassParams,
     PEConfig,
     bin_average,
@@ -39,6 +40,18 @@ from pemix import cli
 from pemix import entropy as entropy_module
 from pemix.cli import main, read_trace_csv
 from pemix.series import write_table
+
+
+# Every float field of the generator parameters with each value it rejects:
+# not a number, infinite, and, where the field has a range, below it.
+_RANGED = {"h", "beta", "gamma", "q", "t0"}
+_BAD_GENERATOR_FLOATS = [
+    (system, f.name, value)
+    for system, cls in (("lorenz", LorenzParams), ("mackey-glass", MackeyGlassParams))
+    for f in fields(cls)
+    if isinstance(f.default, float)
+    for value in ("nan", "inf", *(("-1",) if f.name in _RANGED else ()))
+]
 
 
 def run(*argv):
@@ -291,6 +304,16 @@ class TestBinCommands:
         assert series.spacing == expected.spacing
         assert series.origin == expected.origin
 
+    def test_bin_writes_the_centre_of_the_first_bin_as_first_time(self, tmp_path):
+        src = tmp_path / "src.csv"
+        with open(src, "w", encoding="utf-8") as stream:
+            write_series_csv(stream, TimeSeries(np.arange(1.0, 8.0), spacing=2.0, origin=10.0))
+        out = tmp_path / "binned.csv"
+        assert run("bin", "-i", src, "-j", 3, "-o", out) == 0
+        meta, _, rows = read_rows(out)
+        assert meta["origin"] == "12.0"
+        assert rows == [["12.0", "2.0"], ["18.0", "5.0"]]
+
     def test_binsweep_reports_recommendation(self, tmp_path):
         src = tmp_path / "src.csv"
         run("generate", "sine", "--period", 60, "--n", 3000, "-o", src)
@@ -321,6 +344,15 @@ class TestBinCommands:
 
 
 class TestIngestCommand:
+    def test_unit_with_surrounding_whitespace_is_2_and_writes_nothing(self, tmp_path, capsys):
+        # A header strips the unit on read, so " sec " would come back as "sec".
+        raw = tmp_path / "raw.csv"
+        raw.write_text("time,value\n0,1.0\n1,2.0\n2,3.0\n", encoding="utf-8")
+        out = tmp_path / "out" / "clean.csv"
+        assert run("ingest", "-i", raw, "--target-spacing", 1.0, "--unit", " sec ", "-o", out) == 2
+        assert "error: unit must not have surrounding whitespace, got ' sec '" in capsys.readouterr().err
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == [raw]
+
     def test_writes_series_and_report(self, tmp_path):
         raw = tmp_path / "raw.csv"
         lines = ["time,value"]
@@ -413,6 +445,29 @@ class TestExitCodes:
         code = run("pe", "-i", traces, "--window", 50, "-o", tmp_path / "x.csv")
         assert code == 2
         assert "time,value" in capsys.readouterr().err
+
+    def test_trace_columns_under_another_tables_tag_are_2(self, tmp_path, capsys):
+        table = tmp_path / "sweep.csv"
+        table.write_text(
+            "# pemix-sweep v1\nanchor,pe_tau1,pe_tau2\n10,0.5,0.4\n11,0.5,0.4\n", encoding="utf-8"
+        )
+        assert run("reversal", "-i", table, "-o", tmp_path / "rev.csv") == 2
+        err = capsys.readouterr().err
+        assert "error: expected a 'pemix-traces v1' file, got 'pemix-sweep v1'" in err
+        assert not (tmp_path / "rev.csv").exists()
+
+    @pytest.mark.parametrize("tag", ["", "# pemix-traces v1\n"], ids=["untagged", "traces"])
+    def test_trace_table_untagged_or_tagged_as_traces_reads(self, tag):
+        traces, _ = read_trace_csv(io.StringIO(f"{tag}anchor,pe_tau1,pe_tau2\n10,0.5,0.4\n"))
+        np.testing.assert_array_equal(traces.traces, [[0.5], [0.4]])
+
+    @pytest.mark.parametrize("system, name, value", _BAD_GENERATOR_FLOATS)
+    def test_bad_generator_float_is_2_naming_its_flag(self, tmp_path, capsys, system, name, value):
+        out = tmp_path / "g.csv"
+        assert run("generate", system, f"--{name}", value, "--steps", 100, "-o", out) == 2
+        message = capsys.readouterr().err.partition("error: ")[2]
+        assert message.startswith(f"{name} must be "), message
+        assert not out.exists()
 
     def test_non_finite_trace_cell_is_2(self, tmp_path, capsys):
         src = tmp_path / "src.csv"

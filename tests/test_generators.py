@@ -276,3 +276,15 @@ class TestSine:
             sine_series(1.0, 50, 20)
         with pytest.raises(InvalidInputError):
             sine_series(math.inf, 50, 100)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [((1.0, 3, 100), "period must be an integer >= 4, got 3"),
+         ((1.0, 50.0, 100), "period must be an integer >= 4, got 50.0"),
+         ((1.0, 50, 20), "n must be >= 50, got 20"),
+         ((1.0, 50, math.inf), "n must be finite, got inf"),
+         ((math.nan, 50, 100), "amplitude must be finite, got nan")],
+    )
+    def test_each_rejection_names_its_parameter(self, args, message):
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            sine_series(*args)

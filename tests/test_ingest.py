@@ -327,6 +327,16 @@ class TestLoadCsvMatchesRowOracle:
 
 
 class TestRegularize:
+    def test_decreasing_time_is_rejected_naming_the_first_pair(self):
+        records = [(0, 1), (1, 2), (2, 3), (10, 9), (3, 4), (4, 5)]
+        with pytest.raises(InvalidInputError, match="^record times must not decrease: 10.0 then 3.0$"):
+            regularize(records, 1.0)
+
+    def test_equal_times_stay_legal(self):
+        # The nearest-record rule picks between records at one time.
+        series, _ = regularize([(0, 1), (1, 2), (1, 5), (2, 3)], 1.0)
+        np.testing.assert_array_equal(series.values, [1.0, 2.0, 3.0])
+
     def test_downsample_keeps_nearest_record(self):
         # 5-minute records onto a 15-minute grid: every third survives.
         records = [(300.0 * i, float(i)) for i in range(12)]

@@ -165,6 +165,12 @@ class TestMixingAnsatz:
 
 
 class TestBinAverage:
+    def test_origin_is_the_centre_of_the_first_bin(self):
+        series = TimeSeries(np.arange(1.0, 8.0), spacing=2.0, origin=10.0)
+        out = bin_average(series, 3)
+        assert (out.origin, out.spacing) == (12.0, 6.0)
+        np.testing.assert_array_equal(out.values, [2.0, 5.0])
+
     def test_pinned_example(self):
         series = TimeSeries(np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]))
         out = bin_average(series, 2)

@@ -265,6 +265,14 @@ class TestReversalSeries:
 
 
 class TestWindowedRbar:
+    @pytest.mark.parametrize(
+        "window, hop, name", [(2.5, 1, "window"), (0, 1, "window"), (2, 1.5, "hop"), (2, 0, "hop")]
+    )
+    def test_window_and_hop_must_be_integers_of_at_least_one(self, window, hop, name):
+        rev = ReversalSeries(np.arange(4), np.zeros(4, dtype=np.int64), 3)
+        with pytest.raises(InvalidInputError, match=f"^{name} must be an integer >= 1, got"):
+            windowed_rbar(rev, window=window, hop=hop)
+
     def test_pinned_example(self):
         rev = reversal_series(
             make_traces(np.array([[0.1, 0.1, 0.6, 0.6], [0.2, 0.2, 0.5, 0.5]]))

@@ -2,11 +2,13 @@
 
 import dataclasses
 import io
+import re
 
 import numpy as np
 import pytest
 
 from pemix import InvalidInputError, TimeSeries, read_series_csv, write_series_csv
+from pemix.series import _check_number
 
 
 class TestTimeSeries:
@@ -45,6 +47,38 @@ class TestTimeSeries:
         # The unit is one header line of a series file.
         with pytest.raises(InvalidInputError, match="^unit must not contain a line break"):
             TimeSeries(np.zeros(3), unit=unit)
+
+    @pytest.mark.parametrize("unit", [" sec ", "sec ", "\tsec"])
+    def test_rejects_a_unit_with_surrounding_whitespace(self, unit):
+        # A header value is stripped on read, so such a unit would not round-trip.
+        with pytest.raises(InvalidInputError, match="^unit must not have surrounding whitespace"):
+            TimeSeries(np.zeros(3), unit=unit)
+
+
+class TestCheckNumber:
+    @pytest.mark.parametrize(
+        "value, bounds, message",
+        [
+            (np.nan, {}, "x must be finite, got nan"),
+            (np.inf, {"above": 0}, "x must be finite, got inf"),
+            (-np.inf, {"minimum": 0}, "x must be finite, got -inf"),
+            (0.0, {"above": 0}, "x must be > 0, got 0.0"),
+            (-0.5, {"minimum": 0}, "x must be >= 0, got -0.5"),
+            (2.5, {"minimum": 1, "integer": True}, "x must be an integer >= 1, got 2.5"),
+            (np.int64(0), {"minimum": 1, "integer": True}, "x must be an integer >= 1, got 0"),
+        ],
+    )
+    def test_each_form_names_the_parameter_and_the_value(self, value, bounds, message):
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            _check_number("x", value, **bounds)
+
+    @pytest.mark.parametrize(
+        "value, bounds",
+        [(-1e300, {}), (5e-324, {"above": 0}), (0.0, {"minimum": 0}),
+         (1, {"minimum": 1, "integer": True}), (np.int32(7), {"minimum": 0, "integer": True})],
+    )
+    def test_accepts_a_number_in_range(self, value, bounds):
+        assert _check_number("x", value, **bounds) is None
 
 
 class TestSeriesCsv:

@@ -22,7 +22,10 @@ change won or tied, the change of the median in percent and a verdict
 (``summary``).  The verdict ``gain_shown`` holds when the change won at
 least nine in ten pairs and its median beats the parent's by more than the
 parent's interquartile range, so a gain stands out of the run-to-run
-spread.  ``--traced-seed`` adds one ``--trace 1`` run per side
+spread.  ``beyond_bound`` flags a change whose median is worse than the
+parent's by more than the metric's ``bound`` in ``BENCHMARK.json``, taken
+as a fraction of the parent's median: such a change would be refused.
+``--traced-seed`` adds one ``--trace 1`` run per side
 (``traced_runs``).  The record is rewritten after every run, so an
 interrupted run keeps what it measured.  The copies are removed at the
 end.
@@ -92,7 +95,10 @@ def _rounded(quartiles: list[float]) -> dict[str, float]:
 
 
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
-    """Per workload and metric: quartiles per side, pair wins, median change, verdict."""
+    """Per workload and metric: quartiles per side, pair wins, median change, verdicts.
+
+    A metric without a ``bound`` is never ``beyond_bound``.
+    """
     summary: dict[str, dict] = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         pairs: dict[int, dict[str, dict]] = {}
@@ -121,6 +127,7 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
                     round(100.0 * (after[1] - before[1]) / before[1], 1) if before[1] else 0.0
                 ),
                 "gain_shown": 10 * wins >= 9 * len(pairs) and gain > before[2] - before[0],
+                "beyond_bound": "bound" in metric and -gain > metric["bound"] * abs(before[1]),
             }
         summary[workload] = entry
     return summary
