@@ -13,6 +13,7 @@ comma-separated rows, written and read by the codec below.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import re
 import warnings
@@ -105,12 +106,12 @@ def _check_finite(values: np.ndarray) -> None:
 def _check_number(name: str, value: float, minimum: float | None = None, *,
                   above: float | None = None, integer: bool = False) -> None:
     """Reject ``value`` unless it is finite, > ``above`` and >= ``minimum``
-    (each where given), or with ``integer`` an ``int`` or ``np.integer``
-    >= ``minimum``, raising ``<name> must be <rule>, got <value>``."""
+    (each where given) or, with ``integer``, an ``int`` or ``np.integer``
+    >= ``minimum``; the message reads ``<name> must be <rule>, got <value>``."""
     if integer:
         if not isinstance(value, (int, np.integer)) or value < minimum:
             raise InvalidInputError(f"{name} must be an integer >= {minimum}, got {value}")
-    elif not np.isfinite(value):
+    elif not math.isfinite(value):
         raise InvalidInputError(f"{name} must be finite, got {value}")
     elif above is not None and not value > above:
         raise InvalidInputError(f"{name} must be > {above}, got {value}")

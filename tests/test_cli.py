@@ -456,9 +456,8 @@ class TestExitCodes:
         assert "error: expected a 'pemix-traces v1' file, got 'pemix-sweep v1'" in err
         assert not (tmp_path / "rev.csv").exists()
 
-    @pytest.mark.parametrize("tag", ["", "# pemix-traces v1\n"], ids=["untagged", "traces"])
-    def test_trace_table_untagged_or_tagged_as_traces_reads(self, tag):
-        traces, _ = read_trace_csv(io.StringIO(f"{tag}anchor,pe_tau1,pe_tau2\n10,0.5,0.4\n"))
+    def test_untagged_trace_table_still_reads(self):
+        traces, _ = read_trace_csv(io.StringIO("anchor,pe_tau1,pe_tau2\n10,0.5,0.4\n"))
         np.testing.assert_array_equal(traces.traces, [[0.5], [0.4]])
 
     @pytest.mark.parametrize("system, name, value", _BAD_GENERATOR_FLOATS)

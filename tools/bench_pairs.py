@@ -24,8 +24,8 @@ least nine in ten pairs and its median beats the parent's by more than the
 parent's interquartile range, so a gain stands out of the run-to-run
 spread.  ``beyond_bound`` flags a change whose median is worse than the
 parent's by more than the metric's ``bound`` in ``BENCHMARK.json``, taken
-as a fraction of the parent's median: such a change would be refused.
-``--traced-seed`` adds one ``--trace 1`` run per side
+as a fraction of the parent's median: the benchmark counts that as a
+regression.  ``--traced-seed`` adds one ``--trace 1`` run per side
 (``traced_runs``).  The record is rewritten after every run, so an
 interrupted run keeps what it measured.  The copies are removed at the
 end.
