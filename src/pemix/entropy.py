@@ -2,7 +2,10 @@
 
 Entropy is Shannon entropy of the ordinal pattern distribution divided
 by ``log(ell!)``, so values live in [0, 1]: 0 for a single repeated
-pattern (e.g. a monotone stretch), 1 for the uniform distribution.
+pattern (e.g. a monotone stretch), 1 for the uniform distribution.  The
+entropy of a count row is the exact sum of its float64 entries
+``-p * log(p)``, rounded once, so equal count multisets give equal bits,
+whichever path or order computed them.
 """
 
 from __future__ import annotations
@@ -27,13 +30,17 @@ __all__ = [
     "trace_blocks",
 ]
 
-# Counts (changed windows x ell!) and codes gathered (changed windows x hop)
-# per chunk of the sliding kernel: 256 KB of int64, so a chunk's counts and
-# their table gather stay in cache.  On 300k Mackey-Glass points, blocks of
-# 2**15 to 2**17 cells ran within 10 % of each other at ell 4 and 6; 2**21
-# took 1.8 times as long.  At ell 8 and 9, ell! exceeds it and a chunk
-# holds one window.
-_BLOCK_CELLS = 1 << 15
+# Events (codes entering or leaving a window) per chunk of the sliding
+# kernel.  A chunk's arrays hold one value per event or pair, 64 KB or
+# less each, whatever the hop, the window or ell.  On the bin sweeps of
+# desk Mackey-Glass and Lorenz traces at ell 4, 2**13 events ran as fast
+# as 2**14 at hop 1 and 15 % faster at hop 100, and 25 % faster than 2**12.
+_CHUNK_EVENTS = 1 << 13
+
+# Bits of the low limb of an exact sum.  A chunk's running low limb moves
+# by less than 2**_LIMB_BITS per event from a carried value below it, so it
+# stays below 2**53 and converts to float64 exactly.
+_LIMB_BITS = 53 - _CHUNK_EVENTS.bit_length()
 
 # Grid anchors per block of :func:`trace_blocks`.  A block's traces and the
 # kernel's working arrays take well under a MB per stride, whatever the
@@ -160,22 +167,24 @@ def _plogp(probs: np.ndarray) -> np.ndarray:
     return probs * np.log(np.where(probs > 0.0, probs, 1.0))
 
 
-def _normalized_entropy(plogp: np.ndarray, ell: int) -> np.ndarray:
-    """Shared kernel: entropy of ``p * log(p)`` rows, normalized to [0, 1].
+def _normalized_entropy(sums: np.ndarray, ell: int) -> np.ndarray:
+    """Shared last step, in place: entropy normalized to [0, 1] from float64
+    sums of ``-p * log(p)`` entries, each the exact sum rounded once.
 
-    The single-distribution path passes :func:`_plogp` of its
-    probabilities; the sliding-window path gathers rows from a
-    :func:`_plogp` table of every possible count.  Equal counts give
-    equal rows and both reduce here, so the two agree bit for bit.
+    :func:`permutation_entropy` sums its entries with ``math.fsum`` and the
+    sliding kernel adds them as exact integers.  Both round the exact sum
+    once, so equal counts give equal bits, whatever the order of the cells.
     """
-    h = -(plogp.sum(axis=-1)) / math.log(math.factorial(ell))
+    sums /= math.log(math.factorial(ell))
+    sums += 0.0  # -0.0 becomes 0.0
     # A perfectly uniform tally can land one rounding step above 1.0.
-    return np.minimum(h + 0.0, 1.0)
+    return np.minimum(sums, 1.0, out=sums)
 
 
 def permutation_entropy(counts: np.ndarray, ell: int) -> float:
     """Normalized permutation entropy of one row of ``ell!`` pattern counts,
-    as :func:`~pemix.ordinal.pattern_distribution` returns.
+    as :func:`~pemix.ordinal.pattern_distribution` returns: ``math.fsum`` of
+    the entries ``-p * log(p)`` of its nonzero cells, over ``log(ell!)``.
 
     Raises:
         InvalidInputError: If ``counts`` length is not ``ell!``.
@@ -189,7 +198,8 @@ def permutation_entropy(counts: np.ndarray, ell: int) -> float:
     total = counts.sum()
     if total < 1:
         raise InsufficientDataError("cannot compute entropy of an empty distribution")
-    return float(_normalized_entropy(_plogp(counts / total), ell))
+    entries = -_plogp(counts[counts > 0] / total)
+    return float(_normalized_entropy(np.array([math.fsum(entries.tolist())]), ell)[0])
 
 
 def global_pe(series: TimeSeries, ell: int, tau: int) -> float:
@@ -225,6 +235,106 @@ def windowed_pe(series: TimeSeries, config: PEConfig, tau: int) -> np.ndarray:
     return _sliding_entropy(codes, config.anchor_grid(n), config.window, config.ell, span)
 
 
+def _limbs(entries: np.ndarray, scale: int) -> np.ndarray:
+    """``entries * 2**scale``, integers, as ``(low, high)`` int64 limbs.
+
+    The low limb holds ``_LIMB_BITS`` bits.  Both are computed in float64,
+    exactly: scaling by a power of two, ``floor`` and the difference of
+    two integers that doubles hold are all exact.
+    """
+    high = np.floor(entries * 2.0 ** (scale - _LIMB_BITS))
+    return np.stack((entries * 2.0**scale - high * 2.0**_LIMB_BITS, high), axis=-1).astype(np.int64)
+
+
+def _exact_steps(per_window: int) -> tuple[np.ndarray, int]:
+    """Exact steps of the entries ``-p * log(p)`` over the counts ``0..per_window``.
+
+    Each entry is a double, so it is an integer multiple of ``2**-scale``
+    once ``scale`` is 53 less the binary exponent of the smallest nonzero
+    entry.  ``-p * log(p)`` is concave and zero at both ends, so that is
+    entry 1 or entry ``per_window - 1``, about ``1 / per_window``.  Row
+    ``c`` of the result holds the :func:`_limbs` of ``entry[c + 1] -
+    entry[c]``, built in pieces of ``_CHUNK_EVENTS // 2`` counts, so that the
+    table's 16 bytes per count are its only memory that grows with the
+    window.  A window's sum of entries is at most ``log(9!) + 1/e < 16``,
+    so the high limb of a sum stays below ``2**53`` for any window up to
+    ``2**35`` patterns.
+    """
+    ends = -_plogp(np.array([1, per_window - 1]) / per_window)
+    scale = 53 - math.frexp(ends.min())[1] if per_window > 1 else 0
+    rise = np.empty((per_window, 2), dtype=np.int64)
+    piece = max(_CHUNK_EVENTS // 2, 1)
+    for c0 in range(0, per_window, piece):
+        counts = np.arange(c0, min(c0 + piece, per_window) + 1)
+        rise[c0 : counts[-1]] = np.diff(_limbs(-_plogp(counts / per_window), scale), axis=0)
+    return rise, scale
+
+
+def _carried(sums: np.ndarray) -> np.ndarray:
+    """Rows of ``(low, high)`` limb sums with the low limb's bits above
+    ``_LIMB_BITS`` carried into the high limb: the same totals."""
+    out = np.empty_like(sums)
+    np.bitwise_and(sums[:, 0], (1 << _LIMB_BITS) - 1, out=out[:, 0])
+    np.add(sums[:, 1], sums[:, 0] >> _LIMB_BITS, out=out[:, 1])
+    return out
+
+
+def _rounded(sums: np.ndarray, scale: int) -> np.ndarray:
+    """Rows of ``(low, high)`` limb sums as float64: each exact total times
+    ``2**-scale``, rounded once to nearest.
+
+    Within a chunk both limbs stay below ``2**53`` in magnitude (see
+    ``_LIMB_BITS`` and :func:`_exact_steps`), so both scaled limbs are
+    exact doubles, and their one float addition rounds the exact total.
+    """
+    return sums[:, 1] * 2.0 ** (_LIMB_BITS - scale) + sums[:, 0] * 2.0**-scale
+
+
+def _pair_sums(
+    keys: np.ndarray,
+    counts: np.ndarray,
+    rise: np.ndarray,
+    carry: np.ndarray,
+) -> np.ndarray:
+    """Limb sums after each pair of events of a chunk, from ``carry``.
+
+    ``keys[i]`` is ``code << bits | i`` for the code of event ``i``: pair
+    ``i // 2`` takes a code out at an even ``i`` and puts one in at an odd
+    ``i``.  Sorted in place, the keys put each code's events together in
+    time order, so a cumsum of their signs from the code's count in
+    ``counts`` gives each event's count after it; ``counts`` is left at
+    the counts after the chunk.  A code that leaves a count ``a`` changes
+    the sum by ``entry[a] - entry[a + 1] = -rise[a]``, and one that enters
+    it by ``rise[a - 1]`` (see :func:`_exact_steps`).  Row ``k`` of the
+    ``(pairs + 1, 2)`` result is ``carry`` plus the changes of the first
+    ``k`` pairs.
+    """
+    n = keys.shape[0]
+    bits = _CHUNK_EVENTS.bit_length()
+    keys.sort()
+    code = keys >> bits
+    order = (keys & ((1 << bits) - 1)).astype(np.intp)
+    sign = order & 1
+    sign += sign - 1
+    run = np.cumsum(sign)
+    first = np.empty(n, dtype=bool)
+    first[:1] = True
+    np.not_equal(code[1:], code[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    ends = np.append(starts[1:], n) - 1
+    # A code's count before the chunk, less the running net before its first event.
+    base = counts[code[starts]] - run[starts] + sign[starts]
+    after = run
+    after += np.repeat(base, ends - starts + 1)
+    counts[code[ends]] = after[ends]
+    at = np.empty(n, dtype=np.intp)
+    at[order] = after
+    sums = np.empty((n // 2 + 1, 2), dtype=np.int64)
+    sums[:1] = carry
+    np.subtract(rise.take(at[1::2] - 1, axis=0), rise.take(at[0::2], axis=0), out=sums[1:])
+    return np.cumsum(sums, axis=0, out=sums)
+
+
 def _sliding_entropy(
     codes: np.ndarray,
     anchors: range,
@@ -232,54 +342,74 @@ def _sliding_entropy(
     ell: int,
     span: int,
 ) -> np.ndarray:
-    """Entropy per anchored window from running pattern counts.
+    """Entropy per anchored window from exact running sums of ``-p * log(p)``.
 
-    Consecutive windows differ by the ``hop`` pattern codes that enter at
-    the right and the ``hop`` that leave at the left.  A window whose
-    entering codes all equal their paired leaving codes keeps the previous
-    window's counts (its +1 and -1 events cancel pair by pair), and so its
-    value; on oversampled series most windows are such.  Only the first
-    window and the "changed" ones get a count row.
+    A window's entropy is its sum ``S`` of the entries ``-p * log(p)`` of
+    its pattern counts, rounded once, over ``log(ell!)``.  Each entry is an
+    integer multiple of ``2**-scale`` (:func:`_exact_steps`), so ``S`` is
+    an exact integer in two int64 limbs, rounded once per window
+    (:func:`_rounded`), as :func:`permutation_entropy` rounds its
+    ``math.fsum``.
 
-    Changed windows go in chunks of at most ``_BLOCK_CELLS`` counts and as
-    many codes, so a chunk stays in cache.  Per chunk one ``bincount``
-    tallies the entering codes per changed window and one the leaving
-    codes, the previous chunk's last count row is added to the first row,
-    and a ``cumsum`` down the rows turns differences into counts.  Each
-    count indexes a table of ``p * log(p)`` over ``0..per_window``, so no
-    ``log`` is taken per cell.  Working memory is a chunk, a few arrays of
-    one value per anchor and the table, whatever the window.
+    From one window to the next, ``min(hop, per_window)`` codes leave at
+    the left and as many enter at the right.  Equal leaving and entering
+    codes at the same offset cancel; a window whose pairs all cancel keeps
+    the previous window's value, as most windows do on oversampled series.
+    Every other pair is two events, the leaving code and then the entering
+    one, in time order, so no count leaves ``0..per_window``.  An event
+    moves ``S`` by the exact step from its code's count before to its count
+    after (:func:`_pair_sums`), so a window costs its events, whatever
+    ``ell!``.  Events go in chunks of at most ``_CHUNK_EVENTS``, which carry
+    the count of each code and ``S``.  Working memory is a chunk, one row
+    of ``ell!`` counts, the table and a few arrays of one value per anchor,
+    whatever the window or the hop.
     """
     nfact = math.factorial(ell)
     per_window = window - span
     hop = anchors.step
-    table = _plogp(np.arange(per_window + 1) / per_window)
-    head = anchors[0] - span + 1  # one past the first window's last pattern
-    tail = head - per_window  # the first window's first pattern
-    # Window r >= 1 gains the codes enter[r - 1] and loses leave[r - 1].
-    enter = codes[head : head + (len(anchors) - 1) * hop].reshape(-1, hop)
-    leave = codes[tail : tail + enter.size].reshape(-1, hop)
-    changed = np.flatnonzero((enter != leave).any(axis=1))
-    # last[r] numbers the count row that window r shares: 0 is the first window.
+    moved = min(hop, per_window)
+    rise, scale = _exact_steps(per_window)
+    tail = anchors[0] - span + 1 - per_window  # the first window's first pattern
+    into = hop + per_window - moved  # from a leaving code to the entering one
+    # Window r >= 1 loses the codes leave[r - 1] and gains enter[r - 1].
+    shape, strides = (len(anchors) - 1, moved), (hop * codes.itemsize, codes.itemsize)
+    leave = np.lib.stride_tricks.as_strided(codes[tail:], shape, strides, writeable=False)
+    enter = np.lib.stride_tricks.as_strided(codes[tail + into :], shape, strides, writeable=False)
+    pairs = np.flatnonzero(enter != leave)  # row * moved + offset of each differing pair
+    # last[r] numbers the value that window r shares: 0 is the first window.
     last = np.zeros(len(anchors), dtype=np.int64)
-    last[changed + 1] = 1
+    last[1:][pairs // moved] = 1
     np.cumsum(last, out=last)
-    carry = np.bincount(codes[tail:head], minlength=nfact)
-    vals = np.empty(changed.shape[0] + 1, dtype=np.float64)
-    vals[0] = _normalized_entropy(table[carry], ell)
-    step = max(_BLOCK_CELLS // max(nfact, hop), 1)
-    for c0 in range(0, changed.shape[0], step):
-        rows = changed[c0 : c0 + step]
-        cells = rows.shape[0] * nfact
-        offsets = np.arange(0, cells, nfact)[:, None]
-        counts = np.bincount((offsets + enter[rows]).ravel(), minlength=cells)
-        counts -= np.bincount((offsets + leave[rows]).ravel(), minlength=cells)
-        counts = counts.reshape(-1, nfact)
-        counts[0] += carry
-        np.cumsum(counts, axis=0, out=counts)
-        vals[c0 + 1 : c0 + 1 + rows.shape[0]] = _normalized_entropy(table[counts], ell)
-        carry = counts[-1].copy()
-    return vals[last]
+    counts = np.bincount(codes[tail : tail + per_window], minlength=nfact)
+    terms = _limbs(-_plogp(counts[counts > 0] / per_window), scale)
+    carry = np.zeros((1, 2), dtype=np.int64)
+    for t0 in range(0, terms.shape[0], _CHUNK_EVENTS):
+        carry = _carried(carry + terms[t0 : t0 + _CHUNK_EVENTS].sum(axis=0))
+    vals = np.empty(last[-1] + 1, dtype=np.float64)
+    vals[:1] = _rounded(carry, scale)
+    bits = _CHUNK_EVENTS.bit_length()
+    key = np.int32 if nfact << bits < 1 << 31 else np.int64
+    step = max(_CHUNK_EVENTS // 2, 1)
+    filled = 1
+    for c0 in range(0, pairs.shape[0], step):
+        chunk = pairs[c0 : c0 + step]
+        at = chunk + tail
+        if hop > moved:
+            at += chunk // moved * (hop - moved)
+        keys = np.empty(2 * chunk.shape[0], dtype=key)
+        keys[0::2] = codes[at]
+        keys[1::2] = codes[at + into]
+        keys <<= bits
+        keys |= np.arange(keys.shape[0], dtype=key)
+        sums = _pair_sums(keys, counts, rise, carry)
+        carry = _carried(sums[-1:])
+        # The sums after the last pair of each changed window that ends in the chunk.
+        row = chunk // moved
+        after = pairs[c0 + step] // moved if c0 + step < pairs.shape[0] else -1
+        sums = sums.take(np.flatnonzero(row != np.append(row[1:], after)) + 1, axis=0)
+        vals[filled : filled + sums.shape[0]] = _rounded(sums, scale)
+        filled += sums.shape[0]
+    return _normalized_entropy(vals, ell)[last]
 
 
 def multi_tau_pe(series: TimeSeries, config: PEConfig) -> PETraceSet:

@@ -52,8 +52,8 @@ class LorenzParams:
         _check_number("h", self.h, above=0)
         for name in ("a", "b", "r", "x0", "y0", "z0"):
             _check_number(name, getattr(self, name))
-        _check_number("steps", self.steps, 1)
-        _check_number("skip", self.skip, 0)
+        _check_number("steps", self.steps, 1, integer=True)
+        _check_number("skip", self.skip, 0, integer=True)
 
 
 def lorenz_trajectory(params: LorenzParams) -> np.ndarray:
@@ -158,8 +158,8 @@ class MackeyGlassParams:
                 "x0 and q must keep 1 + x0**q finite and nonzero, "
                 f"got x0={self.x0}, q={self.q}"
             )
-        _check_number("steps", self.steps, 1)
-        _check_number("skip", self.skip, 0)
+        _check_number("steps", self.steps, 1, integer=True)
+        _check_number("skip", self.skip, 0, integer=True)
         ratio = self.t0 / self.h
         if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
             raise InvalidInputError(

@@ -358,20 +358,26 @@ def mackey_glass_values(params) -> np.ndarray:
     return xs[skip:].copy()
 
 
-def sliding_entropy_chunked(codes, anchors, window: int, ell: int, span: int) -> np.ndarray:
-    """The previous sliding-window kernel: a full count row at every anchor.
+def entropy_fsum(counts, ell: int) -> float:
+    """Normalized entropy of one row of pattern counts: ``math.fsum`` of the
+    ``-p * log(p)`` of its nonzero cells, the correctly rounded sum, over
+    ``log(ell!)``, capped at 1."""
+    p = counts[counts > 0] / counts.sum()
+    h = math.fsum((-(p * np.log(p))).tolist()) / math.log(math.factorial(ell))
+    return min(h + 0.0, 1.0)
+
+
+def sliding_entropy_fsum(codes, anchors, window: int, ell: int, span: int) -> np.ndarray:
+    """:func:`entropy_fsum` of every anchored window's own full count row.
 
     Anchors go in chunks of at most 2,000,000 // max(ell!, hop); per chunk
     two ``bincount`` calls tally the entering and leaving codes of every
-    anchor, the first row is seeded with its window's tally, a ``cumsum``
-    turns differences into counts, and each count indexes a table of
-    ``p * log(p)``.
+    anchor, the first row is seeded with its window's tally, and a
+    ``cumsum`` turns differences into counts.
     """
     nfact = math.factorial(ell)
     per_window = window - span
     hop = int(anchors[1] - anchors[0]) if anchors.shape[0] > 1 else 1
-    probs = np.arange(per_window + 1) / per_window
-    table = probs * np.log(np.where(probs > 0.0, probs, 1.0))
     out = np.empty(anchors.shape[0], dtype=np.float64)
     chunk = max(2_000_000 // max(nfact, hop), 1)
     for s in range(0, anchors.shape[0], chunk):
@@ -385,8 +391,7 @@ def sliding_entropy_chunked(codes, anchors, window: int, ell: int, span: int) ->
         counts[:nfact] = np.bincount(codes[tail:head], minlength=nfact)
         counts = counts.reshape(rows, nfact)
         np.cumsum(counts, axis=0, out=counts)
-        h = -(table[counts].sum(axis=-1)) / math.log(nfact)
-        out[s : s + rows] = np.minimum(h + 0.0, 1.0)
+        out[s : s + rows] = [entropy_fsum(row, ell) for row in counts]
     return out
 
 

@@ -2,11 +2,12 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import pemix.entropy as entropy_module
@@ -28,7 +29,7 @@ from pemix import (
     windowed_pe,
 )
 
-from oracles import entropy_from_tally, pattern_tally, sliding_entropy_chunked
+from oracles import entropy_from_tally, pattern_tally, sliding_entropy_fsum
 
 
 class TestPermutationEntropy:
@@ -223,6 +224,14 @@ def plateau_series(draw):
     )
 
 
+@st.composite
+def random_series(draw):
+    """Standard normal values, tie-free, from a drawn seed."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.integers(2, 300))
+    return np.random.default_rng(seed).standard_normal(n)
+
+
 class TestSlidingKernel:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), values=plateau_series())
@@ -235,13 +244,13 @@ class TestSlidingKernel:
         window = data.draw(st.integers(span + 1, values.shape[0]), label="window")
         # Up to past window - span, where consecutive windows share no pattern.
         hop = data.draw(st.integers(1, window - span + 3), label="hop")
-        # Chunks of a few changed windows, so that chunk edges fall between
-        # changed windows that unchanged runs separate.
-        rows = data.draw(st.integers(1, 4), label="rows per block")
+        # Chunks of a few events, so that chunk edges fall between changed
+        # windows that unchanged runs separate, and inside a window's events.
+        events = data.draw(st.integers(1, 8), label="events per chunk")
         series = TimeSeries(values)
         config = PEConfig(ell=ell, window=window, tau_min=tau, tau_max=tau, hop=hop)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(entropy_module, "_BLOCK_CELLS", rows * math.factorial(ell))
+            mp.setattr(entropy_module, "_CHUNK_EVENTS", events)
             trace = windowed_pe(series, config, tau)
         for anchor, value in zip(config.anchor_grid(len(series)), trace, strict=True):
             dist = pattern_distribution(
@@ -259,9 +268,9 @@ class TestSlidingKernel:
     )
     @pytest.mark.parametrize("kind", ["plateau", "random"])
     def test_shipped_chunks_match_the_tally_at_large_ell_and_hop(self, kind, ell, window, hop, n):
-        # At the shipped _BLOCK_CELLS: ell! = 5040 gives chunks of 6 windows,
-        # 8! and 9! exceed it and give chunks of one window, and a hop of 3000
-        # (above 2! = 2) gives chunks of 10 windows, bounded by their codes.
+        # At the shipped _CHUNK_EVENTS: ell 7 and 8 take 32-bit sort keys and
+        # ell 9 64-bit ones, and a hop of 3000 (the 3000 patterns of a window) gives up to
+        # 6000 events per window, so a chunk holds one or two windows.
         rng = np.random.default_rng(ell)
         if kind == "plateau":
             values = np.repeat(rng.integers(0, 3, size=n // 5), 5).astype(np.float64)
@@ -287,9 +296,51 @@ class TestSlidingKernel:
                 codes = encode_patterns(series.values, ell, tau)
                 anchors = range(4999, len(series), hop)
                 got = entropy_module._sliding_entropy(codes, anchors, 5000, ell, span)
-                expected = sliding_entropy_chunked(codes, np.asarray(anchors), 5000, ell, span)
+                expected = sliding_entropy_fsum(codes, np.asarray(anchors), 5000, ell, span)
                 assert got.shape == expected.shape
                 np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data(), values=st.one_of(plateau_series(), random_series()))
+    def test_matches_the_fsum_oracle_at_every_ell(self, data, values):
+        ell = data.draw(st.integers(2, 9), label="ell")
+        tau = data.draw(st.integers(1, 2), label="tau")
+        span = (ell - 1) * tau
+        if values.shape[0] <= span:
+            values = np.concatenate([values, np.arange(span + 1.0 - values.shape[0])])
+        window = data.draw(st.integers(span + 1, values.shape[0]), label="window")
+        hop = data.draw(st.integers(1, window - span + 3), label="hop")
+        events = data.draw(st.integers(1, 8), label="events per chunk")
+        codes = encode_patterns(values, ell, tau)
+        anchors = range(window - 1, values.shape[0], hop)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(entropy_module, "_CHUNK_EVENTS", events)
+            got = entropy_module._sliding_entropy(codes, anchors, window, ell, span)
+        expected = sliding_entropy_fsum(codes, np.asarray(anchors), window, ell, span)
+        np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+
+    @pytest.mark.parametrize("per_window", [1, 2, 3, 7, 100, 4997, 5000, 12_289])
+    def test_step_table_holds_every_entry_exactly(self, per_window):
+        table = -entropy_module._plogp(np.arange(per_window + 1) / per_window)
+        rise, scale = entropy_module._exact_steps(per_window)
+        low, high = rise.T.tolist()
+        entry = 0
+        for c in range(per_window):
+            entry += low[c] + (high[c] << entropy_module._LIMB_BITS)
+            assert Fraction(entry, 2**scale) == Fraction(float(table[c + 1])), f"count {c + 1}"
+
+    def test_peak_memory_does_not_grow_with_ell(self):
+        series = TimeSeries(np.random.default_rng(9).standard_normal(300_000))
+        peaks = {}
+        for ell in (4, 9):
+            tracemalloc.start()
+            windowed_pe(series, PEConfig(ell=ell, tau_max=1), 1)
+            peaks[ell] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        # One row of 9! int64 counts and the nonzero mask and index over it;
+        # a chunk of changed windows' ell!-wide count rows would take more.
+        rows = 2 * math.factorial(9) * 8
+        assert peaks[9] <= peaks[4] + rows, f"{peaks[9] - peaks[4]} bytes above ell=4"
 
     @pytest.mark.parametrize("ell", [4, 6])
     def test_peak_memory_is_a_few_arrays_of_one_value_per_anchor(self, ell):
@@ -321,6 +372,59 @@ class TestSlidingKernel:
         # codes that enter per anchor would add 48 bytes per anchor.
         grown = (peaks[400_000][0] - peaks[100_000][0]) / (peaks[400_000][1] - peaks[100_000][1])
         assert grown <= 32, f"{grown:.1f} bytes per anchor"
+
+
+@st.composite
+def trace_config(draw, n):
+    """A one-stride config whose window fits ``n`` points, with a hop up to
+    past ``window - span``."""
+    ell = draw(st.integers(2, 5), label="ell")
+    tau = draw(st.integers(1, 3), label="tau")
+    span = (ell - 1) * tau
+    assume(n > span + 1)
+    window = draw(st.integers(span + 1, n - 1), label="window")
+    hop = draw(st.integers(1, window - span + 3), label="hop")
+    return PEConfig(ell=ell, window=window, tau_min=tau, tau_max=tau, hop=hop)
+
+
+def trace_bits(values, config):
+    return windowed_pe(TimeSeries(values), config, config.tau_min).view(np.int64)
+
+
+class TestMetamorphic:
+    """Properties that need no oracle: maps of the series whose windows keep
+    their count multisets keep every trace bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), values=st.one_of(plateau_series(), random_series()))
+    def test_increasing_map_keeps_every_trace(self, data, values):
+        config = data.draw(trace_config(values.shape[0]))
+        expected = trace_bits(values, config)
+        np.testing.assert_array_equal(trace_bits(2.0 * values, config), expected)
+        distinct = np.unique(values)
+        if (np.diff(distinct**3) > 0).all():  # the cube makes no new tie
+            np.testing.assert_array_equal(trace_bits(values**3, config), expected)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), values=st.one_of(plateau_series(), random_series()))
+    def test_dropping_the_first_hop_points_drops_the_first_anchor(self, data, values):
+        config = data.draw(trace_config(values.shape[0]))
+        assume(values.shape[0] - config.hop >= config.window)
+        expected = trace_bits(values, config)[1:]
+        np.testing.assert_array_equal(trace_bits(values[config.hop :], config), expected)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), values=random_series())
+    def test_negation_and_time_reversal_keep_every_count_multiset(self, data, values):
+        # Without ties, negating and reversing a window maps its patterns one
+        # to one, so each window keeps its multiset of counts.  The exact sum
+        # makes equal multisets give equal bits, whatever the cell order.
+        config = data.draw(trace_config(values.shape[0]))
+        n = config.window + (values.shape[0] - config.window) // config.hop * config.hop
+        values = values[:n]
+        assume(np.unique(values).shape[0] == n)
+        mirrored = trace_bits(-values[::-1], config)[::-1]
+        np.testing.assert_array_equal(mirrored, trace_bits(values, config))
 
 
 class TestMultiTauPE:

@@ -83,6 +83,12 @@ class TestLorenz:
         with pytest.raises(InvalidInputError):
             LorenzParams(steps=0)
 
+    @pytest.mark.parametrize("name, bad", [("steps", 10.5), ("skip", 0.5), ("steps", 1e3),
+                                           ("skip", math.nan)])
+    def test_steps_and_skip_must_be_integers(self, name, bad):
+        with pytest.raises(InvalidInputError, match=f"^{name} must be an integer >= "):
+            LorenzParams(**{"steps": 10, name: bad})
+
     @pytest.mark.parametrize("name", ["a", "b", "r", "x0", "y0", "z0"])
     def test_non_finite_parameter_is_named(self, name):
         for bad in (math.nan, math.inf, -math.inf):
@@ -245,6 +251,14 @@ class TestMackeyGlass:
         step = int(re.search(r"step (\d+)", str(caught.value))[1])
         assert 1 <= step < params.steps
         assert np.isfinite(mackey_glass_series(replace(params, steps=step)).values).all()
+
+    @pytest.mark.parametrize("name, bad", [("steps", 10.5), ("skip", 0.5), ("steps", 1e3),
+                                           ("skip", math.inf)])
+    def test_steps_and_skip_must_be_integers(self, name, bad):
+        # A float skip used to reach the loop as range(10.5), whose TypeError
+        # was reported as a diverged step.
+        with pytest.raises(InvalidInputError, match=f"^{name} must be an integer >= "):
+            MackeyGlassParams(**{"steps": 10, name: bad})
 
     def test_validation(self):
         with pytest.raises(InvalidInputError):

@@ -38,13 +38,18 @@ every file is compared after dropping the lines that hold a timestamp, an
 input digest, an output path or a run time.  The tool lists each command
 that exited non-zero and each file that is missing on one side or
 differs, and exits 1; it exits 0 when every command succeeded and every
-file is the same.  The copies are removed at the end.
+file is the same.  Under a differing table whose data rows are numbers on
+both sides, in the same shape, it also prints how many cells changed and
+the largest distance per column in units in the last place (ulps), so a
+change that moves only the last bits of some values shows as such.  The
+copies are removed at the end.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib.util
+import struct
 import os
 import re
 import shutil
@@ -126,6 +131,46 @@ def compare(parent: Path, change: Path) -> list[str]:
     return problems
 
 
+def _cells(path: Path) -> tuple[list[str], list[list[float]]] | None:
+    """The column names and numeric data rows of a table, or None when a
+    data cell is not a number."""
+    lines = [line for line in path.read_text(encoding="utf-8").splitlines()
+             if line.strip() and not line.startswith("#")]
+    if not lines:
+        return None
+    try:
+        return lines[0].split(","), [[float(cell) for cell in line.split(",")] for line in lines[1:]]
+    except ValueError:
+        return None
+
+
+def _ordered(x: float) -> int:
+    """The double's bits as an integer that counts doubles in value order."""
+    bits = struct.unpack("<q", struct.pack("<d", x))[0]
+    return bits if bits >= 0 else -(1 << 63) - bits
+
+
+def last_bits(parent: Path, change: Path) -> str | None:
+    """How many cells of two numeric tables of one shape differ, and the
+    largest ulp distance per column; None for any other pair of files."""
+    sides = _cells(parent), _cells(change)
+    if None in sides or sides[0][0] != sides[1][0]:
+        return None
+    (columns, old), (_, new) = sides
+    if len(old) != len(new) or any(len(a) != len(b) for a, b in zip(old, new)):
+        return None
+    largest = dict.fromkeys(columns, 0)
+    changed = cells = 0
+    for row_old, row_new in zip(old, new):
+        for name, a, b in zip(columns, row_old, row_new):
+            cells += 1
+            ulps = abs(_ordered(a) - _ordered(b))
+            changed += ulps > 0
+            largest[name] = max(largest[name], ulps)
+    per_column = ", ".join(f"{name} {ulps}" for name, ulps in largest.items())
+    return f"  {changed} of {cells} cells changed; largest ulp distance per column: {per_column}"
+
+
 def _write_export(bench: Path, path: Path) -> None:
     spec = importlib.util.spec_from_file_location("recording", bench / "recording.py")
     recording = importlib.util.module_from_spec(spec)
@@ -155,10 +200,17 @@ def main(argv: list[str] | None = None) -> int:
             problems += _run_side(side, tree / "src", work / f"out-{side}", export)
         problems += compare(work / "out-parent", work / "out-change")
         files = sum(1 for p in (work / "out-change").rglob("*") if p.is_file())
+        notes = {}
+        for problem in problems:
+            if problem.startswith("differs: "):
+                name = problem.removeprefix("differs: ")
+                notes[problem] = last_bits(work / "out-parent" / name, work / "out-change" / name)
     finally:
         shutil.rmtree(work, ignore_errors=True)
     for problem in problems:
         print(problem)
+        if notes.get(problem):
+            print(notes[problem])
     print(f"{files} files compared, {len(problems)} problems")
     return 1 if problems else 0
 
