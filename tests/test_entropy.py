@@ -269,8 +269,8 @@ class TestSlidingKernel:
     @pytest.mark.parametrize("kind", ["plateau", "random"])
     def test_shipped_chunks_match_the_tally_at_large_ell_and_hop(self, kind, ell, window, hop, n):
         # At the shipped _CHUNK_EVENTS: ell 7 and 8 take 32-bit sort keys and
-        # ell 9 64-bit ones, and a hop of 3000 (the 3000 patterns of a window) gives up to
-        # 6000 events per window, so a chunk holds one or two windows.
+        # ell 9 64-bit ones, and a hop of 3000, the patterns of a window,
+        # gives up to 6000 events per window, so a chunk holds one or two.
         rng = np.random.default_rng(ell)
         if kind == "plateau":
             values = np.repeat(rng.integers(0, 3, size=n // 5), 5).astype(np.float64)

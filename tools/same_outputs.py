@@ -16,9 +16,9 @@ directory:
   reach ``2**48`` and above and print in exponent form: both ends of the
   cells that the table writer formats with ``repr`` one at a time;
 * ``generate lorenz`` and ``generate mackey-glass`` with ``--steps 20000``;
-* on the generated Lorenz series, ``pe --ell 6 --window 3000``, whose
-  sliding-kernel chunks hold rows of 720 counts, and ``pe --ell 2
-  --window 3000 --hop 5``, whose hop exceeds the 2 counts per row;
+* on the generated Lorenz series, ``pe --ell 6 --window 3000``, with 720
+  pattern codes, and ``pe --ell 2 --window 3000 --hop 5``, whose windows
+  each move five codes out and five in;
 * on the ``recording`` benchmark's seed-11 export
   (``bench/recording.py::write_export``), ``ingest --target-spacing 0.25``
   plain, with ``--fill none`` and with ``--prefilter moving_median
@@ -139,9 +139,10 @@ def _cells(path: Path) -> tuple[list[str], list[list[float]]] | None:
     if not lines:
         return None
     try:
-        return lines[0].split(","), [[float(cell) for cell in line.split(",")] for line in lines[1:]]
+        rows = [[float(cell) for cell in line.split(",")] for line in lines[1:]]
     except ValueError:
         return None
+    return lines[0].split(","), rows
 
 
 def _ordered(x: float) -> int:
