@@ -3,9 +3,8 @@
 Every command writes CSV with a ``#``-prefixed metadata header that
 records the tool version, the command, its full parameter set, a SHA-256
 digest of each input file, and a timestamp, so any output can be traced
-back to what produced it.  Numbers are serialized with ``repr`` and
-round-trip exactly: feeding a written file back into the next command
-reproduces the in-process pipeline bit for bit.
+back to what produced it.  The tables are written and read by the codec
+in :mod:`pemix.series`.
 
 Exit codes: 0 success, 2 invalid input, 3 insufficient data, 4 I/O
 failure.  Relative output paths are resolved against the directory in
@@ -24,12 +23,12 @@ import time
 from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Mapping
+from typing import IO, Callable, Mapping
 
 import numpy as np
 
 from . import __version__
-from .entropy import PEConfig, PETraceSet, trace_blocks
+from .entropy import PEConfig, trace_blocks
 from .errors import InsufficientDataError, InvalidInputError
 from .generators import (
     LorenzParams,
@@ -47,7 +46,6 @@ from .mixing import (
     mixing_ansatz,
 )
 from .reversal import (
-    ReversalSeries,
     _exact_mean,
     _scored_blocks,
     _series_blocks,
@@ -58,23 +56,18 @@ from .reversal import (
 from .series import (
     TimeSeries,
     _check_number,
-    _check_tag,
-    read_header,
-    read_rows,
     read_series_csv,
-    write_header,
+    read_trace_csv,
+    write_reversal_csv,
     write_series_csv,
-    write_table,
+    write_sweep_csv,
+    write_trace_csv,
 )
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
 EXIT_INSUFFICIENT_DATA = 3
 EXIT_IO = 4
-
-_TRACE_TAG = "pemix-traces v1"
-_REVERSAL_TAG = "pemix-reversal v1"
-_SWEEP_TAG = "pemix-sweep v1"
 
 
 def _utc_now() -> str:
@@ -112,80 +105,6 @@ def _manifest(command: str, params: Mapping[str, object], inputs: Mapping[str, P
         meta[f"{name}_sha256"] = _sha256(path)
     meta.update(params)
     return meta
-
-
-def write_trace_csv(
-    stream: IO[str], blocks: Iterable[PETraceSet], metadata: Mapping[str, object]
-) -> None:
-    """Write the blocks of one trace set in anchor order as they arrive.
-
-    Blocks come from :func:`~pemix.entropy.trace_blocks`, at least one; the
-    column line is taken from the first.  The bytes are those of the joined
-    set, and only one block is held at a time.
-    """
-    blocks = iter(blocks)
-    first = next(blocks)
-    columns = "anchor," + ",".join(f"pe_tau{tau}" for tau in first.taus)
-    rows = _trace_columns(first, blocks)
-    del first  # written, and then let go of, by ``rows``
-    write_table(stream, _TRACE_TAG, metadata, columns, rows)
-
-
-def _trace_columns(first: PETraceSet, rest: Iterator[PETraceSet]) -> Iterator[list[np.ndarray]]:
-    """The column arrays of ``first``, then of each block of ``rest``.
-
-    A block is let go of here once the writer asks for the next one, so
-    streamed blocks are released as they are written.
-    """
-    yield [first.anchors, *first.traces]
-    del first
-    for block in rest:
-        yield [block.anchors, *block.traces]
-        del block
-
-
-def read_trace_csv(stream: IO[str]) -> tuple[PETraceSet, dict[str, str]]:
-    header = read_header(stream)
-    first = re.fullmatch(r"anchor,pe_tau(-?[0-9]+)(,.+)?", header.columns)
-    if first is None:
-        raise InvalidInputError(
-            "trace file must have columns 'anchor,pe_tau<min>,...,pe_tau<max>'"
-        )
-    tau_min, strides = int(first[1]), header.columns.count(",")
-    expected = "anchor," + ",".join(f"pe_tau{tau_min + k}" for k in range(strides))
-    if header.columns != expected:
-        raise InvalidInputError(
-            f"trace columns {header.columns!r} are not the contiguous strides {expected!r}"
-        )
-    _check_tag(header, _TRACE_TAG)
-    # An integer field keeps int()'s strictness: "150.0" is not an anchor.
-    dtype = np.dtype([("anchor", "i8"), ("pe", "f8", (strides,))])
-    table = read_rows(stream, header, dtype)
-    return PETraceSet(tau_min, table["anchor"], table["pe"].T), header.metadata
-
-
-def write_reversal_csv(
-    stream: IO[str], blocks: Iterable[ReversalSeries], metadata: Mapping[str, object]
-) -> None:
-    """Write the blocks of one score series in anchor order as they arrive.
-
-    The bytes are those of the joined series; ``metadata`` carries any mean.
-    """
-    rows = ((block.anchors, block.r_values) for block in blocks)
-    write_table(stream, _REVERSAL_TAG, metadata, "anchor,reversal", rows)
-
-
-def write_sweep_csv(stream: IO[str], result: BinSweepResult, metadata: Mapping[str, object]) -> None:
-    """Write the sweep's rows under ``metadata`` and its recommendation."""
-    recommendation = {
-        "recommended_bin": result.recommended_j,
-        "achieved_zero": "true" if result.achieved_zero else "false",
-    }
-    write_header(stream, _SWEEP_TAG, {**metadata, **recommendation})
-    stream.write("bin_size,mean_reversal,data_sufficient\n")
-    columns = (result.bin_sizes.tolist(), result.r_bars.tolist(), result.sufficient.tolist())
-    for j, r, sufficient in zip(*columns):
-        stream.write(f"{j},{r!r},{'true' if sufficient else 'false'}\n")
 
 
 def _load(path: Path, reader: Callable[[IO[str]], tuple]) -> tuple:
@@ -315,6 +234,7 @@ def cmd_bin(args: argparse.Namespace) -> int:
 def cmd_binsweep(args: argparse.Namespace) -> int:
     inp = Path(args.input)
     series, _ = _load(inp, read_series_csv)
+    _check_number("j_min", args.j_min, 1, integer=True)
     if args.j_max < args.j_min:
         raise InvalidInputError(f"--j-max must be >= --j-min, got {args.j_max} < {args.j_min}")
     if args.j_max > len(series):
@@ -399,6 +319,11 @@ def _check(name: str, value: float, target: str, ok: bool) -> dict[str, object]:
     return {"name": name, "value": value, "target": target, "pass": bool(ok)}
 
 
+def _bin_check(label: str, sweep: BinSweepResult, lo: int, hi: int) -> dict[str, object]:
+    j = sweep.recommended_j
+    return _check(f"{label}_recommended_bin", j, f"within [{lo}, {hi}]", lo <= j <= hi)
+
+
 def _write_study_series(stem: Path, command: str, data: TimeSeries, config: PEConfig) -> float:
     """Write ``data``, its traces and its reversal scores next to ``stem``;
     return the mean reversal score.
@@ -479,13 +404,12 @@ def _reproduce_study(outdir: Path, system: str, scale: str, seed: int) -> list[d
         outdir, system, _study_series(system, scale), k, j_max, seed
     )
     tol = 0.0 if strict and scale == "full" else 0.02
-    j = sweep.recommended_j
     checks = [
         _check(f"{prefix}_raw_rbar", raw, f"<= {tol}", raw <= tol),
         _check(f"{prefix}_mixed_rbar", mixed, ">= 0.98", mixed >= 0.98),
     ]
     if strict:
-        checks.append(_check(f"{prefix}_recommended_bin", j, f"within [{lo}, {hi}]", lo <= j <= hi))
+        checks.append(_bin_check(prefix, sweep, lo, hi))
     checks.append(_check(f"{prefix}_binned_rbar", binned, f"<= {tol}", binned <= tol))
     return checks
 
@@ -498,10 +422,7 @@ def _reproduce_sweeps(outdir: Path, scale: str, seed: int) -> list[dict[str, obj
         sweep = bin_sweep(mixed, range(1, j_max + 1), config)
         name = system.replace("-", "_")
         _save(outdir / f"{name}_k{k}_sweep.csv", write_sweep_csv, sweep, {})
-        j = sweep.recommended_j
-        checks.append(
-            _check(f"{prefix}_k{k}_recommended_bin", j, f"within [{lo}, {hi}]", lo <= j <= hi)
-        )
+        checks.append(_bin_check(f"{prefix}_k{k}", sweep, lo, hi))
     return checks
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InsufficientDataError, InvalidInputError
 from .ordinal import _check_ell, encode_patterns, pattern_distribution
-from .series import TimeSeries, _check_finite, _check_number
+from .series import PETraceSet, TimeSeries, _check_finite, _check_number
 
 __all__ = [
     "PEConfig",
@@ -100,66 +100,6 @@ class PEConfig:
     def covered_points(self, anchors: range) -> slice:
         """The points that the windows of a run of grid anchors cover."""
         return slice(anchors[0] - self.window + 1, anchors[-1] + 1)
-
-
-@dataclass(frozen=True)
-class PETraceSet:
-    """Windowed entropy at every stride of a contiguous range, as one matrix.
-
-    ``traces[k, i]`` is the normalized entropy at stride ``tau_min + k`` of
-    the window whose last observation is ``anchors[i]``.  ``traces`` is a
-    C-contiguous float64 array of shape ``(strides, anchors)``.
-
-    Raises:
-        InvalidInputError: If a stride is below 1, the shapes do not match
-            or hold no stride, an entropy is not finite, or the anchors do
-            not strictly increase.
-    """
-
-    tau_min: int
-    anchors: np.ndarray
-    traces: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.tau_min < 1:
-            raise InvalidInputError(f"strides must be >= 1, got column pe_tau{self.tau_min}")
-        # Checked before the contiguous copy, so no check temporary coexists with it.
-        anchors = np.asarray(self.anchors, dtype=np.int64)
-        traces = np.asarray(self.traces, dtype=np.float64)
-        if anchors.ndim != 1 or traces.ndim != 2 or traces.shape[1:] != anchors.shape:
-            raise InvalidInputError(
-                f"traces of shape {traces.shape} do not match {anchors.shape[0]} anchors"
-            )
-        if traces.shape[0] < 1:
-            raise InvalidInputError("a trace set needs at least one stride")
-        if not np.isfinite(traces).all():
-            # The first bad cell in anchor order, as a trace file lists them.
-            i, k = np.argwhere(~np.isfinite(traces.T))[0]
-            raise InvalidInputError(
-                f"non-finite entropy {traces[k, i]} at anchor {anchors[i]}, "
-                f"column pe_tau{self.tau_min + k}"
-            )
-        backward = np.flatnonzero(np.diff(anchors) <= 0)
-        if backward.size:
-            i = backward[0]
-            raise InvalidInputError(
-                f"trace anchors must strictly increase, but anchor {anchors[i + 1]} "
-                f"follows anchor {anchors[i]}"
-            )
-        object.__setattr__(self, "tau_min", int(self.tau_min))
-        object.__setattr__(self, "anchors", np.ascontiguousarray(anchors))
-        object.__setattr__(self, "traces", np.ascontiguousarray(traces))
-
-    def __len__(self) -> int:
-        return int(self.anchors.shape[0])
-
-    @property
-    def tau_max(self) -> int:
-        return self.tau_min + self.traces.shape[0] - 1
-
-    @property
-    def taus(self) -> np.ndarray:
-        return np.arange(self.tau_min, self.tau_max + 1, dtype=np.int64)
 
 
 def _plogp(probs: np.ndarray) -> np.ndarray:
@@ -413,7 +353,7 @@ def _sliding_entropy(
 
 
 def multi_tau_pe(series: TimeSeries, config: PEConfig) -> PETraceSet:
-    """Windowed entropy at every stride of the configured range.
+    """Windowed entropy at every stride of the configured range, as a ``PETraceSet``.
 
     Row ``k`` of the matrix is the :func:`windowed_pe` trace at stride
     ``tau_min + k``; every row shares the same anchors, which is what makes

@@ -16,9 +16,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .entropy import PETraceSet
 from .errors import InsufficientDataError, InvalidInputError
-from .series import _check_number
+from .series import PETraceSet, _check_number
 
 __all__ = [
     "ReversalSeries",

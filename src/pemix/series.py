@@ -7,7 +7,9 @@ still being cleaned; the analysis stages reject non-finite values.
 
 Every pemix table (series, traces, reversal scores, sweeps) is a
 ``# pemix-<kind> v1`` tag, ``# key: value`` lines, a column line and
-comma-separated rows, written and read by the codec below.
+comma-separated rows, written and read by the codec below.  Cells are
+``repr``s and round-trip exactly, so a written file fed to the next
+command reproduces the in-process pipeline bit for bit.
 """
 
 from __future__ import annotations
@@ -18,11 +20,15 @@ import operator
 import re
 import warnings
 from dataclasses import dataclass
-from typing import IO, Iterable, Mapping, NamedTuple, Sequence
+from typing import IO, TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import InvalidInputError
+
+if TYPE_CHECKING:
+    from .mixing import BinSweepResult
+    from .reversal import ReversalSeries
 
 __all__ = [
     "TableHeader",
@@ -78,7 +84,70 @@ class TimeSeries:
         return self.origin + self.spacing * np.arange(len(self), dtype=np.float64)
 
 
-_FORMAT_TAG = "pemix-series v1"
+@dataclass(frozen=True)
+class PETraceSet:
+    """Windowed entropy at every stride of a contiguous range, as one matrix.
+
+    ``traces[k, i]`` is the normalized entropy at stride ``tau_min + k`` of
+    the window whose last observation is ``anchors[i]``.  ``traces`` is a
+    C-contiguous float64 array of shape ``(strides, anchors)``.
+
+    Raises:
+        InvalidInputError: If a stride is below 1, the shapes do not match
+            or hold no stride, an entropy is not finite, or the anchors do
+            not strictly increase.
+    """
+
+    tau_min: int
+    anchors: np.ndarray
+    traces: np.ndarray
+
+    def __post_init__(self) -> None:
+        if self.tau_min < 1:
+            raise InvalidInputError(f"strides must be >= 1, got column pe_tau{self.tau_min}")
+        # Checked before the contiguous copy, so no check temporary coexists with it.
+        anchors = np.asarray(self.anchors, dtype=np.int64)
+        traces = np.asarray(self.traces, dtype=np.float64)
+        if anchors.ndim != 1 or traces.ndim != 2 or traces.shape[1:] != anchors.shape:
+            raise InvalidInputError(
+                f"traces of shape {traces.shape} do not match {anchors.shape[0]} anchors"
+            )
+        if traces.shape[0] < 1:
+            raise InvalidInputError("a trace set needs at least one stride")
+        if not np.isfinite(traces).all():
+            # The first bad cell in anchor order, as a trace file lists them.
+            i, k = np.argwhere(~np.isfinite(traces.T))[0]
+            raise InvalidInputError(
+                f"non-finite entropy {traces[k, i]} at anchor {anchors[i]}, "
+                f"column pe_tau{self.tau_min + k}"
+            )
+        backward = np.flatnonzero(np.diff(anchors) <= 0)
+        if backward.size:
+            i = backward[0]
+            raise InvalidInputError(
+                f"trace anchors must strictly increase, but anchor {anchors[i + 1]} "
+                f"follows anchor {anchors[i]}"
+            )
+        object.__setattr__(self, "tau_min", int(self.tau_min))
+        object.__setattr__(self, "anchors", np.ascontiguousarray(anchors))
+        object.__setattr__(self, "traces", np.ascontiguousarray(traces))
+
+    def __len__(self) -> int:
+        return int(self.anchors.shape[0])
+
+    @property
+    def tau_max(self) -> int:
+        return self.tau_min + self.traces.shape[0] - 1
+
+    @property
+    def taus(self) -> np.ndarray:
+        return np.arange(self.tau_min, self.tau_max + 1, dtype=np.int64)
+
+
+_SERIES_TAG = "pemix-series v1"
+_TRACE_TAG = "pemix-traces v1"
+_REVERSAL_TAG = "pemix-reversal v1"
+_SWEEP_TAG = "pemix-sweep v1"
 _COLUMNS = "time,value"
 _SERIES_DTYPE = np.dtype([("time", "f8"), ("value", "f8")])
 # Cells per formatted piece of rows: 2048 rows of a 7-column trace table,
@@ -541,7 +610,7 @@ def write_series_csv(
             times = series.origin + series.spacing * np.arange(start, stop, dtype=np.float64)
             yield times, series.values[start:stop]
 
-    write_table(stream, _FORMAT_TAG, header, _COLUMNS, rows())
+    write_table(stream, _SERIES_TAG, header, _COLUMNS, rows())
 
 
 def read_series_csv(stream: IO[str]) -> tuple[TimeSeries, dict[str, str]]:
@@ -566,7 +635,7 @@ def read_series_csv(stream: IO[str]) -> tuple[TimeSeries, dict[str, str]]:
             f"line {header.lineno}: expected the column header {_COLUMNS!r}, "
             f"got {header.columns!r}"
         )
-    _check_tag(header, _FORMAT_TAG)
+    _check_tag(header, _SERIES_TAG)
     table = read_rows(stream, header, _SERIES_DTYPE)
     times = table["time"]
     steps = np.diff(times)
@@ -598,3 +667,77 @@ def read_series_csv(stream: IO[str]) -> tuple[TimeSeries, dict[str, str]]:
     if not abs(times[0] - series.origin) <= tolerance:
         raise InvalidInputError(f"the first time {times[0]} is not the origin {series.origin!r}")
     return series, metadata
+
+
+def write_trace_csv(
+    stream: IO[str], blocks: Iterable[PETraceSet], metadata: Mapping[str, object]
+) -> None:
+    """Write the blocks of one trace set in anchor order as they arrive.
+
+    Blocks come from :func:`~pemix.entropy.trace_blocks`, at least one; the
+    column line is taken from the first.  The bytes are those of the joined
+    set, and only one block is held at a time.
+    """
+    blocks = iter(blocks)
+    first = next(blocks)
+    columns = "anchor," + ",".join(f"pe_tau{tau}" for tau in first.taus)
+    rows = _block_columns(lambda block: [block.anchors, *block.traces], blocks, first)
+    del first  # written, and then let go of, by ``rows``
+    write_table(stream, _TRACE_TAG, metadata, columns, rows)
+
+
+def _block_columns(cells: Callable, blocks: Iterator, first: object = None) -> Iterator[Sequence]:
+    """``cells(first)``, when given, then ``cells`` of each of ``blocks``: the column
+    arrays of one block at a time, each let go of once the writer asks for the next."""
+    if first is not None:
+        yield cells(first)
+        del first
+    for block in blocks:
+        yield cells(block)
+        del block
+
+
+def read_trace_csv(stream: IO[str]) -> tuple[PETraceSet, dict[str, str]]:
+    header = read_header(stream)
+    first = re.fullmatch(r"anchor,pe_tau(-?[0-9]+)(,.+)?", header.columns)
+    if first is None:
+        raise InvalidInputError(
+            "trace file must have columns 'anchor,pe_tau<min>,...,pe_tau<max>'"
+        )
+    tau_min, strides = int(first[1]), header.columns.count(",")
+    expected = "anchor," + ",".join(f"pe_tau{tau_min + k}" for k in range(strides))
+    if header.columns != expected:
+        raise InvalidInputError(
+            f"trace columns {header.columns!r} are not the contiguous strides {expected!r}"
+        )
+    _check_tag(header, _TRACE_TAG)
+    # An integer field keeps int()'s strictness: "150.0" is not an anchor.
+    dtype = np.dtype([("anchor", "i8"), ("pe", "f8", (strides,))])
+    table = read_rows(stream, header, dtype)
+    return PETraceSet(tau_min, table["anchor"], table["pe"].T), header.metadata
+
+
+def write_reversal_csv(
+    stream: IO[str], blocks: Iterable[ReversalSeries], metadata: Mapping[str, object]
+) -> None:
+    """Write the blocks of one score series in anchor order as they arrive.
+
+    The bytes are those of the joined series; ``metadata`` carries any mean.
+    """
+    rows = _block_columns(lambda block: (block.anchors, block.r_values), iter(blocks))
+    write_table(stream, _REVERSAL_TAG, metadata, "anchor,reversal", rows)
+
+
+def write_sweep_csv(stream: IO[str], result: BinSweepResult, metadata: Mapping[str, object]) -> None:
+    """Write the sweep's rows under ``metadata`` and its recommendation, one
+    f-string per row: :func:`write_table` has no layout for the bool column
+    ``data_sufficient``, and a sweep's few dozen rows would not pay for one."""
+    recommendation = {
+        "recommended_bin": result.recommended_j,
+        "achieved_zero": "true" if result.achieved_zero else "false",
+    }
+    write_header(stream, _SWEEP_TAG, {**metadata, **recommendation})
+    stream.write("bin_size,mean_reversal,data_sufficient\n")
+    columns = (result.bin_sizes.tolist(), result.r_bars.tolist(), result.sufficient.tolist())
+    for j, r, sufficient in zip(*columns):
+        stream.write(f"{j},{r!r},{'true' if sufficient else 'false'}\n")

@@ -14,6 +14,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+from collections import Counter
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -118,3 +119,39 @@ def test_every_exported_name_resolves():
         module = importlib.import_module(f"pemix.{info.name}")
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"{module.__name__}.__all__ names missing {name}"
+
+
+def _held(container, entered):
+    """Each object held in ``container`` through nested dicts, lists, tuples
+    and sets, once per place that holds it; each container is entered once."""
+    if id(container) in entered:
+        return
+    entered.add(id(container))
+    items = [*container.keys(), *container.values()] if isinstance(container, dict) else container
+    for item in items:
+        yield item
+        if isinstance(item, (dict, list, tuple, set, frozenset)):
+            yield from _held(item, entered)
+
+
+def test_tracer_sees_every_binding_of_its_targets():
+    # install() rebinds module attributes and refuses to run while a target
+    # is left in a container that _bound_values yields; a target held any
+    # deeper would go unwrapped, and its layer would silently read 0.
+    for info in pkgutil.iter_modules(pemix.__path__):
+        importlib.import_module(f"pemix.{info.name}")
+    targets = {
+        id(getattr(importlib.import_module(f"pemix.{layer}"), func)): f"{layer}.{func}"
+        for layer, funcs in tracer.TARGETS.items()
+        for func in funcs
+    }
+    found = set()
+    for module in tracer._pemix_modules():
+        held = Counter(id(v) for v in _held(vars(module), set()) if id(v) in targets)
+        looked = Counter(id(v) for v in tracer._bound_values(module) if id(v) in targets)
+        for key, count in held.items():
+            found.add(targets[key])
+            assert count <= looked[key], (
+                f"{module.__name__} holds {targets[key]} where the tracer does not look"
+            )
+    assert found == set(targets.values())

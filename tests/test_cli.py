@@ -39,7 +39,7 @@ from pemix import TimeSeries
 from pemix import cli
 from pemix import entropy as entropy_module
 from pemix.cli import main, read_trace_csv
-from pemix.series import write_table
+from pemix.series import _REVERSAL_TAG, _SERIES_TAG, _SWEEP_TAG, write_table
 
 
 # Every float field of the generator parameters with each value it rejects:
@@ -446,14 +446,17 @@ class TestExitCodes:
         assert code == 2
         assert "time,value" in capsys.readouterr().err
 
-    def test_trace_columns_under_another_tables_tag_are_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "tag", [_SERIES_TAG, _REVERSAL_TAG, _SWEEP_TAG], ids=["series", "reversal", "sweep"]
+    )
+    def test_trace_columns_under_another_tables_tag_are_2(self, tmp_path, capsys, tag):
         table = tmp_path / "sweep.csv"
         table.write_text(
-            "# pemix-sweep v1\nanchor,pe_tau1,pe_tau2\n10,0.5,0.4\n11,0.5,0.4\n", encoding="utf-8"
+            f"# {tag}\nanchor,pe_tau1,pe_tau2\n10,0.5,0.4\n11,0.5,0.4\n", encoding="utf-8"
         )
         assert run("reversal", "-i", table, "-o", tmp_path / "rev.csv") == 2
         err = capsys.readouterr().err
-        assert "error: expected a 'pemix-traces v1' file, got 'pemix-sweep v1'" in err
+        assert f"error: expected a 'pemix-traces v1' file, got '{tag}'" in err
         assert not (tmp_path / "rev.csv").exists()
 
     def test_untagged_trace_table_still_reads(self):
@@ -733,6 +736,17 @@ class TestExitCodes:
         _, _, rows = read_rows(out)
         assert len(rows) == 400
         assert rows[-1] == ["400", "nan", "false"]
+
+    @pytest.mark.parametrize("j_min", [0, -2])
+    def test_binsweep_j_min_below_one_is_2_naming_its_flag(self, tmp_path, capsys, j_min):
+        src = tmp_path / "src.csv"
+        run("generate", "sine", "--period", 40, "--n", 400, "-o", src)
+        out = tmp_path / "sweep.csv"
+        argv = ("--j-min", j_min, "--j-max", 3, "--window", 100, "--tau-max", 3, "-o", out)
+        assert run("binsweep", "-i", src, *argv) == 2
+        message = capsys.readouterr().err.partition("error: ")[2]
+        assert message == f"j_min must be an integer >= 1, got {j_min}\n"
+        assert not out.exists()
 
     def test_missing_input_is_4(self, tmp_path):
         code = run("pe", "-i", tmp_path / "absent.csv", "-o", tmp_path / "x.csv")

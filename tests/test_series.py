@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from pemix import InvalidInputError, TimeSeries, read_series_csv, write_series_csv
-from pemix.series import _check_number
+from pemix.series import _REVERSAL_TAG, _SWEEP_TAG, _TRACE_TAG, _check_number
 
 
 class TestTimeSeries:
@@ -141,9 +141,12 @@ class TestSeriesCsv:
         loaded, _ = read_series_csv(buffer)
         np.testing.assert_array_equal(loaded.times(), series.times())
 
-    def test_other_pemix_tag_raises(self):
-        buffer = io.StringIO("# pemix-reversal v1\ntime,value\n0.0,1.0\n1.0,2.0\n")
-        with pytest.raises(InvalidInputError, match="'pemix-reversal v1'"):
+    @pytest.mark.parametrize(
+        "tag", [_TRACE_TAG, _REVERSAL_TAG, _SWEEP_TAG], ids=["traces", "reversal", "sweep"]
+    )
+    def test_other_pemix_tag_raises(self, tag):
+        buffer = io.StringIO(f"# {tag}\ntime,value\n0.0,1.0\n1.0,2.0\n")
+        with pytest.raises(InvalidInputError, match=f"'{tag}'"):
             read_series_csv(buffer)
 
     def test_empty_file_raises(self):
