@@ -235,11 +235,10 @@ def cmd_binsweep(args: argparse.Namespace) -> int:
     inp = Path(args.input)
     series, _ = _load(inp, read_series_csv)
     _check_number("j_min", args.j_min, 1, integer=True)
-    if args.j_max < args.j_min:
-        raise InvalidInputError(f"--j-max must be >= --j-min, got {args.j_max} < {args.j_min}")
+    _check_number("j_max", args.j_max, args.j_min, integer=True)
     if args.j_max > len(series):
         raise InvalidInputError(
-            f"--j-max must be <= the series length {len(series)}, got {args.j_max}"
+            f"j_max must be <= the series length {len(series)}, got {args.j_max}"
         )
     config = _from_args(PEConfig, args)
     result = bin_sweep(series, range(args.j_min, args.j_max + 1), config)

@@ -70,18 +70,13 @@ class PEConfig:
     hop: int = 1
 
     def __post_init__(self) -> None:
-        for name in ("ell", "window", "tau_min", "tau_max", "hop"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)):
-                raise InvalidInputError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
         _check_ell(self.ell)
-        _check_number("tau_min", self.tau_min, 1)
-        if self.tau_max < self.tau_min:
-            raise InvalidInputError(
-                f"tau_max must be >= tau_min, got {self.tau_max} < {self.tau_min}"
-            )
-        _check_number("hop", self.hop, 1)
+        _check_number("window", self.window, 1, integer=True)
+        _check_number("tau_min", self.tau_min, 1, integer=True)
+        _check_number("tau_max", self.tau_max, self.tau_min, integer=True)
+        _check_number("hop", self.hop, 1, integer=True)
+        for name in ("ell", "window", "tau_min", "tau_max", "hop"):
+            object.__setattr__(self, name, int(getattr(self, name)))
         needed = (self.ell - 1) * self.tau_max + 1
         if self.window < needed:
             raise InvalidInputError(

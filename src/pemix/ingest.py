@@ -306,8 +306,7 @@ def load_csv(
 
 def _resolve_column(selector: int | str, header: list[str] | None, kind: str) -> int:
     if isinstance(selector, (int, np.integer)):
-        if selector < 0:
-            raise InvalidInputError(f"{kind} column index must be >= 0, got {selector}")
+        _check_number(f"{kind}_column", selector, 0, integer=True)
         return int(selector)
     if header is None:
         raise InvalidInputError(
@@ -465,11 +464,9 @@ def prefilter(
         return series
     if method != "moving_median":
         raise InvalidInputError(f"unknown prefilter method {method!r}")
-    if width is None or not isinstance(width, (int, np.integer)):
-        raise InvalidInputError("moving_median needs an integer width")
-    width = int(width)
-    if width < 3 or width % 2 == 0:
-        raise InvalidInputError(f"median width must be odd and >= 3, got {width}")
+    _check_number("median_width", width, 3, integer=True)
+    if width % 2 == 0:
+        raise InvalidInputError(f"median_width must be odd, got {width}")
     x = series.values
     n = x.shape[0]
     if not np.isfinite(x).all():

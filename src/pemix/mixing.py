@@ -20,7 +20,7 @@ import numpy as np
 from .entropy import PEConfig, trace_blocks
 from .errors import InsufficientDataError, InvalidInputError
 from .reversal import lambda_for_range, reversal_series
-from .series import TimeSeries, _check_finite, _check_number
+from .series import TimeSeries, _check_finite, _check_increasing, _check_integers, _check_number
 
 __all__ = [
     "BinSweepResult",
@@ -153,17 +153,11 @@ class BinSweepResult:
     achieved_zero: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        sizes = np.asarray(self.bin_sizes, dtype=np.int64)
+        sizes = np.asarray(_check_integers("bin_sizes", self.bin_sizes), dtype=np.int64)
         r_bars = np.asarray(self.r_bars, dtype=np.float64)
         if sizes.shape != r_bars.shape or sizes.ndim != 1:
             raise InvalidInputError("sweep arrays must be matching 1-D arrays")
-        backward = np.flatnonzero(np.diff(sizes) <= 0)
-        if backward.size:
-            i = backward[0]
-            raise InvalidInputError(
-                f"bin sizes must strictly increase, but size {sizes[i + 1]} "
-                f"follows size {sizes[i]}"
-            )
+        _check_increasing(sizes, "bin sizes", "size")
         sufficient = np.isfinite(r_bars)
         if not sufficient.any():
             raise InsufficientDataError("no bin size left enough data to score")

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .errors import InsufficientDataError, InvalidInputError
-from .series import TimeSeries, _check_finite
+from .series import TimeSeries, _check_finite, _check_number
 
 __all__ = [
     "encode_patterns",
@@ -29,8 +29,7 @@ _MAX_ELL = 9
 
 def _check_ell(ell: int) -> None:
     """Reject an ``ell`` that is not an integer in 2..9."""
-    if not isinstance(ell, (int, np.integer)) or ell < 2:
-        raise InvalidInputError(f"ell must be >= 2 and an integer, got {ell!r}")
+    _check_number("ell", ell, 2, integer=True)
     if ell > _MAX_ELL:
         raise InvalidInputError(
             f"ell must be <= {_MAX_ELL} so that one row of ell! pattern counts "
@@ -66,8 +65,7 @@ def encode_patterns(values: np.ndarray, ell: int, tau: int) -> np.ndarray:
     """
     arr = np.ascontiguousarray(values, dtype=np.float64)
     _check_ell(ell)
-    if not isinstance(tau, (int, np.integer)) or tau < 1:
-        raise InvalidInputError(f"tau must be >= 1 and an integer, got {tau!r}")
+    _check_number("tau", tau, 1, integer=True)
     _check_finite(arr)
     span = (ell - 1) * tau
     n_pat = arr.shape[0] - span
@@ -114,8 +112,10 @@ def pattern_distribution(
         raise InvalidInputError(
             f"range [{lo}, {hi}) is not a valid sub-range of a series of length {n}"
         )
+    values = series.values[lo:hi]
     try:
-        codes = encode_patterns(series.values[lo:hi], ell, tau)
+        _check_finite(values)
     except InvalidInputError as exc:
         raise InvalidInputError(f"within range starting at {lo}: {exc}") from None
+    codes = encode_patterns(values, ell, tau)
     return np.bincount(codes, minlength=math.factorial(ell)).astype(np.int64, copy=False)

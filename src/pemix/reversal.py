@@ -17,7 +17,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import InsufficientDataError, InvalidInputError
-from .series import PETraceSet, _check_number
+from .series import PETraceSet, _check_integers, _check_number
 
 __all__ = [
     "ReversalSeries",
@@ -76,14 +76,10 @@ class ReversalSeries:
     r_bar: float = field(init=False)
 
     def __post_init__(self) -> None:
-        anchors = np.asarray(self.anchors, dtype=np.int64)
-        displacements = np.asarray(self.displacements)
+        anchors = np.asarray(_check_integers("anchors", self.anchors), dtype=np.int64)
+        displacements = _check_integers("displacements", self.displacements)
         if anchors.shape != displacements.shape or anchors.ndim != 1:
             raise InvalidInputError("anchors and displacements must be matching 1-D arrays")
-        if displacements.dtype.kind not in "iu":
-            raise InvalidInputError(
-                f"displacements must be integers, got dtype {displacements.dtype}"
-            )
         _check_number("scale", self.scale, 1, integer=True)
         object.__setattr__(self, "anchors", anchors)
         object.__setattr__(self, "displacements", displacements)

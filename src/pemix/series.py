@@ -93,9 +93,10 @@ class PETraceSet:
     C-contiguous float64 array of shape ``(strides, anchors)``.
 
     Raises:
-        InvalidInputError: If a stride is below 1, the shapes do not match
-            or hold no stride, an entropy is not finite, or the anchors do
-            not strictly increase.
+        InvalidInputError: If a stride is below 1, ``tau_min`` or the
+            anchors are not integers, the shapes do not match or hold no
+            stride, an entropy is not finite, or the anchors do not
+            strictly increase.
     """
 
     tau_min: int
@@ -103,10 +104,12 @@ class PETraceSet:
     traces: np.ndarray
 
     def __post_init__(self) -> None:
+        # A trace file's strides come from its column labels, so name the column.
         if self.tau_min < 1:
             raise InvalidInputError(f"strides must be >= 1, got column pe_tau{self.tau_min}")
+        _check_number("tau_min", self.tau_min, 1, integer=True)
         # Checked before the contiguous copy, so no check temporary coexists with it.
-        anchors = np.asarray(self.anchors, dtype=np.int64)
+        anchors = np.asarray(_check_integers("anchors", self.anchors), dtype=np.int64)
         traces = np.asarray(self.traces, dtype=np.float64)
         if anchors.ndim != 1 or traces.ndim != 2 or traces.shape[1:] != anchors.shape:
             raise InvalidInputError(
@@ -121,13 +124,7 @@ class PETraceSet:
                 f"non-finite entropy {traces[k, i]} at anchor {anchors[i]}, "
                 f"column pe_tau{self.tau_min + k}"
             )
-        backward = np.flatnonzero(np.diff(anchors) <= 0)
-        if backward.size:
-            i = backward[0]
-            raise InvalidInputError(
-                f"trace anchors must strictly increase, but anchor {anchors[i + 1]} "
-                f"follows anchor {anchors[i]}"
-            )
+        _check_increasing(anchors, "trace anchors", "anchor")
         object.__setattr__(self, "tau_min", int(self.tau_min))
         object.__setattr__(self, "anchors", np.ascontiguousarray(anchors))
         object.__setattr__(self, "traces", np.ascontiguousarray(traces))
@@ -170,6 +167,26 @@ def _check_finite(values: np.ndarray) -> None:
     if bad.any():
         pos = int(np.argmax(bad))
         raise InvalidInputError(f"non-finite value at position {pos}: {values[pos]}")
+
+
+def _check_integers(name: str, values: object) -> np.ndarray:
+    """``values`` as an array, rejected unless its dtype is an integer type;
+    an integer array passes uncopied."""
+    array = np.asarray(values)
+    if array.dtype.kind not in "iu":
+        raise InvalidInputError(f"{name} must be integers, got dtype {array.dtype}")
+    return array
+
+
+def _check_increasing(values: np.ndarray, what: str, item: str) -> None:
+    """Reject ``values`` unless they strictly increase, naming the first
+    ``item`` that does not follow its predecessor upward."""
+    backward = np.flatnonzero(np.diff(values) <= 0)
+    if backward.size:
+        i = backward[0]
+        raise InvalidInputError(
+            f"{what} must strictly increase, but {item} {values[i + 1]} follows {item} {values[i]}"
+        )
 
 
 def _check_number(name: str, value: float, minimum: float | None = None, *,

@@ -248,7 +248,7 @@ def _record_value(cell: str) -> float:
 def _record_column(selector, header, kind: str) -> int:
     if isinstance(selector, (int, np.integer)):
         if selector < 0:
-            raise InvalidInputError(f"{kind} column index must be >= 0, got {selector}")
+            raise InvalidInputError(f"{kind}_column must be an integer >= 0, got {selector}")
         return int(selector)
     if header is None:
         raise InvalidInputError(

@@ -54,6 +54,9 @@ _BAD_GENERATOR_FLOATS = [
 ]
 
 
+_MEDIAN = ["--prefilter", "moving_median"]
+
+
 def run(*argv):
     return main([str(a) for a in argv])
 
@@ -727,7 +730,7 @@ class TestExitCodes:
         out = tmp_path / "sweep.csv"
         flags = ["--window", 100, "--tau-max", 3, "-o", out]
         assert run("binsweep", "-i", src, "--j-max", 1_000_000, *flags) == 2
-        assert "error: --j-max must be <= the series length 400, got 1000000" in (
+        assert "error: j_max must be <= the series length 400, got 1000000" in (
             capsys.readouterr().err
         )
         assert not out.exists()
@@ -746,6 +749,32 @@ class TestExitCodes:
         assert run("binsweep", "-i", src, *argv) == 2
         message = capsys.readouterr().err.partition("error: ")[2]
         assert message == f"j_min must be an integer >= 1, got {j_min}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, flags, message",
+        [
+            ("binsweep", ["--j-min", 3, "--j-max", 2], "j_max must be an integer >= 3, got 2"),
+            ("binsweep", ["--j-max", 1_000_000],
+             "j_max must be <= the series length 400, got 1000000"),
+            ("ingest", [*_MEDIAN, "--median-width", 4], "median_width must be odd, got 4"),
+            ("ingest", [*_MEDIAN, "--median-width", 1],
+             "median_width must be an integer >= 3, got 1"),
+            ("ingest", _MEDIAN, "median_width must be an integer >= 3, got None"),
+            ("ingest", ["--time-column", -1], "time_column must be an integer >= 0, got -1"),
+        ],
+        ids=["j_max-below-j_min", "j_max-past-length", "median_width-even",
+             "median_width-below-3", "median_width-missing", "time_column-negative"],
+    )
+    def test_bad_flag_value_is_2_naming_its_parameter_first(
+        self, tmp_path, capsys, command, flags, message
+    ):
+        src = tmp_path / "src.csv"
+        run("generate", "sine", "--period", 40, "--n", 400, "-o", src)
+        out = tmp_path / "out.csv"
+        common = {"binsweep": ["--window", 100, "--tau-max", 3], "ingest": ["--target-spacing", 1]}
+        assert run(command, "-i", src, *common[command], *flags, "-o", out) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_missing_input_is_4(self, tmp_path):
@@ -776,6 +805,13 @@ class TestOutDirEnv:
         assert run("generate", "sine", "--period", 40, "--n", 400, "-o", out) == 0
         assert out.exists()
         assert not (tmp_path / "elsewhere").exists()
+
+
+def _study_files(name, k):
+    """The tables a ``reproduce`` study writes; ``{j}`` is its recommended bin."""
+    labels = ("raw", f"mixed_k{k}", "binned_j{j}")
+    tables = {f"{name}_{label}{end}.csv" for label in labels for end in ("", "_pe", "_reversal")}
+    return tables | {f"{name}_sweep.csv"}
 
 
 class TestReproduce:
@@ -814,28 +850,29 @@ class TestReproduce:
         _, _, rows = read_rows(tmp_path / "mackey_glass_sweep.csv")
         assert [int(r[0]) for r in rows] == [1, 2, 3, 4, 5]
 
-    def test_desk_lorenz_passes_its_checks(self, tmp_path):
+    @pytest.mark.parametrize(
+        "target, checks, files",
+        [
+            ("lorenz",
+             ["lorenz_raw_rbar", "lorenz_mixed_rbar", "lorenz_recommended_bin",
+              "lorenz_binned_rbar"],
+             _study_files("lorenz", 3)),
+            ("mackey-glass", ["mg_raw_rbar", "mg_mixed_rbar", "mg_binned_rbar"],
+             _study_files("mackey_glass", 4)),
+            ("sweeps", ["lorenz_k3_recommended_bin", "mg_k4_recommended_bin"],
+             {"lorenz_k3_sweep.csv", "mackey_glass_k4_sweep.csv"}),
+        ],
+    )
+    def test_desk_target_passes_its_checks(self, tmp_path, target, checks, files):
         outdir = tmp_path / "rep"
-        code = run("reproduce", "lorenz", "--outdir", outdir, "--scale", "desk")
+        code = run("reproduce", target, "--outdir", outdir, "--scale", "desk")
         assert code == 0
         with open(outdir / "summary.json", "r", encoding="utf-8") as stream:
             summary = json.load(stream)
         assert summary["all_pass"] is True
-        assert summary["target"] == "lorenz"
+        assert summary["target"] == target
         assert summary["scale"] == "desk"
-        names = {c["name"] for c in summary["checks"]}
-        assert names == {
-            "lorenz_raw_rbar",
-            "lorenz_mixed_rbar",
-            "lorenz_recommended_bin",
-            "lorenz_binned_rbar",
-        }
-        rec = next(
-            c["value"] for c in summary["checks"]
-            if c["name"] == "lorenz_recommended_bin"
-        )
-        for label in ("raw", "mixed_k3", f"binned_j{rec}"):
-            assert (outdir / f"lorenz_{label}.csv").exists()
-            assert (outdir / f"lorenz_{label}_pe.csv").exists()
-            assert (outdir / f"lorenz_{label}_reversal.csv").exists()
-        assert (outdir / "lorenz_sweep.csv").exists()
+        assert [c["name"] for c in summary["checks"]] == checks
+        sweep, _, _ = read_rows(outdir / min(f for f in files if f.endswith("_sweep.csv")))
+        written = {p.name for p in outdir.iterdir()}
+        assert written == {"summary.json"} | {f.format(j=sweep["recommended_bin"]) for f in files}

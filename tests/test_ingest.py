@@ -104,6 +104,8 @@ class TestLoadCsv:
         path.write_text("0,1.0\n1,2.0\n")
         assert len(load_csv(path, header_policy="skip")) == 1
         assert len(load_csv(path, header_policy="none")) == 2
+        with pytest.raises(InvalidInputError, match="^header_policy must be 'auto', 'skip' or"):
+            load_csv(path, header_policy="first")
 
     def test_records_are_a_structured_time_value_array(self, tmp_path):
         path = tmp_path / "data.csv"
@@ -382,6 +384,9 @@ class TestRegularize:
     def test_no_records_raises(self):
         with pytest.raises(InvalidInputError):
             regularize([], 1.0)
+        # A zero-length record array, as load_csv's dtype, takes the other path.
+        with pytest.raises(InvalidInputError, match="^no records to regularize$"):
+            regularize(np.zeros(0, dtype=[("time", "f8"), ("value", "f8")]), 1.0)
 
     def test_loaded_records_grid_like_their_pairs(self, tmp_path):
         path = tmp_path / "data.csv"
@@ -490,6 +495,8 @@ class TestFillGaps:
         series = TimeSeries(np.array([np.nan, 1.0]))
         with pytest.raises(InvalidInputError, match="trim"):
             fill_gaps(series)
+        with pytest.raises(InvalidInputError, match="^cannot fill an empty series$"):
+            fill_gaps(TimeSeries(np.array([])))
 
 
 class TestPrefilter:

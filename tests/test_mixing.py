@@ -314,6 +314,12 @@ class TestBinSweepResult:
         with pytest.raises(InvalidInputError, match="strictly increase"):
             BinSweepResult([2, 1], [0.5, 0.0])
 
+    def test_non_integer_sizes_raise_instead_of_truncating(self):
+        # Truncated, 1.5 and 2.5 would be reported as sizes 1 and 2.
+        message = "^bin_sizes must be integers, got dtype float64$"
+        with pytest.raises(InvalidInputError, match=message):
+            BinSweepResult([1.5, 2.5], [0.5, 0.0])
+
 
 class TestBinSweep:
     def test_structure_and_insufficient_marking(self):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -58,9 +59,9 @@ class TestOrdinalPattern:
             assert code_of(window) == lex_index_by_enumeration(ranks_by_time(window))
 
     def test_rejects_short_window(self):
-        with pytest.raises(InvalidInputError, match="ell must be >= 2"):
+        with pytest.raises(InvalidInputError, match="^ell must be an integer >= 2, got 1$"):
             encode_patterns(np.arange(5.0), ell=1, tau=1)
-        with pytest.raises(InvalidInputError, match="tau must be >= 1"):
+        with pytest.raises(InvalidInputError, match="^tau must be an integer >= 1, got 0$"):
             encode_patterns(np.arange(5.0), ell=2, tau=0)
 
     def test_rejects_non_finite_and_names_position(self):
@@ -138,7 +139,9 @@ class TestEncodePatterns:
         [(2.5, 1, "ell"), (3.0, 1, "ell"), ("3", 1, "ell"), (2, 1.5, "tau"), (2, "1", "tau")],
     )
     def test_non_integer_ell_or_tau_is_invalid(self, ell, tau, name):
-        with pytest.raises(InvalidInputError, match=f"^{name} must be >= [12] and an integer"):
+        value, minimum = (ell, 2) if name == "ell" else (tau, 1)
+        message = f"{name} must be an integer >= {minimum}, got {value}"
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
             encode_patterns(np.arange(10.0), ell, tau)
 
 
@@ -212,9 +215,20 @@ class TestPatternDistribution:
             pattern_distribution(series, 1, 1)
         with pytest.raises(InvalidInputError):
             pattern_distribution(series, 3, 0)
-        for ell, tau, name in ((2.5, 1, "ell"), (2, 1.0, "tau"), (2, None, "tau")):
-            with pytest.raises(InvalidInputError, match=f"{name} must be >= [12] and an integer"):
+        for ell, tau, message in (
+            (2.5, 1, "ell must be an integer >= 2, got 2.5"),
+            (2, 1.0, "tau must be an integer >= 1, got 1.0"),
+            (2, None, "tau must be an integer >= 1, got None"),
+        ):
+            with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
                 pattern_distribution(series, ell, tau)
+        # Only a non-finite value's position is relative to the range start.
+        with pytest.raises(InvalidInputError, match="^ell must be <= 9 "):
+            pattern_distribution(series, 10, 1, start=2)
+        gappy = TimeSeries(np.array([0.0, 1.0, 2.0, np.nan, 4.0]))
+        message = "within range starting at 2: non-finite value at position 1: nan"
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            pattern_distribution(gappy, 2, 1, start=2)
 
     def test_ell_is_capped_at_nine(self):
         # One row of 9! = 362,880 counts is 2.9 MB; 10! would be 29 MB.

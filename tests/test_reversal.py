@@ -1,6 +1,7 @@
 """Stride-ordering reversal scores and their sliding means."""
 
 import itertools
+import re
 import tracemalloc
 from unittest import mock
 
@@ -63,6 +64,22 @@ class TestTraceSetConstruction:
     def test_zero_strides_raise(self):
         with pytest.raises(InvalidInputError, match="at least one stride"):
             make_traces(np.empty((0, 3)))
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: make_traces(np.full((2, 3), 0.5), anchors=[0.5, 1.5, 2.5]),
+             "anchors must be integers, got dtype float64"),
+            (lambda: make_traces(np.full((2, 3), 0.5), tau_min=2.7),
+             "tau_min must be an integer >= 1, got 2.7"),
+            (lambda: ReversalSeries([0.5, 1.5, 2.5], np.zeros(3, np.uint8), 2),
+             "anchors must be integers, got dtype float64"),
+        ],
+        ids=["trace-anchors", "tau_min", "score-anchors"],
+    )
+    def test_non_integer_fields_raise_instead_of_truncating(self, build, message):
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            build()
 
     @pytest.mark.parametrize("tau_min", [0, -1])
     def test_strides_below_one_raise(self, tau_min):
@@ -257,6 +274,8 @@ class TestReversalSeries:
         pe = np.array([[0.1, 0.2]])
         with pytest.raises(InvalidInputError):
             reversal_series(make_traces(pe))
+        with pytest.raises(InsufficientDataError, match="^trace set has no anchors$"):
+            reversal_series(make_traces(np.empty((3, 0))))
 
     def test_misaligned_anchors_rejected_at_construction(self):
         # Three entropy columns for two anchors.
