@@ -862,6 +862,7 @@ class TestReproduce:
             ("sweeps", ["lorenz_k3_recommended_bin", "mg_k4_recommended_bin"],
              {"lorenz_k3_sweep.csv", "mackey_glass_k4_sweep.csv"}),
         ],
+        ids=["lorenz", "mackey-glass", "sweeps"],
     )
     def test_desk_target_passes_its_checks(self, tmp_path, target, checks, files):
         outdir = tmp_path / "rep"
