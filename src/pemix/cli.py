@@ -200,7 +200,7 @@ def cmd_pe(args: argparse.Namespace) -> int:
 
 def cmd_reversal(args: argparse.Namespace) -> int:
     if args.hop is not None and args.window is None:
-        raise InvalidInputError("--hop sets the step of the sliding mean and needs --window")
+        raise InvalidInputError("hop needs window: it sets the step of the sliding mean")
     inp = Path(args.input)
     traces, _ = _load(inp, read_trace_csv)
     rev = reversal_series(traces)
@@ -256,7 +256,7 @@ def cmd_binsweep(args: argparse.Namespace) -> int:
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     if args.median_width is not None and args.prefilter != "moving_median":
-        raise InvalidInputError("--median-width needs --prefilter moving_median")
+        raise InvalidInputError("median_width needs prefilter moving_median")
     inp = Path(args.input)
 
     def column(selector: str) -> int | str:

@@ -142,13 +142,21 @@ def global_pe(series: TimeSeries, ell: int, tau: int) -> float:
     return permutation_entropy(pattern_distribution(series, ell, tau), ell)
 
 
-def windowed_pe(series: TimeSeries, config: PEConfig, tau: int) -> np.ndarray:
+def windowed_pe(
+    series: TimeSeries, config: PEConfig, tau: int, *, _state: dict | None = None
+) -> np.ndarray:
     """Sliding-window entropy trace at one stride.
 
     Windows hold ``config.window`` consecutive observations and advance
     by ``config.hop``; value ``i`` belongs to the window whose last
     observation is ``config.anchor_grid(len(series))[i]``, so traces
     computed at different strides align anchor for anchor.
+
+    ``_state`` maps strides to the kernel states (:class:`_Stride`) that
+    :func:`trace_blocks` carries from block to block.  A stride it holds
+    has counted the first window of ``series``, whose value is then left
+    out; any other stride counts it here and is added.  By default every
+    stride starts afresh.
 
     Raises:
         InvalidInputError: If ``tau`` is not an integer >= 1 (see
@@ -166,8 +174,45 @@ def windowed_pe(series: TimeSeries, config: PEConfig, tau: int) -> np.ndarray:
         raise InsufficientDataError(
             f"series of length {n} is shorter than one window of {config.window}"
         )
-    codes = encode_patterns(series.values, config.ell, tau)
-    return _sliding_entropy(codes, config.anchor_grid(n), config.window, config.ell, span)
+    state = {} if _state is None else _state
+    ell, hop, per_window = config.ell, config.hop, config.window - span
+    moved = min(hop, per_window)
+    into = hop + per_window - moved  # from a leaving code to the entering one
+    rows = len(config.anchor_grid(n)) - 1  # the windows after the first
+    stop = per_window + rows * hop  # the last window's end
+
+    def codes(lo: int, hi: int, known: np.ndarray) -> np.ndarray:
+        """Pattern codes ``lo`` to ``hi``, taken from ``known`` (codes from
+        0) as far as it reaches and encoded past it."""
+        cut = known.shape[0]
+        if hi <= max(lo, cut):
+            return known[lo : max(lo, hi)]
+        new = encode_patterns(series.values[max(lo, cut) : hi + span], ell, tau)
+        return new if lo >= cut else np.concatenate((known[lo:], new))
+
+    stride = state.get(tau)
+    known = np.empty(0, dtype=np.int64) if stride is None else stride.held
+    # Window r >= 1 loses ``moved`` codes from leave[(r - 1) * hop] and gains
+    # as many from enter[(r - 1) * hop].  Where the entering codes start
+    # before the leaving ones end, one run of codes serves both.
+    joined = into <= (rows - 1) * hop + moved
+    if joined:
+        known = codes(0, stop, known)
+        leave, enter = known, known[into:]
+    else:
+        leave, enter = codes(0, (rows - 1) * hop + moved, known), codes(into, stop, known)
+    fresh = stride is None
+    if fresh:
+        counts = np.zeros(math.factorial(ell), dtype=np.int64)
+        for c0 in range(0, per_window, _CHUNK_EVENTS):
+            piece = codes(c0, min(c0 + _CHUNK_EVENTS, per_window), known)
+            counts += np.bincount(piece, minlength=counts.shape[0])
+        stride = state[tau] = _Stride.counted(counts, per_window)
+    trace = _sliding_entropy(leave, enter, rows, hop, ell, stride)
+    # The next block starts at the last window, whose codes are known[rows * hop:].
+    held = known[rows * hop :] if joined else known[:0]
+    stride.held = held.astype(np.min_scalar_type(stride.counts.shape[0] - 1))
+    return trace if fresh else trace[1:]
 
 
 def _limbs(entries: np.ndarray, scale: int) -> np.ndarray:
@@ -187,21 +232,25 @@ def _exact_steps(per_window: int) -> tuple[np.ndarray, int]:
     Each entry is a double, so it is an integer multiple of ``2**-scale``
     once ``scale`` is 53 less the binary exponent of the smallest nonzero
     entry.  ``-p * log(p)`` is concave and zero at both ends, so that is
-    entry 1 or entry ``per_window - 1``, about ``1 / per_window``.  Row
-    ``c`` of the result holds the :func:`_limbs` of ``entry[c + 1] -
-    entry[c]``, built in pieces of ``_CHUNK_EVENTS // 2`` counts, so that the
-    table's 16 bytes per count are its only memory that grows with the
-    window.  A window's sum of entries is at most ``log(9!) + 1/e < 16``,
-    so the high limb of a sum stays below ``2**53`` for any window up to
-    ``2**35`` patterns.
+    entry 1 or entry ``per_window - 1``, about ``1 / per_window``.  Element
+    ``c`` of the result is ``(entry[c + 1] - entry[c]) * 2**scale``, an
+    exact int64: the steps fall from entry 1 to minus entry ``per_window -
+    1``, and the larger of those two is at most ``log(per_window)`` times
+    the smaller, so a step stays below ``2**58`` for any window up to
+    ``2**35`` patterns.  It is built from :func:`_limbs` in pieces of
+    ``_CHUNK_EVENTS // 2`` counts, so that the table's 8 bytes per count are
+    its only memory that grows with the window.  A window's sum of entries
+    is at most ``log(9!) + 1/e < 16``, so the high limb of a sum stays below
+    ``2**53`` for any such window.
     """
     ends = -_plogp(np.array([1, per_window - 1]) / per_window)
     scale = 53 - math.frexp(ends.min())[1] if per_window > 1 else 0
-    rise = np.empty((per_window, 2), dtype=np.int64)
+    rise = np.empty(per_window, dtype=np.int64)
     piece = max(_CHUNK_EVENTS // 2, 1)
     for c0 in range(0, per_window, piece):
         counts = np.arange(c0, min(c0 + piece, per_window) + 1)
-        rise[c0 : counts[-1]] = np.diff(_limbs(-_plogp(counts / per_window), scale), axis=0)
+        low, high = np.diff(_limbs(-_plogp(counts / per_window), scale), axis=0).T
+        rise[c0 : counts[-1]] = (high << _LIMB_BITS) + low
     return rise, scale
 
 
@@ -240,7 +289,8 @@ def _pair_sums(
     ``counts`` gives each event's count after it; ``counts`` is left at
     the counts after the chunk.  A code that leaves a count ``a`` changes
     the sum by ``entry[a] - entry[a + 1] = -rise[a]``, and one that enters
-    it by ``rise[a - 1]`` (see :func:`_exact_steps`).  Row ``k`` of the
+    it by ``rise[a - 1]`` (see :func:`_exact_steps`); a pair's change is
+    split into limbs.  Row ``k`` of the
     ``(pairs + 1, 2)`` result is ``carry`` plus the changes of the first
     ``k`` pairs.
     """
@@ -266,74 +316,102 @@ def _pair_sums(
     at[order] = after
     sums = np.empty((n // 2 + 1, 2), dtype=np.int64)
     sums[:1] = carry
-    np.subtract(rise.take(at[1::2] - 1, axis=0), rise.take(at[0::2], axis=0), out=sums[1:])
+    steps = rise.take(at[1::2] - 1)
+    steps -= rise.take(at[0::2])
+    np.bitwise_and(steps, (1 << _LIMB_BITS) - 1, out=sums[1:, 0])
+    np.right_shift(steps, _LIMB_BITS, out=sums[1:, 1])
     return np.cumsum(sums, axis=0, out=sums)
 
 
+@dataclass
+class _Stride:
+    """The sliding kernel's state at one stride, carried from block to block.
+
+    ``rise`` and ``scale`` are the :func:`_exact_steps` table of a window's
+    counts, built once.  ``counts`` is the count row of the last window
+    reached and ``limbs`` the ``(1, 2)`` carried limbs of its exact sum of
+    entries, whose value is ``_rounded(limbs, scale)``.  ``held`` is that
+    window's codes where its block encoded all of them, else empty; the
+    next block starts at that window, so it need not encode them again.
+    """
+
+    rise: np.ndarray
+    scale: int
+    counts: np.ndarray
+    limbs: np.ndarray
+    held: np.ndarray
+
+    @classmethod
+    def counted(cls, counts: np.ndarray, per_window: int) -> _Stride:
+        """The state at a window of ``per_window`` patterns with ``counts``."""
+        rise, scale = _exact_steps(per_window)
+        terms = _limbs(-_plogp(counts[counts > 0] / per_window), scale)
+        limbs = np.zeros((1, 2), dtype=np.int64)
+        for t0 in range(0, terms.shape[0], _CHUNK_EVENTS):
+            limbs = _carried(limbs + terms[t0 : t0 + _CHUNK_EVENTS].sum(axis=0))
+        return cls(rise, scale, counts, limbs, np.empty(0, dtype=np.int64))
+
+
 def _sliding_entropy(
-    codes: np.ndarray,
-    anchors: range,
-    window: int,
+    leave: np.ndarray,
+    enter: np.ndarray,
+    rows: int,
+    hop: int,
     ell: int,
-    span: int,
+    stride: _Stride,
 ) -> np.ndarray:
-    """Entropy per anchored window from exact running sums of ``-p * log(p)``.
+    """Entropy of the window ``stride`` holds and of the ``rows`` windows
+    after it, each ``hop`` patterns on, from exact running sums of
+    ``-p * log(p)``; ``stride`` is left at the last window.
 
     A window's entropy is its sum ``S`` of the entries ``-p * log(p)`` of
     its pattern counts, rounded once, over ``log(ell!)``.  Each entry is an
     integer multiple of ``2**-scale`` (:func:`_exact_steps`), so ``S`` is
     an exact integer in two int64 limbs, rounded once per window
     (:func:`_rounded`), as :func:`permutation_entropy` rounds its
-    ``math.fsum``.
+    ``math.fsum``.  The counts and ``S`` of a window are the same integers
+    whichever block reached it, so are its bits.
 
-    From one window to the next, ``min(hop, per_window)`` codes leave at
-    the left and as many enter at the right.  Equal leaving and entering
-    codes at the same offset cancel; a window whose pairs all cancel keeps
-    the previous window's value, as most windows do on oversampled series.
-    Every other pair is two events, the leaving code and then the entering
-    one, in time order, so no count leaves ``0..per_window``.  An event
-    moves ``S`` by the exact step from its code's count before to its count
-    after (:func:`_pair_sums`), so a window costs its events, whatever
-    ``ell!``.  Events go in chunks of at most ``_CHUNK_EVENTS``, which carry
-    the count of each code and ``S``.  Working memory is a chunk, one row
-    of ``ell!`` counts, the table and a few arrays of one value per anchor,
-    whatever the window or the hop.
+    From one window to the next, ``moved = min(hop, per_window)`` codes
+    leave at the left and as many enter at the right: window ``r >= 1``
+    loses ``leave[(r - 1) * hop :][:moved]`` and gains the same slice of
+    ``enter``.  Equal leaving and entering codes at the same offset cancel;
+    a window whose pairs all cancel keeps the previous window's value, as
+    most windows do on oversampled series.  Every other pair is two events,
+    the leaving code and then the entering one, in time order, so no count
+    leaves ``0..per_window``.  An event moves ``S`` by the exact step from
+    its code's count before to its count after (:func:`_pair_sums`), so a
+    window costs its events, whatever ``ell!``.  Events go in chunks of at
+    most ``_CHUNK_EVENTS``, which carry the count of each code and ``S``.
+    Working memory is a chunk, the state and a few arrays of one value per
+    window, whatever the window or the hop.
     """
-    nfact = math.factorial(ell)
-    per_window = window - span
-    hop = anchors.step
-    moved = min(hop, per_window)
-    rise, scale = _exact_steps(per_window)
-    tail = anchors[0] - span + 1 - per_window  # the first window's first pattern
-    into = hop + per_window - moved  # from a leaving code to the entering one
-    # Window r >= 1 loses the codes leave[r - 1] and gains enter[r - 1].
-    shape, strides = (len(anchors) - 1, moved), (hop * codes.itemsize, codes.itemsize)
-    leave = np.lib.stride_tricks.as_strided(codes[tail:], shape, strides, writeable=False)
-    enter = np.lib.stride_tricks.as_strided(codes[tail + into :], shape, strides, writeable=False)
-    pairs = np.flatnonzero(enter != leave)  # row * moved + offset of each differing pair
-    # last[r] numbers the value that window r shares: 0 is the first window.
-    last = np.zeros(len(anchors), dtype=np.int64)
+    rise, scale, counts = stride.rise, stride.scale, stride.counts
+    moved = min(hop, rise.shape[0])
+    gone, come = (
+        np.lib.stride_tricks.as_strided(
+            codes, (rows, moved), (hop * codes.itemsize, codes.itemsize), writeable=False
+        )
+        for codes in (leave, enter)
+    )
+    pairs = np.flatnonzero(come != gone)  # row * moved + offset of each differing pair
+    # last[r] numbers the value that window r shares: 0 is the held window.
+    last = np.zeros(rows + 1, dtype=np.int64)
     last[1:][pairs // moved] = 1
     np.cumsum(last, out=last)
-    counts = np.bincount(codes[tail : tail + per_window], minlength=nfact)
-    terms = _limbs(-_plogp(counts[counts > 0] / per_window), scale)
-    carry = np.zeros((1, 2), dtype=np.int64)
-    for t0 in range(0, terms.shape[0], _CHUNK_EVENTS):
-        carry = _carried(carry + terms[t0 : t0 + _CHUNK_EVENTS].sum(axis=0))
+    carry = stride.limbs
     vals = np.empty(last[-1] + 1, dtype=np.float64)
     vals[:1] = _rounded(carry, scale)
     bits = _CHUNK_EVENTS.bit_length()
-    key = np.int32 if nfact << bits < 1 << 31 else np.int64
+    key = np.int32 if counts.shape[0] << bits < 1 << 31 else np.int64
     step = max(_CHUNK_EVENTS // 2, 1)
     filled = 1
     for c0 in range(0, pairs.shape[0], step):
         chunk = pairs[c0 : c0 + step]
-        at = chunk + tail
-        if hop > moved:
-            at += chunk // moved * (hop - moved)
+        at = chunk + chunk // moved * (hop - moved) if hop > moved else chunk
         keys = np.empty(2 * chunk.shape[0], dtype=key)
-        keys[0::2] = codes[at]
-        keys[1::2] = codes[at + into]
+        keys[0::2] = leave[at]
+        keys[1::2] = enter[at]
         keys <<= bits
         keys |= np.arange(keys.shape[0], dtype=key)
         sums = _pair_sums(keys, counts, rise, carry)
@@ -344,20 +422,25 @@ def _sliding_entropy(
         sums = sums.take(np.flatnonzero(row != np.append(row[1:], after)) + 1, axis=0)
         vals[filled : filled + sums.shape[0]] = _rounded(sums, scale)
         filled += sums.shape[0]
+    stride.limbs = carry
     return _normalized_entropy(vals, ell)[last]
 
 
-def multi_tau_pe(series: TimeSeries, config: PEConfig) -> PETraceSet:
+def multi_tau_pe(
+    series: TimeSeries, config: PEConfig, *, _state: dict | None = None
+) -> PETraceSet:
     """Windowed entropy at every stride of the configured range, as a ``PETraceSet``.
 
     Row ``k`` of the matrix is the :func:`windowed_pe` trace at stride
     ``tau_min + k``; every row shares the same anchors, which is what makes
     the per-anchor stride ordering in the reversal stage well defined.
+    ``_state`` is passed to every stride's :func:`windowed_pe`, so a state
+    that holds strides leaves out the first window of ``series``.
     """
-    grid = config.anchor_grid(len(series))
+    grid = config.anchor_grid(len(series))[1 if _state else 0 :]
     traces = np.empty((len(config.taus), len(grid)))
     for k, tau in enumerate(config.taus):
-        traces[k] = windowed_pe(series, config, tau)
+        traces[k] = windowed_pe(series, config, tau, _state=_state)
     anchors = np.arange(grid.start, grid.stop, grid.step, dtype=np.int64)
     return PETraceSet(tau_min=config.tau_min, anchors=anchors, traces=traces)
 
@@ -366,10 +449,14 @@ def trace_blocks(series: TimeSeries, config: PEConfig) -> Iterator[PETraceSet]:
     """The :func:`multi_tau_pe` traces of ``series``, one run of anchors at a time.
 
     Each block holds at most ``_BLOCK_ANCHORS`` consecutive grid anchors,
-    numbered as positions in ``series``, and is computed by
-    :func:`multi_tau_pe` from only the points its windows cover.  Joined
-    along the anchors, the blocks equal ``multi_tau_pe(series, config)``
-    bit for bit, but no more than one block's matrix is held at a time.
+    numbered as positions in ``series``.  One kernel state per stride is
+    carried from block to block: the step table, built once, and the count
+    row and exact sum of the last window.  So a block after the first is
+    computed by :func:`multi_tau_pe` from the points of that window on,
+    encodes only the codes its windows add and drop, and counts no window
+    afresh.  Joined along the anchors, the blocks equal
+    ``multi_tau_pe(series, config)`` bit for bit, but no more than one
+    block's matrix is held at a time.
 
     The series is checked by this call, before any block is computed, so an
     error names a position in ``series`` and comes before any output.
@@ -387,9 +474,11 @@ def trace_blocks(series: TimeSeries, config: PEConfig) -> Iterator[PETraceSet]:
 
     def blocks() -> Iterator[PETraceSet]:
         grid = config.anchor_grid(values.shape[0])
+        state: dict = {}
         for a0 in range(0, len(grid), _BLOCK_ANCHORS):
-            points = config.covered_points(grid[a0 : a0 + _BLOCK_ANCHORS])
-            block = multi_tau_pe(TimeSeries(values[points]), config)
+            # From the window before the block's first, which the state holds.
+            points = config.covered_points(grid[max(a0 - 1, 0) : a0 + _BLOCK_ANCHORS])
+            block = multi_tau_pe(TimeSeries(values[points]), config, _state=state)
             block.anchors[:] += points.start  # a fresh array: renumbered in place
             yield block
             del block  # released before the next block is computed

@@ -193,10 +193,12 @@ def _check_number(name: str, value: float, minimum: float | None = None, *,
                   above: float | None = None, integer: bool = False) -> None:
     """Reject ``value`` unless it is finite, > ``above`` and >= ``minimum``
     (each where given) or, with ``integer``, an ``int`` or ``np.integer``
-    >= ``minimum``; the message reads ``<name> must be <rule>, got <value>``."""
+    >= ``minimum`` where given; the message reads ``<name> must be <rule>,
+    got <value>``."""
     if integer:
-        if not isinstance(value, (int, np.integer)) or value < minimum:
-            raise InvalidInputError(f"{name} must be an integer >= {minimum}, got {value}")
+        if not isinstance(value, (int, np.integer)) or minimum is not None and value < minimum:
+            rule = "" if minimum is None else f" >= {minimum}"
+            raise InvalidInputError(f"{name} must be an integer{rule}, got {value}")
     elif not math.isfinite(value):
         raise InvalidInputError(f"{name} must be finite, got {value}")
     elif above is not None and not value > above:

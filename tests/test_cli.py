@@ -626,7 +626,8 @@ class TestExitCodes:
         assert run("pe", "-i", src, "--window", 100, "--tau-max", 2, "-o", traces) == 0
         code = run("reversal", "-i", traces, "--hop", 5, "-o", tmp_path / "rev.csv")
         assert code == 2
-        assert "--hop" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == "error: hop needs window: it sets the step of the sliding mean\n"
         assert not (tmp_path / "rev.csv").exists()
 
     def test_reversal_window_without_hop_steps_by_one(self, tmp_path):
@@ -648,7 +649,7 @@ class TestExitCodes:
         out = tmp_path / "clean.csv"
         code = run("ingest", "-i", raw, "--target-spacing", 1.0, "--median-width", 3, "-o", out)
         assert code == 2
-        assert "--median-width" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: median_width needs prefilter moving_median\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["pe", "binsweep"])
@@ -825,9 +826,9 @@ class TestReproduce:
             mixed.append(mixing_ansatz(series, k, seed))
             return mixed[-1]
 
-        def count(series, config):
+        def count(series, config, **state):
             calls.append(series.values)
-            return multi_tau_pe(series, config)
+            return multi_tau_pe(series, config, **state)
 
         monkeypatch.setattr(cli, "mixing_ansatz", mix)
         # Every trace computation goes through the block iterator's binding,

@@ -365,9 +365,9 @@ class TestCodecMemory:
         held = []
         compute = pemix.entropy.multi_tau_pe
 
-        def probe(*args):
+        def probe(*args, **state):
             held.append(tracemalloc.get_traced_memory()[0])
-            return compute(*args)
+            return compute(*args, **state)
 
         with open(os.devnull, "w", encoding="utf-8") as sink:
             with mock.patch.object(pemix.entropy, "_BLOCK_ANCHORS", 8192), \

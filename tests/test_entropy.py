@@ -295,7 +295,7 @@ class TestSlidingKernel:
                 span = (ell - 1) * tau
                 codes = encode_patterns(series.values, ell, tau)
                 anchors = range(4999, len(series), hop)
-                got = entropy_module._sliding_entropy(codes, anchors, 5000, ell, span)
+                got = sliding_entropy(codes, anchors, 5000, ell, span)
                 expected = sliding_entropy_fsum(codes, np.asarray(anchors), 5000, ell, span)
                 assert got.shape == expected.shape
                 np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
@@ -315,7 +315,7 @@ class TestSlidingKernel:
         anchors = range(window - 1, values.shape[0], hop)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(entropy_module, "_CHUNK_EVENTS", events)
-            got = entropy_module._sliding_entropy(codes, anchors, window, ell, span)
+            got = sliding_entropy(codes, anchors, window, ell, span)
         expected = sliding_entropy_fsum(codes, np.asarray(anchors), window, ell, span)
         np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
 
@@ -323,10 +323,9 @@ class TestSlidingKernel:
     def test_step_table_holds_every_entry_exactly(self, per_window):
         table = -entropy_module._plogp(np.arange(per_window + 1) / per_window)
         rise, scale = entropy_module._exact_steps(per_window)
-        low, high = rise.T.tolist()
         entry = 0
-        for c in range(per_window):
-            entry += low[c] + (high[c] << entropy_module._LIMB_BITS)
+        for c, step in enumerate(rise.tolist()):
+            entry += step
             assert Fraction(entry, 2**scale) == Fraction(float(table[c + 1])), f"count {c + 1}"
 
     def test_peak_memory_does_not_grow_with_ell(self):
@@ -365,13 +364,25 @@ class TestSlidingKernel:
             codes = encode_patterns(np.zeros(n), 4, 1)
             anchors = range(999, n, 3)
             tracemalloc.start()
-            entropy_module._sliding_entropy(codes, anchors, 1000, 4, 3)
+            sliding_entropy(codes, anchors, 1000, 4, 3)
             peaks[n] = tracemalloc.get_traced_memory()[1], len(anchors)
             tracemalloc.stop()
         # A few int64 arrays of one value per anchor; offsets for all 3
         # codes that enter per anchor would add 48 bytes per anchor.
         grown = (peaks[400_000][0] - peaks[100_000][0]) / (peaks[400_000][1] - peaks[100_000][1])
         assert grown <= 32, f"{grown:.1f} bytes per anchor"
+
+
+def sliding_entropy(codes, anchors, window, ell, span):
+    """The sliding kernel over the codes of a whole series, from the tally of
+    its first window, as :func:`windowed_pe` runs it."""
+    per_window, hop = window - span, anchors.step
+    counts = np.bincount(codes[:per_window], minlength=math.factorial(ell))
+    stride = entropy_module._Stride.counted(counts, per_window)
+    into = hop + per_window - min(hop, per_window)
+    return entropy_module._sliding_entropy(
+        codes, codes[into:], len(anchors) - 1, hop, ell, stride
+    )
 
 
 @st.composite
@@ -464,21 +475,24 @@ class TestMultiTauPE:
 
 
 class TestTraceBlocks:
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(
-        values=st.lists(st.integers(0, 3), min_size=12, max_size=71),
-        window=st.integers(7, 12),
-        tau_max=st.integers(2, 3),
-        hop=st.integers(1, 4),
+        data=st.data(),
+        values=st.lists(st.integers(0, 3), min_size=12, max_size=90),
+        ell=st.integers(2, 6),
+        tau_max=st.integers(1, 3),
         block=st.integers(1, 5),
     )
     def test_joined_blocks_equal_the_whole_series_traces(
-        self, values, window, tau_max, hop, block
+        self, data, values, ell, tau_max, block
     ):
+        # Hops up to past window - span, where windows share no pattern.
+        span = (ell - 1) * tau_max
+        window = data.draw(st.integers(span + 1, span + 12), label="window")
+        hop = data.draw(st.integers(1, window - span + 4), label="hop")
         series = TimeSeries(np.asarray(values, dtype=np.float64))
-        config = PEConfig(ell=3, window=window, tau_min=1, tau_max=tau_max, hop=hop)
-        if len(series) < window:
-            return
+        config = PEConfig(ell=ell, window=window, tau_min=1, tau_max=tau_max, hop=hop)
+        assume(len(series) >= window)
         whole = multi_tau_pe(series, config)
         with mock.patch.object(entropy_module, "_BLOCK_ANCHORS", block):
             blocks = list(trace_blocks(series, config))
@@ -486,6 +500,56 @@ class TestTraceBlocks:
         np.testing.assert_array_equal(np.concatenate([b.anchors for b in blocks]), whole.anchors)
         joined = np.concatenate([b.traces for b in blocks], axis=1)
         np.testing.assert_array_equal(joined.view(np.int64), whole.traces.view(np.int64))
+
+    def test_a_window_longer_than_a_block_keeps_every_bit(self):
+        # Unpatched blocks of 2**14 anchors under windows of 20,000 points:
+        # each block's leaving and entering codes lie apart.
+        rng = np.random.default_rng(28)
+        series = TimeSeries(np.round(rng.standard_normal(56_000).cumsum(), 1))
+        config = PEConfig(window=20_000)
+        whole = multi_tau_pe(series, config)
+        blocks = list(trace_blocks(series, config))
+        assert [len(b) for b in blocks] == [1 << 14, 1 << 14, 36_001 - (2 << 14)]
+        joined = np.concatenate([b.traces for b in blocks], axis=1)
+        np.testing.assert_array_equal(joined.view(np.int64), whole.traces.view(np.int64))
+        np.testing.assert_array_equal(np.concatenate([b.anchors for b in blocks]), whole.anchors)
+        for i in (0, 1, (1 << 14) - 1, 1 << 14, (1 << 14) + 1, 2 << 14, 36_000):
+            anchor = whole.anchors[i]
+            for k, tau in enumerate(config.taus):
+                counts = pattern_distribution(series, 4, tau, anchor - 19_999, anchor + 1)
+                assert joined[k, i] == permutation_entropy(counts, 4), f"anchor {anchor}"
+
+    def test_each_step_table_is_built_once_per_pass(self):
+        series = TimeSeries(np.random.default_rng(6).standard_normal(1500))
+        config = PEConfig(ell=3, window=200, tau_min=2, tau_max=5)
+        steps = entropy_module._exact_steps
+        with mock.patch.object(entropy_module, "_BLOCK_ANCHORS", 256), \
+                mock.patch.object(entropy_module, "_exact_steps", wraps=steps) as built:
+            assert len(list(trace_blocks(series, config))) == 6
+            assert sorted(c.args for c in built.call_args_list) == [(190,), (192,), (194,), (196,)]
+            # Nothing outlives a pass: the next one builds its own tables.
+            list(trace_blocks(series, config))
+        assert built.call_count == 8
+
+    def test_peak_memory_does_not_grow_with_the_window(self):
+        # The same anchors under windows of 5,000 and 500,000 points.  The
+        # state holds one step table per stride, 8 bytes per count; the
+        # kernel takes the rest per block, whatever the window.
+        anchors = 3 << 14
+        above = {}
+        for window in (5000, 500_000):
+            config = PEConfig(window=window)
+            walk = np.random.default_rng(4).standard_normal(window - 1 + anchors).cumsum()
+            series = TimeSeries(walk)
+            tables = 8 * sum(window - 3 * tau for tau in config.taus)
+            tracemalloc.start()
+            for block in trace_blocks(series, config):
+                del block
+            above[window] = tracemalloc.get_traced_memory()[1] - tables
+            tracemalloc.stop()
+        # Past a block's length the leaving and the entering codes of a block
+        # are encoded apart: at most one more block of int64 codes.
+        assert above[500_000] <= above[5000] + 8 * (1 << 14), above
 
     def test_series_is_checked_before_the_first_block(self):
         config = PEConfig(ell=3, window=20, tau_max=3)

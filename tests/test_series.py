@@ -66,6 +66,8 @@ class TestCheckNumber:
             (-0.5, {"minimum": 0}, "x must be >= 0, got -0.5"),
             (2.5, {"minimum": 1, "integer": True}, "x must be an integer >= 1, got 2.5"),
             (np.int64(0), {"minimum": 1, "integer": True}, "x must be an integer >= 1, got 0"),
+            (2.0, {"integer": True}, "x must be an integer, got 2.0"),
+            ("3", {"integer": True}, "x must be an integer, got 3"),
         ],
     )
     def test_each_form_names_the_parameter_and_the_value(self, value, bounds, message):
@@ -75,7 +77,8 @@ class TestCheckNumber:
     @pytest.mark.parametrize(
         "value, bounds",
         [(-1e300, {}), (5e-324, {"above": 0}), (0.0, {"minimum": 0}),
-         (1, {"minimum": 1, "integer": True}), (np.int32(7), {"minimum": 0, "integer": True})],
+         (1, {"minimum": 1, "integer": True}), (np.int32(7), {"minimum": 0, "integer": True}),
+         (-10**30, {"integer": True}), (np.int64(-3), {"integer": True})],
     )
     def test_accepts_a_number_in_range(self, value, bounds):
         assert _check_number("x", value, **bounds) is None

@@ -24,7 +24,9 @@ directory:
   plain, with ``--fill none`` and with ``--prefilter moving_median
   --median-width 5``;
 * on the plain ingested series, ``pe``, then ``reversal`` plain and with
-  ``--window 5000``, ``bin -j 3``, ``binsweep --j-max 40 --hop 100``,
+  ``--window 5000``, ``pe --window 20000 --hop 3``, whose window is
+  longer than a trace block and whose hop does not divide the block, so
+  each block's windows start inside the one before, ``bin -j 3``, ``binsweep --j-max 40 --hop 100``,
   ``ansatz -k 0``, which draws nothing, and ``ansatz -k 3 --seed 7``,
   which draws one value per point;
 * ``ansatz -k 3 --seed 7`` on the generated Lorenz series, then
@@ -33,7 +35,7 @@ directory:
   ``--j-max 8``, whose largest sizes leave too few points and write NaN
   rows: both branches of the bin-size rule, and its NaN rows.
 
-That is 48 files on each side.  Both sides read the same export.  Then
+That is 49 files on each side.  Both sides read the same export.  Then
 every file is compared after dropping the lines that hold a timestamp, an
 input digest, an output path or a run time.  The tool lists each command
 that exited non-zero and each file that is missing on one side or
@@ -81,6 +83,7 @@ def _runs(export: Path) -> list[list[str]]:
         [*ingest, "--fill", "none", "-o", "clean_nofill.csv"],
         [*ingest, "--prefilter", "moving_median", "--median-width", "5", "-o", "clean_median.csv"],
         ["pe", "-i", "clean.csv", "-o", "pe.csv"],
+        ["pe", "-i", "clean.csv", "--window", "20000", "--hop", "3", "-o", "pe_w20000_hop3.csv"],
         ["reversal", "-i", "pe.csv", "-o", "reversal.csv"],
         ["reversal", "-i", "pe.csv", "--window", "5000", "-o", "reversal_w5000.csv"],
         ["bin", "-i", "clean.csv", "-j", "3", "-o", "clean_j3.csv"],
