@@ -416,10 +416,14 @@ def _sliding_entropy(
         keys |= np.arange(keys.shape[0], dtype=key)
         sums = _pair_sums(keys, counts, rise, carry)
         carry = _carried(sums[-1:])
-        # The sums after the last pair of each changed window that ends in the chunk.
-        row = chunk // moved
-        after = pairs[c0 + step] // moved if c0 + step < pairs.shape[0] else -1
-        sums = sums.take(np.flatnonzero(row != np.append(row[1:], after)) + 1, axis=0)
+        # The sums after the last pair of each changed window that ends in
+        # the chunk: after every pair when a window moves one code.
+        if moved > 1:
+            row = chunk // moved
+            after = pairs[c0 + step] // moved if c0 + step < pairs.shape[0] else -1
+            sums = sums.take(np.flatnonzero(row != np.append(row[1:], after)) + 1, axis=0)
+        else:
+            sums = sums[1:]
         vals[filled : filled + sums.shape[0]] = _rounded(sums, scale)
         filled += sums.shape[0]
     stride.limbs = carry
