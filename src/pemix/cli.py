@@ -272,7 +272,9 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         header_policy=args.header,
     )
     series, suspect = regularize(records, args.target_spacing, unit=args.unit)
-    report_dict: dict[str, object] = {"n_records": len(records)}
+    # A record that lost its grid cell to a nearer one is in no point.
+    held = int(np.count_nonzero(np.isfinite(series.values) | suspect))
+    report_dict: dict[str, object] = {"n_records": len(records), "n_displaced": len(records) - held}
     report = None
     if args.fill == "ffill":
         series, report = fill_gaps(series, suspect)

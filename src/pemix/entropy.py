@@ -42,6 +42,25 @@ _CHUNK_EVENTS = 1 << 13
 # stays below 2**53 and converts to float64 exactly.
 _LIMB_BITS = 53 - _CHUNK_EVENTS.bit_length()
 
+# Count-row cells per chunk of the rows path of the sliding kernel: its
+# count rows and their entries take a few MB, whatever the hop, the window
+# or ell, and at ell 9 a chunk holds one row of 9! cells.
+_CHUNK_CELLS = 1 << 16
+
+# The sliding kernel counts whole rows (:func:`_row_sums`) once a window
+# moves this many events per count-row cell, ``2 * moved >= _ROWS_FROM *
+# ell!``, and moves by events below.  Per anchor of one stride of a random
+# walk, window 5000, best of 3 (Python 3.11, numpy 2.4, 2 CPUs), events
+# against rows in microseconds: at 1x, ell 2 (hop 1) 0.09 / 0.14, ell 3
+# (hop 3) 0.20 / 0.15, ell 4 (hop 12) 0.62 / 0.42, ell 5 (hop 60) 3.6 /
+# 1.8 and ell 6 (hop 360) 31 / 16; at 2x, ell 2 (hop 2) 0.12 / 0.09, ell 3
+# (hop 6) 0.31 / 0.17, ell 4 (hop 24) 1.2 / 0.48 and ell 6 (hop 720) 64 /
+# 16; ell 4 at hop 100 5.0 / 0.79.  Rows lose at hop 1 at every ell (ell 4:
+# 0.13 / 0.79) and win from about 0.6x at ell 4 to 6, 1x at ell 3 and 2x at
+# ell 2.  So 2 is the least multiple at which rows win at every ell, and it
+# keeps hop 1 on events.
+_ROWS_FROM = 2
+
 # Grid anchors per block of :func:`trace_blocks`.  A block's traces and the
 # kernel's working arrays take well under a MB per stride, whatever the
 # length of the series.  A multiple of the rows of a table writer's piece
@@ -207,7 +226,7 @@ def windowed_pe(
         for c0 in range(0, per_window, _CHUNK_EVENTS):
             piece = codes(c0, min(c0 + _CHUNK_EVENTS, per_window), known)
             counts += np.bincount(piece, minlength=counts.shape[0])
-        stride = state[tau] = _Stride.counted(counts, per_window)
+        stride = state[tau] = _Stride.counted(counts, per_window, hop)
     trace = _sliding_entropy(leave, enter, rows, hop, ell, stride)
     # The next block starts at the last window, whose codes are known[rows * hop:].
     held = known[rows * hop :] if joined else known[:0]
@@ -216,24 +235,35 @@ def windowed_pe(
 
 
 def _limbs(entries: np.ndarray, scale: int) -> np.ndarray:
-    """``entries * 2**scale``, integers, as ``(low, high)`` int64 limbs.
+    """``entries * 2**scale``, integers, as int64 limbs ``[low, high]``
+    along a new first axis.
 
     The low limb holds ``_LIMB_BITS`` bits.  Both are computed in float64,
     exactly: scaling by a power of two, ``floor`` and the difference of
     two integers that doubles hold are all exact.
     """
     high = np.floor(entries * 2.0 ** (scale - _LIMB_BITS))
-    return np.stack((entries * 2.0**scale - high * 2.0**_LIMB_BITS, high), axis=-1).astype(np.int64)
+    return np.stack((entries * 2.0**scale - high * 2.0**_LIMB_BITS, high)).astype(np.int64)
+
+
+def _scale(per_window: int) -> int:
+    """The ``scale`` at which every entry ``-p * log(p)`` of a window of
+    ``per_window`` patterns is an integer times ``2**-scale``.
+
+    Each entry is a double, so it is such an integer once ``scale`` is 53
+    less the binary exponent of the smallest nonzero entry.  ``-p * log(p)``
+    is concave and zero at both ends, so that is entry 1 or entry
+    ``per_window - 1``, about ``1 / per_window``.
+    """
+    ends = -_plogp(np.array([1, per_window - 1]) / per_window)
+    return 53 - math.frexp(ends.min())[1] if per_window > 1 else 0
 
 
 def _exact_steps(per_window: int) -> tuple[np.ndarray, int]:
-    """Exact steps of the entries ``-p * log(p)`` over the counts ``0..per_window``.
+    """Exact steps of the entries ``-p * log(p)`` over the counts ``0..per_window``,
+    and their :func:`_scale`.
 
-    Each entry is a double, so it is an integer multiple of ``2**-scale``
-    once ``scale`` is 53 less the binary exponent of the smallest nonzero
-    entry.  ``-p * log(p)`` is concave and zero at both ends, so that is
-    entry 1 or entry ``per_window - 1``, about ``1 / per_window``.  Element
-    ``c`` of the result is ``(entry[c + 1] - entry[c]) * 2**scale``, an
+    Element ``c`` of the result is ``(entry[c + 1] - entry[c]) * 2**scale``, an
     exact int64: the steps fall from entry 1 to minus entry ``per_window -
     1``, and the larger of those two is at most ``log(per_window)`` times
     the smaller, so a step stays below ``2**58`` for any window up to
@@ -243,13 +273,12 @@ def _exact_steps(per_window: int) -> tuple[np.ndarray, int]:
     is at most ``log(9!) + 1/e < 16``, so the high limb of a sum stays below
     ``2**53`` for any such window.
     """
-    ends = -_plogp(np.array([1, per_window - 1]) / per_window)
-    scale = 53 - math.frexp(ends.min())[1] if per_window > 1 else 0
+    scale = _scale(per_window)
     rise = np.empty(per_window, dtype=np.int64)
     piece = max(_CHUNK_EVENTS // 2, 1)
     for c0 in range(0, per_window, piece):
         counts = np.arange(c0, min(c0 + piece, per_window) + 1)
-        low, high = np.diff(_limbs(-_plogp(counts / per_window), scale), axis=0).T
+        low, high = np.diff(_limbs(-_plogp(counts / per_window), scale), axis=1)
         rise[c0 : counts[-1]] = (high << _LIMB_BITS) + low
     return rise, scale
 
@@ -327,29 +356,37 @@ def _pair_sums(
 class _Stride:
     """The sliding kernel's state at one stride, carried from block to block.
 
-    ``rise`` and ``scale`` are the :func:`_exact_steps` table of a window's
-    counts, built once.  ``counts`` is the count row of the last window
-    reached and ``limbs`` the ``(1, 2)`` carried limbs of its exact sum of
-    entries, whose value is ``_rounded(limbs, scale)``.  ``held`` is that
-    window's codes where its block encoded all of them, else empty; the
-    next block starts at that window, so it need not encode them again.
+    ``per_window`` is the patterns of a window and ``scale`` that of their
+    entries (:func:`_scale`).  ``rise`` is the :func:`_exact_steps` table of
+    a window's counts, built once, where the kernel moves a window by its
+    events; it is None where the kernel counts whole rows (see
+    :func:`_sliding_entropy`).  ``counts`` is the count row of the last
+    window reached and ``limbs`` the ``(1, 2)`` carried limbs of its exact
+    sum of entries, whose value is ``_rounded(limbs, scale)``.  ``held`` is
+    that window's codes where its block encoded all of them, else empty;
+    the next block starts at that window, so it need not encode them again.
     """
 
-    rise: np.ndarray
+    per_window: int
     scale: int
+    rise: np.ndarray | None
     counts: np.ndarray
     limbs: np.ndarray
     held: np.ndarray
 
     @classmethod
-    def counted(cls, counts: np.ndarray, per_window: int) -> _Stride:
-        """The state at a window of ``per_window`` patterns with ``counts``."""
-        rise, scale = _exact_steps(per_window)
+    def counted(cls, counts: np.ndarray, per_window: int, hop: int) -> _Stride:
+        """The state at a window of ``per_window`` patterns with ``counts``,
+        for windows ``hop`` patterns apart."""
+        if 2 * min(hop, per_window) >= _ROWS_FROM * counts.shape[0]:
+            rise, scale = None, _scale(per_window)
+        else:
+            rise, scale = _exact_steps(per_window)
         terms = _limbs(-_plogp(counts[counts > 0] / per_window), scale)
         limbs = np.zeros((1, 2), dtype=np.int64)
-        for t0 in range(0, terms.shape[0], _CHUNK_EVENTS):
-            limbs = _carried(limbs + terms[t0 : t0 + _CHUNK_EVENTS].sum(axis=0))
-        return cls(rise, scale, counts, limbs, np.empty(0, dtype=np.int64))
+        for t0 in range(0, terms.shape[1], _CHUNK_EVENTS):
+            limbs = _carried(limbs + terms[:, t0 : t0 + _CHUNK_EVENTS].sum(axis=1))
+        return cls(per_window, scale, rise, counts, limbs, np.empty(0, dtype=np.int64))
 
 
 def _sliding_entropy(
@@ -366,34 +403,41 @@ def _sliding_entropy(
 
     A window's entropy is its sum ``S`` of the entries ``-p * log(p)`` of
     its pattern counts, rounded once, over ``log(ell!)``.  Each entry is an
-    integer multiple of ``2**-scale`` (:func:`_exact_steps`), so ``S`` is
-    an exact integer in two int64 limbs, rounded once per window
+    integer multiple of ``2**-scale`` (:func:`_scale`), so ``S`` is an
+    exact integer in two int64 limbs, rounded once per window
     (:func:`_rounded`), as :func:`permutation_entropy` rounds its
     ``math.fsum``.  The counts and ``S`` of a window are the same integers
-    whichever block reached it, so are its bits.
+    whichever block or path reached it, so are its bits.
 
     From one window to the next, ``moved = min(hop, per_window)`` codes
     leave at the left and as many enter at the right: window ``r >= 1``
     loses ``leave[(r - 1) * hop :][:moved]`` and gains the same slice of
-    ``enter``.  Equal leaving and entering codes at the same offset cancel;
-    a window whose pairs all cancel keeps the previous window's value, as
-    most windows do on oversampled series.  Every other pair is two events,
-    the leaving code and then the entering one, in time order, so no count
-    leaves ``0..per_window``.  An event moves ``S`` by the exact step from
-    its code's count before to its count after (:func:`_pair_sums`), so a
+    ``enter``.  A window moves in one of two ways, which the state chose
+    (:meth:`_Stride.counted`).  Where ``2 * moved`` is below ``_ROWS_FROM``
+    times ``ell!``, the kernel moves ``S`` per event.  Equal leaving and
+    entering codes at the same offset cancel; a window whose pairs all
+    cancel keeps the previous window's value, as most windows do on
+    oversampled series.  Every other pair is two events, the leaving code
+    and then the entering one, in time order, so no count leaves
+    ``0..per_window``.  An event moves ``S`` by the exact step from its
+    code's count before to its count after (:func:`_pair_sums`), so a
     window costs its events, whatever ``ell!``.  Events go in chunks of at
     most ``_CHUNK_EVENTS``, which carry the count of each code and ``S``.
-    Working memory is a chunk, the state and a few arrays of one value per
-    window, whatever the window or the hop.
+    Otherwise the kernel counts every window's row of ``ell!`` cells and
+    sums its entries (:func:`_row_sums`), so a window costs its ``ell!``
+    cells, whatever the hop.  Working memory is a chunk, the state and a
+    few arrays of one value per window, whatever the window or the hop.
     """
-    rise, scale, counts = stride.rise, stride.scale, stride.counts
-    moved = min(hop, rise.shape[0])
+    moved = min(hop, stride.per_window)
     gone, come = (
         np.lib.stride_tricks.as_strided(
             codes, (rows, moved), (hop * codes.itemsize, codes.itemsize), writeable=False
         )
         for codes in (leave, enter)
     )
+    if stride.rise is None:
+        return _normalized_entropy(_row_sums(gone, come, stride), ell)
+    rise, scale, counts = stride.rise, stride.scale, stride.counts
     pairs = np.flatnonzero(come != gone)  # row * moved + offset of each differing pair
     # last[r] numbers the value that window r shares: 0 is the held window.
     last = np.zeros(rows + 1, dtype=np.int64)
@@ -428,6 +472,44 @@ def _sliding_entropy(
         filled += sums.shape[0]
     stride.limbs = carry
     return _normalized_entropy(vals, ell)[last]
+
+
+def _row_sums(gone: np.ndarray, come: np.ndarray, stride: _Stride) -> np.ndarray:
+    """The rounded exact sums of the window ``stride`` holds and of one
+    window per row of ``gone`` and ``come``, which hold the codes each
+    leaves and gains; ``stride`` is left at the last window.
+
+    A chunk of rows takes one ``bincount`` of ``row * ell! + code`` over
+    its entering codes and one over its leaving codes; a cumsum of their
+    difference from the carried counts gives each row's counts.  Windows
+    that share no pattern (``moved == per_window``) enter whole, so the
+    first ``bincount`` alone gives them.  A row's sum is the sum of the
+    :func:`_limbs` of its entries.  A chunk holds at most ``_CHUNK_CELLS``
+    cells and codes, or one row.
+    """
+    rows, moved = come.shape
+    counts, per_window, scale = stride.counts, stride.per_window, stride.scale
+    nfact = counts.shape[0]
+    step = max(_CHUNK_CELLS // max(nfact, moved), 1)
+    vals = np.empty(rows + 1, dtype=np.float64)
+    vals[:1] = _rounded(stride.limbs, scale)
+    for r0 in range(0, rows, step):
+        r1 = min(r0 + step, rows)
+        offsets = np.arange(0, (r1 - r0) * nfact, nfact).reshape(-1, 1)
+        tally = np.bincount((come[r0:r1] + offsets).ravel(), minlength=offsets.size * nfact)
+        tally = tally.reshape(-1, nfact)
+        if moved < per_window:
+            tally -= np.bincount((gone[r0:r1] + offsets).ravel(), minlength=tally.size).reshape(
+                -1, nfact
+            )
+            tally[0] += counts
+            np.cumsum(tally, axis=0, out=tally)
+        counts = tally[-1].copy()
+        sums = _carried(_limbs(-_plogp(tally / per_window), scale).sum(axis=2).T)
+        vals[1 + r0 : 1 + r1] = _rounded(sums, scale)
+        stride.limbs = sums[-1:].copy()
+    stride.counts = counts
+    return vals
 
 
 def multi_tau_pe(

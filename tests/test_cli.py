@@ -388,7 +388,7 @@ class TestIngestCommand:
         # The same keys, in the same order, as the library's own report.
         records = load_csv(raw)
         _, cleaning = fill_gaps(*regularize(records, 10.0))
-        expected = {"n_records": len(records), **asdict(cleaning)}
+        expected = {"n_records": len(records), "n_displaced": 0, **asdict(cleaning)}
         expected.update(input=str(raw), output=str(out), created=report["created"])
         expected = json.loads(json.dumps(expected))  # spans as JSON lists
         assert list(report.items()) == list(expected.items())
@@ -407,11 +407,41 @@ class TestIngestCommand:
         text = out.with_suffix(".csv.report.json").read_text(encoding="utf-8")
         created = json.loads(text)["created"]
         assert text == (
-            '{\n  "n_records": 9,\n  "n_missing_filled": 3,\n  "n_suspect_removed": 0,\n'
+            '{\n  "n_records": 9,\n  "n_displaced": 0,\n  "n_missing_filled": 3,\n'
+            '  "n_suspect_removed": 0,\n'
             '  "gap_spans": [\n    [3, 3],\n    [7, 8]\n  ],\n'
             f'  "input": {json.dumps(str(raw))},\n  "output": {json.dumps(str(out))},\n'
             f'  "created": "{created}"\n}}\n'
         )
+
+
+    def test_report_counts_records_that_lost_their_cell(self, tmp_path):
+        # Two records at time 1: the first wins the cell, the second is in no point.
+        raw = tmp_path / "raw.csv"
+        raw.write_text("0,1\n1,2\n1,5\n2,3\n")
+        out = tmp_path / "clean.csv"
+        assert run("ingest", "-i", raw, "--target-spacing", 1.0, "-o", out) == 0
+        series, _ = read_series(out)
+        np.testing.assert_array_equal(series.values, [1.0, 2.0, 3.0])
+        report = json.loads(out.with_suffix(".csv.report.json").read_text(encoding="utf-8"))
+        assert list(report)[:2] == ["n_records", "n_displaced"]
+        assert (report["n_records"], report["n_displaced"]) == (4, 1)
+        assert (report["n_missing_filled"], report["n_suspect_removed"]) == (0, 0)
+
+    @pytest.mark.parametrize("fill", ["ffill", "none"])
+    def test_records_are_the_points_that_hold_one_plus_the_displaced(self, tmp_path, fill):
+        # Repeated times, a NaN that wins its cell, one that loses, and gaps.
+        raw = tmp_path / "raw.csv"
+        rows = ["0,1", "1,2", "1.2,7", "1.4,nan", "2,nan", "2.3,4", "5,6", "5,8", "7.1,9"]
+        raw.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "clean.csv"
+        assert run("ingest", "-i", raw, "--target-spacing", 1.0, "--fill", fill,
+                   "-o", out) == 0
+        report = json.loads(out.with_suffix(".csv.report.json").read_text(encoding="utf-8"))
+        series, suspect = regularize(load_csv(raw), 1.0)
+        held = np.isfinite(series.values) | suspect
+        assert report["n_records"] == len(rows) == held.sum() + report["n_displaced"]
+        assert report["n_displaced"] == 4
 
 
 class TestExitCodes:

@@ -378,7 +378,7 @@ def sliding_entropy(codes, anchors, window, ell, span):
     its first window, as :func:`windowed_pe` runs it."""
     per_window, hop = window - span, anchors.step
     counts = np.bincount(codes[:per_window], minlength=math.factorial(ell))
-    stride = entropy_module._Stride.counted(counts, per_window)
+    stride = entropy_module._Stride.counted(counts, per_window, hop)
     into = hop + per_window - min(hop, per_window)
     return entropy_module._sliding_entropy(
         codes, codes[into:], len(anchors) - 1, hop, ell, stride

@@ -17,8 +17,11 @@ directory:
   cells that the table writer formats with ``repr`` one at a time;
 * ``generate lorenz`` and ``generate mackey-glass`` with ``--steps 20000``;
 * on the generated Lorenz series, ``pe --ell 6 --window 3000``, with 720
-  pattern codes, and ``pe --ell 2 --window 3000 --hop 5``, whose windows
-  each move five codes out and five in;
+  pattern codes, ``pe --ell 2 --window 3000 --hop 5``, whose windows
+  each move five codes out and five in, ``pe --ell 5 --window 3000 --hop
+  200``, whose windows move 400 events over 120 cells and so are counted
+  row by row, and ``pe --window 3000 --hop 3000``, whose windows share no
+  pattern;
 * on the ``recording`` benchmark's seed-11 export
   (``bench/recording.py::write_export``), ``ingest --target-spacing 0.25``
   plain, with ``--fill none`` and with ``--prefilter moving_median
@@ -35,7 +38,7 @@ directory:
   ``--j-max 8``, whose largest sizes leave too few points and write NaN
   rows: both branches of the bin-size rule, and its NaN rows.
 
-That is 49 files on each side.  Both sides read the same export.  Then
+That is 51 files on each side.  Both sides read the same export.  Then
 every file is compared after dropping the lines that hold a timestamp, an
 input digest, an output path or a run time.  The tool lists each command
 that exited non-zero and each file that is missing on one side or
@@ -79,6 +82,10 @@ def _runs(export: Path) -> list[list[str]]:
         ["pe", "-i", "lorenz.csv", "--ell", "6", "--window", "3000", "-o", "pe_lorenz_ell6.csv"],
         ["pe", "-i", "lorenz.csv", "--ell", "2", "--window", "3000", "--hop", "5",
          "-o", "pe_lorenz_ell2_hop5.csv"],
+        ["pe", "-i", "lorenz.csv", "--ell", "5", "--window", "3000", "--hop", "200",
+         "-o", "pe_lorenz_ell5_hop200.csv"],
+        ["pe", "-i", "lorenz.csv", "--window", "3000", "--hop", "3000",
+         "-o", "pe_lorenz_hop3000.csv"],
         [*ingest, "-o", "clean.csv"],
         [*ingest, "--fill", "none", "-o", "clean_nofill.csv"],
         [*ingest, "--prefilter", "moving_median", "--median-width", "5", "-o", "clean_median.csv"],
