@@ -242,8 +242,12 @@ def _limbs(entries: np.ndarray, scale: int) -> np.ndarray:
     exactly: scaling by a power of two, ``floor`` and the difference of
     two integers that doubles hold are all exact.
     """
+    limbs = np.empty((2, *entries.shape), dtype=np.int64)
     high = np.floor(entries * 2.0 ** (scale - _LIMB_BITS))
-    return np.stack((entries * 2.0**scale - high * 2.0**_LIMB_BITS, high)).astype(np.int64)
+    limbs[1] = high
+    high *= 2.0**_LIMB_BITS
+    limbs[0] = np.subtract(entries * 2.0**scale, high, out=high)
+    return limbs
 
 
 def _scale(per_window: int) -> int:
@@ -505,7 +509,8 @@ def _row_sums(gone: np.ndarray, come: np.ndarray, stride: _Stride) -> np.ndarray
             tally[0] += counts
             np.cumsum(tally, axis=0, out=tally)
         counts = tally[-1].copy()
-        sums = _carried(_limbs(-_plogp(tally / per_window), scale).sum(axis=2).T)
+        entries = _plogp(tally / per_window)
+        sums = _carried(_limbs(np.negative(entries, out=entries), scale).sum(axis=2).T)
         vals[1 + r0 : 1 + r1] = _rounded(sums, scale)
         stride.limbs = sums[-1:].copy()
     stride.counts = counts

@@ -373,6 +373,156 @@ class TestSlidingKernel:
         assert grown <= 32, f"{grown:.1f} bytes per anchor"
 
 
+# _ROWS_FROM values that send every window to one path: 0 counts rows
+# even at hop 1, and no window moves this many events per cell.
+ROWS, EVENTS = 0, 1 << 40
+
+
+def by_rows(ell, hop, per_window):
+    """Whether the shipped switch counts rows at this hop."""
+    return 2 * min(hop, per_window) >= entropy_module._ROWS_FROM * math.factorial(ell)
+
+
+class TestRowsPath:
+    """The kernel's two ways to move a window, against the fsum oracle and
+    each other, bit for bit."""
+
+    @pytest.mark.parametrize("cells", ["one row", "three rows", "shipped"])
+    @pytest.mark.parametrize("ell, window", [(2, 60), (3, 80), (4, 200), (5, 400), (6, 1500)])
+    def test_a_hop_grid_across_the_switch_matches_the_oracle(self, ell, window, cells):
+        nfact, span = math.factorial(ell), ell - 1
+        per_window = window - span
+        first = -(-entropy_module._ROWS_FROM * nfact // 2)  # the least hop on rows
+        # Hop 1, both sides of the switch, and past per_window: disjoint windows.
+        hops = sorted({1, 2, first - 1, first, first + 1, per_window - 1, per_window,
+                       per_window + 7})
+        assert not by_rows(ell, first - 1, per_window) and by_rows(ell, first, per_window)
+        rng = np.random.default_rng(ell)
+        chunk = {"one row": 1, "three rows": 3 * nfact, "shipped": entropy_module._CHUNK_CELLS}
+        for hop in hops:
+            n = window + 40 * hop
+            # A rounded random walk: long stretches of ties and of change.
+            values = np.round(rng.standard_normal(n).cumsum() / 4)
+            codes = encode_patterns(values, ell, 1)
+            anchors = range(window - 1, n, hop)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(entropy_module, "_CHUNK_CELLS", chunk[cells])
+                got = sliding_entropy(codes, anchors, window, ell, span)
+            expected = sliding_entropy_fsum(codes, np.asarray(anchors), window, ell, span)
+            np.testing.assert_array_equal(
+                got.view(np.int64), expected.view(np.int64), err_msg=f"hop {hop}"
+            )
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data(), values=st.one_of(plateau_series(), random_series()))
+    def test_both_paths_match_the_oracle_at_every_ell(self, data, values):
+        ell = data.draw(st.integers(2, 9), label="ell")
+        tau = data.draw(st.integers(1, 2), label="tau")
+        span = (ell - 1) * tau
+        if values.shape[0] <= span:
+            values = np.concatenate([values, np.arange(span + 1.0 - values.shape[0])])
+        window = data.draw(st.integers(span + 1, values.shape[0]), label="window")
+        hop = data.draw(st.integers(1, window - span + 3), label="hop")
+        # Chunks of one row up to a few, so that chunk edges fall anywhere.
+        cells = data.draw(st.integers(1, 4 * math.factorial(ell)), label="cells per chunk")
+        codes = encode_patterns(values, ell, tau)
+        anchors = range(window - 1, values.shape[0], hop)
+        expected = sliding_entropy_fsum(codes, np.asarray(anchors), window, ell, span)
+        for path in (ROWS, EVENTS):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(entropy_module, "_ROWS_FROM", path)
+                mp.setattr(entropy_module, "_CHUNK_CELLS", cells)
+                got = sliding_entropy(codes, anchors, window, ell, span)
+            np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        data=st.data(),
+        values=st.lists(st.integers(0, 3), min_size=30, max_size=200),
+        ell=st.integers(2, 3),
+        tau_max=st.integers(1, 3),
+        block=st.integers(1, 5),
+    )
+    def test_joined_blocks_on_rows_equal_the_whole_series_traces(
+        self, data, values, ell, tau_max, block
+    ):
+        # Hops on the rows path at every stride, up to past window - span.
+        span = (ell - 1) * tau_max
+        nfact = math.factorial(ell)
+        window = data.draw(st.integers(span + nfact, span + 24), label="window")
+        hop = data.draw(st.integers(nfact, window - span + 4), label="hop")
+        cells = data.draw(st.integers(1, 3 * nfact), label="cells per chunk")
+        series = TimeSeries(np.asarray(values, dtype=np.float64))
+        config = PEConfig(ell=ell, window=window, tau_min=1, tau_max=tau_max, hop=hop)
+        assume(len(series) >= window)
+        assert all(by_rows(ell, hop, window - (ell - 1) * tau) for tau in config.taus)
+        whole = multi_tau_pe(series, config)
+        # No step table is built on the rows path.
+        with mock.patch.object(entropy_module, "_BLOCK_ANCHORS", block), \
+                mock.patch.object(entropy_module, "_CHUNK_CELLS", cells), \
+                mock.patch.object(entropy_module, "_exact_steps", side_effect=AssertionError):
+            blocks = list(trace_blocks(series, config))
+        np.testing.assert_array_equal(np.concatenate([b.anchors for b in blocks]), whole.anchors)
+        joined = np.concatenate([b.traces for b in blocks], axis=1)
+        np.testing.assert_array_equal(joined.view(np.int64), whole.traces.view(np.int64))
+
+    @pytest.mark.parametrize("hop", [25, 100, 5000])
+    def test_trace_blocks_on_rows_match_the_tally(self, hop):
+        # Several 8-anchor blocks, each cut by 5-row chunks, on the recording-
+        # like plateaus of a rounded walk; hop 5000 gives disjoint windows.
+        rng = np.random.default_rng(hop)
+        config = PEConfig(window=5000, hop=hop)
+        series = TimeSeries(np.round(rng.standard_normal(5000 + 30 * hop).cumsum()))
+        with mock.patch.object(entropy_module, "_BLOCK_ANCHORS", 8), \
+                mock.patch.object(entropy_module, "_CHUNK_CELLS", 5 * 24):
+            blocks = list(trace_blocks(series, config))
+        assert len(blocks) == 4
+        joined = np.concatenate([b.traces for b in blocks], axis=1)
+        anchors = np.concatenate([b.anchors for b in blocks])
+        for i, anchor in enumerate(anchors.tolist()):
+            for k, tau in enumerate(config.taus):
+                counts = pattern_distribution(series, 4, tau, anchor - 4999, anchor + 1)
+                assert joined[k, i] == permutation_entropy(counts, 4), f"anchor {anchor}"
+
+    def test_rows_peak_memory_does_not_grow_with_the_hop(self):
+        # The same 2000 anchors at ell 4, with their codes encoded before
+        # tracing starts: the events path would hold 8 bytes per differing
+        # pair, 1.6 MB at hop 100 and 16 MB at hop 1000.
+        peaks = {}
+        for hop in (100, 1000):
+            codes = encode_patterns(
+                np.random.default_rng(hop).standard_normal(5000 + 2000 * hop), 4, 1
+            )
+            anchors = range(4999, codes.shape[0] + 3, hop)
+            assert len(anchors) == 2001 and by_rows(4, hop, 4997)
+            tracemalloc.start()
+            sliding_entropy(codes, anchors, 5000, 4, 3)
+            peaks[hop] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            del codes
+        assert peaks[1000] <= peaks[100] + (64 << 10), peaks
+
+    def test_rows_peak_memory_at_ell_9_is_a_few_rows_above_ell_4(self):
+        # ell 9 counts rows at hop 100 only when forced; a chunk then holds
+        # one row of 9! cells.
+        peaks = {}
+        for ell in (4, 9):
+            values = np.random.default_rng(ell).standard_normal(5000 + 20 * 100)
+            codes = encode_patterns(values, ell, 1)
+            anchors = range(4999, values.shape[0], 100)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(entropy_module, "_ROWS_FROM", ROWS)
+                tracemalloc.start()
+                sliding_entropy(codes, anchors, 5000, ell, ell - 1)
+                peaks[ell] = tracemalloc.get_traced_memory()[1]
+                tracemalloc.stop()
+        # At a chunk's peak about eight rows live: the carried and the new
+        # count row, the tally, the entries, their two limbs and two float
+        # temporaries.  Chunks of several rows would take more.
+        rows = 10 * math.factorial(9) * 8
+        assert peaks[9] <= peaks[4] + rows, f"{peaks[9] - peaks[4]} bytes above ell=4"
+
+
 def sliding_entropy(codes, anchors, window, ell, span):
     """The sliding kernel over the codes of a whole series, from the tally of
     its first window, as :func:`windowed_pe` runs it."""
