@@ -430,7 +430,8 @@ def _sliding_entropy(
     Otherwise the kernel counts every window's row of ``ell!`` cells and
     sums its entries (:func:`_row_sums`), so a window costs its ``ell!``
     cells, whatever the hop.  Working memory is a chunk, the state and a
-    few arrays of one value per window, whatever the window or the hop.
+    few arrays of one value per window, whatever the window; moving by
+    events adds one index per differing pair, so it grows with the hop.
     """
     moved = min(hop, stride.per_window)
     gone, come = (
@@ -495,17 +496,20 @@ def _row_sums(gone: np.ndarray, come: np.ndarray, stride: _Stride) -> np.ndarray
     counts, per_window, scale = stride.counts, stride.per_window, stride.scale
     nfact = counts.shape[0]
     step = max(_CHUNK_CELLS // max(nfact, moved), 1)
+
+    def tallied(codes: np.ndarray) -> np.ndarray:
+        """One row of ``ell!`` counts per row of ``codes``."""
+        offsets = np.arange(0, codes.shape[0] * nfact, nfact).reshape(-1, 1)
+        flat = np.bincount((codes + offsets).ravel(), minlength=offsets.size * nfact)
+        return flat.reshape(-1, nfact)
+
     vals = np.empty(rows + 1, dtype=np.float64)
     vals[:1] = _rounded(stride.limbs, scale)
     for r0 in range(0, rows, step):
         r1 = min(r0 + step, rows)
-        offsets = np.arange(0, (r1 - r0) * nfact, nfact).reshape(-1, 1)
-        tally = np.bincount((come[r0:r1] + offsets).ravel(), minlength=offsets.size * nfact)
-        tally = tally.reshape(-1, nfact)
+        tally = tallied(come[r0:r1])
         if moved < per_window:
-            tally -= np.bincount((gone[r0:r1] + offsets).ravel(), minlength=tally.size).reshape(
-                -1, nfact
-            )
+            tally -= tallied(gone[r0:r1])
             tally[0] += counts
             np.cumsum(tally, axis=0, out=tally)
         counts = tally[-1].copy()
